@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # browsing and choice import core; a runtime import would cycle
+    from .browsing import BrowsingDistribution
+    from .choice import ChoiceModel
 
 # Sentinel for an unfilled location. Allowed only inside solver
 # intermediates, never in a returned placement.
@@ -72,9 +76,9 @@ class Instance:
     """
 
     products: list[Product]
-    choice_model: "object"
+    choice_model: ChoiceModel
     m: int
-    browsing: "object"
+    browsing: BrowsingDistribution
 
     def __post_init__(self):
         if not self.products:

@@ -104,14 +104,21 @@ class MnlExactOracle(AssortmentOracle):
         return order[:k], scores
 
     def _solve(self, k):
+        # Stop once an update would leave lo or hi unchanged: the next step
+        # would then repeat this one forever. The iteration cap still binds
+        # when the optimum is 0 and hi only halves.
         lo, hi = 0.0, float(self.instance.prices.max())
         for _ in range(_MNL_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             top, scores = self._top_scores(mid, k)
             gain = float(np.maximum(scores[top], 0.0).sum())
             if gain >= mid:
+                if mid == lo:
+                    break
                 lo = mid
             else:
+                if mid == hi:
+                    break
                 hi = mid
         top, scores = self._top_scores(lo, k)
         chosen = frozenset(int(i) for i in top if scores[i] > 0.0)

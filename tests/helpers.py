@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from placement_opt import Instance
+from placement_opt import EMPTY_SLOT, Instance
 
 
 def direct_revenue(instance: Instance, ids) -> float:
@@ -72,3 +72,32 @@ def absorption_by_iteration(model, offered, steps: int = 5000) -> dict[int, floa
         for s in absorbing:
             transient_mass[s] = 0.0
     return hit
+
+
+def reference_partition_greedy(instance: Instance, candidates, ev):
+    """Partition greedy that re-evaluates the whole placement for every trial.
+
+    The straightforward loop the library's incremental greedy must match
+    bit for bit: every (candidate, empty location) pair in candidate-major
+    order, the full ``ev.value`` of the trial placement, and the same
+    ``1e-15`` strict-improvement tie rule.
+    """
+    m = instance.m
+    slots = [EMPTY_SLOT] * m
+    current = 0.0
+    for _ in range(m):
+        best_gain, best_pair = -np.inf, None
+        for i in candidates:
+            for j in range(m):
+                if slots[j] != EMPTY_SLOT:
+                    continue
+                slots[j] = i
+                w = ev.value(slots)
+                slots[j] = EMPTY_SLOT
+                gain = w - current
+                if gain > best_gain + 1e-15:
+                    best_gain, best_pair = gain, (i, j)
+        i, j = best_pair
+        slots[j] = i
+        current += best_gain
+    return tuple(slots), ev.value(slots)

@@ -61,6 +61,48 @@ def test_mnl_exact_matches_brute_force():
             assert abs(r_brute - r_mnl) <= 1e-7, (seed, k)
 
 
+def _full_bisection(instance, k):
+    """MNL threshold set after all 200 bisection steps, with no early exit."""
+    v, r = instance.choice_model.weights, instance.prices
+
+    def top(t):
+        scores = v * (r - t)
+        return np.lexsort((np.arange(scores.size), -scores))[:k], scores
+
+    lo, hi = 0.0, float(r.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        order, scores = top(mid)
+        if float(np.maximum(scores[order], 0.0).sum()) >= mid:
+            lo = mid
+        else:
+            hi = mid
+    order, scores = top(lo)
+    return frozenset(int(i) for i in order if scores[i] > 0.0)
+
+
+def test_mnl_early_exit_matches_full_bisection():
+    rng = np.random.default_rng(5)
+    insts = [gen_first_slot_only(k) for k in range(1, 9)]
+    insts += [gen_random(8, 5, model="mnl", seed=seed) for seed in range(10)]
+    for n in (1, 4, 9):
+        prices = [rng.uniform(1.0, 10.0, n), np.full(n, 4.0)]
+        weights = [
+            np.ones(n),
+            rng.uniform(0.1, 2.0, n),
+            np.where(np.arange(n) % 2 == 0, 0.0, 1.0),
+            np.zeros(n),
+        ]
+        for r in prices:
+            for w in weights:
+                products = [Product(i, float(r[i])) for i in range(n)]
+                insts.append(Instance(products, MnlModel(w), 1, LineBrowsing([1.0])))
+    for inst in insts:
+        oracle = MnlExactOracle(inst)
+        for k in range(1, inst.n + 1):
+            assert oracle._solve(k) == _full_bisection(inst, k), (inst.n, k)
+
+
 def test_brute_force_dominates_other_strategies():
     for seed in range(10):
         inst = gen_random(6, 4, model="mnl", price_range=(1.0, 1.0), seed=seed)

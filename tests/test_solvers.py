@@ -9,6 +9,7 @@ from placement_opt import (
     EstimationPlan,
     Instance,
     LineBrowsing,
+    MarkovModel,
     MnlModel,
     Product,
     SamplerBrowsing,
@@ -30,9 +31,10 @@ from placement_opt import (
     randomized_placement,
     uniform_price_matroid_greedy,
 )
-from placement_opt.oracle import GreedyUniformOracle
+from placement_opt import solvers
+from placement_opt.oracle import GreedyUniformOracle, exact_oracle
 
-from helpers import twin_optimum
+from helpers import reference_partition_greedy, twin_optimum
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +345,63 @@ def test_markov_greedy_rejects_other_models():
     inst = gen_random(4, 2, model="mmnl", seed=7)
     with pytest.raises(ValueError):
         markov_deterministic_placement(inst, BruteForceOracle(inst))
+
+
+# ---------------------------------------------------------------------------
+# both greedy solvers against the per-trial reference loop
+
+
+def _greedy_cases():
+    """(name, instance) pairs: every model and browsing family, plus ties."""
+    cases = []
+    for model in ("mnl", "mmnl", "markov", "ranked"):
+        for browsing in ("line", "explicit", "singleton", "full"):
+            for seed, (n, m) in enumerate(((3, 2), (5, 4), (7, 5))):
+                for prices in ((1.0, 10.0), (2.0, 2.0)):
+                    inst = gen_random(
+                        n, m, model=model, price_range=prices, browsing=browsing, seed=seed
+                    )
+                    cases.append((f"{model}-{browsing}-{seed}-{prices[0]}", inst))
+    for m in range(1, 7):
+        cases.append((f"uniform-line-{m}", gen_uniform_line(m)))
+    flat = [Product(i, 3.0) for i in range(5)]
+    lines = (LineBrowsing([0.25] * 4), LineBrowsing([0.4, 0.0, 0.3, 0.0]))
+    for weights in ([1.0] * 5, [0.0, 1.0, 0.0, 0.5, 1.0], [0.0] * 5):
+        for browsing in lines + (full_support(4),):
+            inst = Instance(flat, MnlModel(weights), 4, browsing)
+            cases.append((f"flat-{weights}", inst))
+    return cases
+
+
+def test_greedy_solvers_match_reference_loop(monkeypatch):
+    def run_both(inst):
+        reports = [uniform_price_matroid_greedy(inst)] if np.ptp(inst.prices) == 0 else []
+        if isinstance(inst.choice_model, (MnlModel, MarkovModel)):
+            reports.append(markov_deterministic_placement(inst, exact_oracle(inst)))
+        return [(r.placement, r.w_exact, r.k) for r in reports]
+
+    cases = _greedy_cases()
+    fast = [run_both(inst) for _, inst in cases]
+    monkeypatch.setattr(solvers, "_partition_greedy", reference_partition_greedy)
+    slow = [run_both(inst) for _, inst in cases]
+    compared = 0
+    for (name, _), got, want in zip(cases, fast, slow):
+        assert got == want, name
+        compared += len(got)
+    assert compared == 126  # 63 runs of each greedy solver
+
+
+def test_greedy_tie_rule_lower_product_then_lower_location():
+    # interchangeable products: every first pick ties, so product 0 goes to
+    # location 0, then product 1 to location 1, and so on
+    for m in range(1, 7):
+        inst = gen_uniform_line(m)
+        assert uniform_price_matroid_greedy(inst).placement == tuple(range(m))
+    # only location 0 is ever seen: every product ties there, and every
+    # later pick gains exactly 0, so product 0 fills each location in turn
+    products = [Product(i, 3.0) for i in range(4)]
+    inst = Instance(products, MnlModel([1.0] * 4), 3, LineBrowsing([1.0, 0.0, 0.0]))
+    assert uniform_price_matroid_greedy(inst).placement == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
