@@ -7,6 +7,7 @@ their support exactly; sampler-backed ones only draw.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,15 +39,15 @@ class BrowsingDistribution:
 class ExplicitBrowsing(BrowsingDistribution):
     """Distribution given by an explicit list of (location set, probability).
 
-    Duplicate sets are merged; probabilities must be nonnegative and sum
-    to 1 within 1e-9.
+    Duplicate sets are merged; probabilities must be finite, nonnegative and
+    sum to 1 within 1e-9.
     """
 
     def __init__(self, support: Iterable[tuple[Iterable[int], float]]):
         merged: dict[frozenset[int], float] = {}
         for locations, prob in support:
-            if prob < 0:
-                raise ValueError("support probabilities must be nonnegative")
+            if not math.isfinite(prob) or prob < 0:
+                raise ValueError("support probabilities must be finite and nonnegative")
             key = frozenset(int(j) for j in locations)
             if any(j < 0 for j in key):
                 raise ValueError("location indices must be nonnegative")
@@ -91,8 +92,8 @@ class LineBrowsing(BrowsingDistribution):
         t = np.asarray(theta, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("theta must be a nonempty 1-d sequence")
-        if np.any(t < 0):
-            raise ValueError("prefix probabilities must be nonnegative")
+        if not np.all(np.isfinite(t)) or np.any(t < 0):
+            raise ValueError("prefix probabilities must be finite and nonnegative")
         total = float(t.sum())
         if total > 1.0 + _PROB_TOL:
             raise ValueError(f"prefix probabilities sum to {total} > 1")

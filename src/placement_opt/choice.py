@@ -71,8 +71,8 @@ class MnlModel(ChoiceModel):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValueError("weights must be finite and nonnegative")
         self.weights = w
         self.n = int(w.size)
 
@@ -92,18 +92,19 @@ class MmnlModel(ChoiceModel):
         if not segments:
             raise ValueError("need at least one segment")
         thetas = np.array([t for t, _ in segments], dtype=float)
-        if np.any(thetas < 0):
-            raise ValueError("segment probabilities must be nonnegative")
+        if not np.all(np.isfinite(thetas)) or np.any(thetas < 0):
+            raise ValueError("segment probabilities must be finite and nonnegative")
         if abs(thetas.sum() - 1.0) > _PROB_TOL:
             raise ValueError("segment probabilities must sum to 1")
         mats = [np.asarray(w, dtype=float) for _, w in segments]
         n = mats[0].size
         if any(w.ndim != 1 or w.size != n for w in mats):
             raise ValueError("all segments must weight the same product set")
-        if any(np.any(w < 0) for w in mats):
-            raise ValueError("segment weights must be nonnegative")
+        matrix = np.vstack(mats)  # segment x product
+        if not np.all(np.isfinite(matrix)) or np.any(matrix < 0):
+            raise ValueError("segment weights must be finite and nonnegative")
         self.thetas = thetas
-        self.weight_matrix = np.vstack(mats)  # segment x product
+        self.weight_matrix = matrix
         self.n = int(n)
 
     def _probs(self, key):
@@ -141,6 +142,8 @@ class MarkovModel(ChoiceModel):
             raise ValueError("arrival must cover the quit state plus >= 1 product")
         if rho.shape != (lam.size, lam.size):
             raise ValueError("transitions must be square over the same states")
+        if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(rho)):
+            raise ValueError("arrival and transitions must be finite")
         if np.any(lam < 0) or abs(lam.sum() - 1.0) > _PROB_TOL:
             raise ValueError("arrival must be a probability vector")
         if np.any(rho < 0) or np.any(np.abs(rho.sum(axis=1) - 1.0) > _PROB_TOL):
@@ -192,8 +195,10 @@ class RankedListModel(ChoiceModel):
         if not lists:
             raise ValueError("need at least one ranking")
         probs = np.array([p for p, _ in lists], dtype=float)
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > _PROB_TOL:
-            raise ValueError("ranking probabilities must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+            raise ValueError("ranking probabilities must be finite and nonnegative")
+        if abs(probs.sum() - 1.0) > _PROB_TOL:
+            raise ValueError("ranking probabilities must sum to 1")
         orders = []
         for _, order in lists:
             order = tuple(int(i) for i in order)

@@ -15,10 +15,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .choice import MnlModel, check_weak_rationality
+from .choice import check_weak_rationality
 from .core import Instance, SizeGuardError, substream
 from .estimation import EstimationPlan, estimate_w
 from .instances import (
+    BROWSING_FAMILIES,
+    MODEL_FAMILIES,
     from_json,
     gen_coverage_mmnl,
     gen_first_slot_only,
@@ -30,7 +32,6 @@ from .instances import (
 from .oracle import BruteForceOracle, GreedyUniformOracle, MnlExactOracle, exact_oracle
 from .solvers import (
     SolveReport,
-    WEvaluator,
     best_of_many_line,
     brute_force_placement,
     check_pair_objective_properties,
@@ -42,8 +43,12 @@ from .solvers import (
 
 DEFAULT_SEED = 20240901
 
-ALGORITHMS = ("brute", "best-of-many", "randomized", "uniform-greedy", "markov-greedy")
-ORACLES = ("auto", "brute", "mnl-exact", "greedy-uniform")
+ORACLES = {
+    "auto": exact_oracle,
+    "brute": BruteForceOracle,
+    "mnl-exact": MnlExactOracle,
+    "greedy-uniform": GreedyUniformOracle,
+}
 
 
 class InstanceParseError(ValueError):
@@ -58,44 +63,59 @@ def _load_instance(path: str) -> Instance:
         raise InstanceParseError(f"cannot parse instance {path}: {exc}") from exc
 
 
-def _make_oracle(name: str, instance: Instance):
-    if name == "auto":
-        return exact_oracle(instance)
-    if name == "brute":
-        return BruteForceOracle(instance)
-    if name == "mnl-exact":
-        return MnlExactOracle(instance)
-    if name == "greedy-uniform":
-        return GreedyUniformOracle(instance)
-    raise ValueError(f"unknown oracle {name!r}")
+def _oracle(instance: Instance, args):
+    return ORACLES[args.oracle](instance)
 
 
-def _run_algorithm(name: str, instance: Instance, args) -> SolveReport:
-    seed = args.seed
-    if name == "brute":
-        return brute_force_placement(instance, seed=seed)
-    oracle = _make_oracle(args.oracle, instance)
-    if name == "best-of-many":
-        return best_of_many_line(instance, oracle, seed=seed)
-    if name == "randomized":
-        plan = None
-        if args.epsilon is not None and args.delta is not None:
-            plan = EstimationPlan.for_instance(
-                instance, args.epsilon, args.delta, args.samples_override
-            )
-        return randomized_placement(
-            instance,
-            oracle,
-            repetitions=args.repetitions,
-            seed=seed,
-            rng=substream(seed, "placement"),
-            plan=plan,
+def _randomized(instance: Instance, args) -> SolveReport:
+    oracle = _oracle(instance, args)
+    plan = None
+    if args.epsilon is not None and args.delta is not None:
+        plan = EstimationPlan.for_instance(
+            instance, args.epsilon, args.delta, args.samples_override
         )
-    if name == "uniform-greedy":
-        return uniform_price_matroid_greedy(instance, seed=seed)
-    if name == "markov-greedy":
-        return markov_deterministic_placement(instance, oracle, seed=seed)
-    raise ValueError(f"unknown algorithm {name!r}")
+    return randomized_placement(
+        instance,
+        oracle,
+        repetitions=args.repetitions,
+        seed=args.seed,
+        rng=substream(args.seed, "placement"),
+        plan=plan,
+    )
+
+
+# Entries name their solver at call time, not by a captured function object,
+# so rebinding the module attribute (a profiler, a test double) reaches them.
+ALGORITHMS = {
+    "brute": lambda instance, args: brute_force_placement(instance, seed=args.seed),
+    "best-of-many": lambda instance, args: best_of_many_line(
+        instance, _oracle(instance, args), seed=args.seed
+    ),
+    "randomized": _randomized,
+    "uniform-greedy": lambda instance, args: uniform_price_matroid_greedy(
+        instance, seed=args.seed
+    ),
+    "markov-greedy": lambda instance, args: markov_deterministic_placement(
+        instance, _oracle(instance, args), seed=args.seed
+    ),
+}
+
+GENERATORS = {
+    "first-slot-only": lambda args: gen_first_slot_only(args.k),
+    "uniform-line": lambda args: gen_uniform_line(args.m),
+    "heavy-tail-line": lambda args: gen_heavy_tail_line(args.m, args.epsilon),
+    "coverage-mmnl": lambda args: gen_coverage_mmnl(
+        json.loads(args.sets), args.universe, args.cardinality, args.epsilon
+    ),
+    "random": lambda args: gen_random(
+        args.n,
+        args.m,
+        model=args.model,
+        price_range=(args.price_min, args.price_max),
+        browsing=args.browsing,
+        seed=args.seed,
+    ),
+}
 
 
 def _write_output(payload: str, path: str | None):
@@ -111,34 +131,13 @@ def _write_output(payload: str, path: str | None):
 
 
 def cmd_gen(args) -> int:
-    family = args.family
-    if family == "first-slot-only":
-        instance = gen_first_slot_only(args.k)
-    elif family == "uniform-line":
-        instance = gen_uniform_line(args.m)
-    elif family == "heavy-tail-line":
-        instance = gen_heavy_tail_line(args.m, args.epsilon)
-    elif family == "coverage-mmnl":
-        sets = json.loads(args.sets)
-        instance = gen_coverage_mmnl(sets, args.universe, args.cardinality, args.epsilon)
-    elif family == "random":
-        instance = gen_random(
-            args.n,
-            args.m,
-            model=args.model,
-            price_range=(args.price_min, args.price_max),
-            browsing=args.browsing,
-            seed=args.seed,
-        )
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    _write_output(to_json(instance), args.output)
+    _write_output(to_json(GENERATORS[args.family](args)), args.output)
     return 0
 
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
-    report = _run_algorithm(args.algorithm, instance, args)
+    report = ALGORITHMS[args.algorithm](instance, args)
     _write_output(json.dumps(report.to_dict()), args.output)
     return 0
 
@@ -148,11 +147,13 @@ def cmd_compare(args) -> int:
     names = sorted(set(args.algorithms.split(",")))
     for name in names:
         if name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}")
+            raise ValueError(
+                f"unknown algorithm {name!r}, choose from {', '.join(ALGORITHMS)}"
+            )
     workers = max(1, int(os.environ.get("PLACEMENT_OPT_THREADS", "1")))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {
-            name: pool.submit(_run_algorithm, name, instance, args) for name in names
+            name: pool.submit(ALGORITHMS[name], instance, args) for name in names
         }
         reports = {name: fut.result() for name, fut in futures.items()}
 
@@ -268,17 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance JSON")
-    gen.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "first-slot-only",
-            "uniform-line",
-            "heavy-tail-line",
-            "coverage-mmnl",
-            "random",
-        ],
-    )
+    gen.add_argument("--family", required=True, choices=GENERATORS)
     gen.add_argument("--k", type=int, default=4)
     gen.add_argument("--m", type=int, default=4)
     gen.add_argument("--n", type=int, default=5)
@@ -286,40 +277,34 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--sets", type=str, default="[[0]]", help="JSON list of sets")
     gen.add_argument("--universe", type=int, default=1)
     gen.add_argument("--cardinality", type=int, default=1)
-    gen.add_argument("--model", choices=["mnl", "mmnl", "markov", "ranked"], default="mnl")
-    gen.add_argument(
-        "--browsing", choices=["line", "explicit", "singleton", "full"], default="line"
-    )
+    gen.add_argument("--model", choices=MODEL_FAMILIES, default="mnl")
+    gen.add_argument("--browsing", choices=BROWSING_FAMILIES, default="line")
     gen.add_argument("--price-min", type=float, default=1.0)
     gen.add_argument("--price-max", type=float, default=10.0)
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     gen.add_argument("-o", "--output", default=None)
     gen.set_defaults(func=cmd_gen)
 
-    solve = sub.add_parser("solve", help="run one placement algorithm")
-    solve.add_argument("--instance", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # flags shared by solve, compare
+    run.add_argument("--instance", required=True)
+    run.add_argument("--oracle", choices=ORACLES, default="auto")
+    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    run.add_argument("--repetitions", type=int, default=32)
+    run.add_argument("--epsilon", type=float, default=None)
+    run.add_argument("--delta", type=float, default=None)
+    run.add_argument("--samples-override", type=int, default=None)
+    run.add_argument("-o", "--output", default=None)
+
+    solve = sub.add_parser("solve", parents=[run], help="run one placement algorithm")
     solve.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    solve.add_argument("--oracle", choices=ORACLES, default="auto")
-    solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    solve.add_argument("--repetitions", type=int, default=32)
-    solve.add_argument("--epsilon", type=float, default=None)
-    solve.add_argument("--delta", type=float, default=None)
-    solve.add_argument("--samples-override", type=int, default=None)
-    solve.add_argument("-o", "--output", default=None)
     solve.set_defaults(func=cmd_solve)
 
-    compare = sub.add_parser("compare", help="run several algorithms and tabulate")
-    compare.add_argument("--instance", required=True)
+    compare = sub.add_parser(
+        "compare", parents=[run], help="run several algorithms and tabulate"
+    )
     compare.add_argument("--algorithms", required=True, help="comma separated names")
-    compare.add_argument("--oracle", choices=ORACLES, default="auto")
-    compare.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    compare.add_argument("--repetitions", type=int, default=32)
-    compare.add_argument("--epsilon", type=float, default=None)
-    compare.add_argument("--delta", type=float, default=None)
-    compare.add_argument("--samples-override", type=int, default=None)
     compare.add_argument("--opt-guard", type=int, default=200_000)
     compare.add_argument("--csv", default=None)
-    compare.add_argument("-o", "--output", default=None)
     compare.set_defaults(func=cmd_compare)
 
     estimate = sub.add_parser("estimate", help="Monte-Carlo estimate of a placement")

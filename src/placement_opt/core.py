@@ -9,6 +9,7 @@ stored.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -62,8 +63,8 @@ class Product:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError(f"product id must be nonnegative, got {self.id}")
-        if self.price < 0:
-            raise ValueError(f"price must be nonnegative, got {self.price}")
+        if not math.isfinite(self.price) or self.price < 0:
+            raise ValueError(f"price must be finite and nonnegative, got {self.price}")
 
 
 @dataclass
@@ -113,11 +114,6 @@ class Instance:
     def i_star(self) -> int:
         """Highest-price product id (lowest id wins ties)."""
         return int(np.argmax(self._prices))
-
-    def real_ids(self, ids: Iterable[int]) -> frozenset[int]:
-        """Drop empty-slot sentinels and padding ids, keep catalog products."""
-        n = self.n
-        return frozenset(i for i in ids if 0 <= i < n)
 
 
 def substream(seed: int, name: str) -> np.random.Generator:

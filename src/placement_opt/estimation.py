@@ -75,15 +75,19 @@ def estimate_w(
 
     Draws ``plan.samples`` visited sets and averages the exact assortment
     revenue of the products at each. Returns (estimate, samples used).
+    Raises ValueError unless the placement fills every slot with a catalog id.
     """
     if len(slots) != instance.m:
         raise ValueError(f"placement must fill {instance.m} slots")
-    model, prices, n = instance.choice_model, instance.prices, instance.n
+    bad = [i for i in slots if not 0 <= i < instance.n]
+    if bad:
+        raise ValueError(f"placement ids {bad} lie outside [0, {instance.n})")
+    model, prices = instance.choice_model, instance.prices
     cache: dict[tuple[int, ...], float] = {}
     total = 0.0
     for _ in range(plan.samples):
         visited = instance.browsing.sample(rng)
-        key = canon(i for i in products_at(slots, visited) if 0 <= i < n)
+        key = canon(products_at(slots, visited))
         rev = cache.get(key)
         if rev is None:
             rev = expected_revenue(model, prices, key)

@@ -400,6 +400,37 @@ def pair_objective_values(instance: Instance, guard: int = 18) -> np.ndarray:
     return values
 
 
+def _lattice_violations(
+    values: Sequence[float], names: Sequence[str], tol: float
+) -> list[str]:
+    """Monotonicity and submodularity violations of a set function.
+
+    ``values[mask]`` is the function on the subset of elements whose bits are
+    set in ``mask``; ``names[e]`` describes element ``e``. Walks every chain
+    U subset-of V and every element outside V.
+    """
+    size = len(names)
+    violations: list[str] = []
+    for v_mask in range(2**size):
+        outside = [e for e in range(size) if not v_mask >> e & 1]
+        for e in outside:
+            if values[v_mask | 1 << e] < values[v_mask] - tol:
+                violations.append(f"monotonicity: mask {v_mask} + {names[e]}")
+        u_mask = v_mask
+        while True:
+            for e in outside:
+                gain_small = values[u_mask | 1 << e] - values[u_mask]
+                gain_large = values[v_mask | 1 << e] - values[v_mask]
+                if gain_small < gain_large - tol:
+                    violations.append(
+                        f"submodularity: U {u_mask} within V {v_mask}, {names[e]}"
+                    )
+            if u_mask == 0:
+                break
+            u_mask = (u_mask - 1) & v_mask
+    return violations
+
+
 def check_pair_objective_properties(
     instance: Instance, tol: float = 1e-9, guard: int = 18
 ) -> list[str]:
@@ -410,26 +441,8 @@ def check_pair_objective_properties(
     """
     n, m = instance.n, instance.m
     values = pair_objective_values(instance, guard=guard)
-    size = n * m
-    violations: list[str] = []
-    for v_mask in range(values.size):
-        outside = [e for e in range(size) if not v_mask >> e & 1]
-        for e in outside:
-            if values[v_mask | 1 << e] < values[v_mask] - tol:
-                violations.append(f"monotonicity: mask {v_mask} + bit {e}")
-        u_mask = v_mask
-        while True:
-            for e in outside:
-                gain_small = values[u_mask | 1 << e] - values[u_mask]
-                gain_large = values[v_mask | 1 << e] - values[v_mask]
-                if gain_small < gain_large - tol:
-                    violations.append(
-                        f"submodularity: U {u_mask} within V {v_mask}, bit {e}"
-                    )
-            if u_mask == 0:
-                break
-            u_mask = (u_mask - 1) & v_mask
-    return violations
+    names = [f"pair ({i}, {j})" for i in range(n) for j in range(m)]
+    return _lattice_violations(values, names, tol)
 
 
 def check_restricted_revenue_properties(
@@ -443,29 +456,11 @@ def check_restricted_revenue_properties(
     if len(ids) > 16:
         raise SizeGuardError("restricted revenue check is capped at 16 members")
     model, prices = instance.choice_model, instance.prices
-    values: dict[int, float] = {}
+    values = []
     for mask in range(2 ** len(ids)):
         subset = [ids[t] for t in range(len(ids)) if mask >> t & 1]
-        values[mask] = expected_revenue(model, prices, subset)
-    violations: list[str] = []
-    for b_mask in values:
-        outside = [t for t in range(len(ids)) if not b_mask >> t & 1]
-        for t in outside:
-            if values[b_mask | 1 << t] < values[b_mask] - tol:
-                violations.append(f"monotonicity: mask {b_mask} + {ids[t]}")
-        a_mask = b_mask
-        while True:
-            for t in outside:
-                gain_small = values[a_mask | 1 << t] - values[a_mask]
-                gain_large = values[b_mask | 1 << t] - values[b_mask]
-                if gain_small < gain_large - tol:
-                    violations.append(
-                        f"submodularity: {a_mask} within {b_mask}, product {ids[t]}"
-                    )
-            if a_mask == 0:
-                break
-            a_mask = (a_mask - 1) & b_mask
-    return violations
+        values.append(expected_revenue(model, prices, subset))
+    return _lattice_violations(values, [f"product {i}" for i in ids], tol)
 
 
 def markov_deterministic_placement(

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from placement_opt import from_json, gen_random, to_json
-from placement_opt.cli import main
+from placement_opt import evaluate_exact, from_json, gen_random, to_json
+from placement_opt.cli import ALGORITHMS, GENERATORS, ORACLES, main
 
 
 def run(*argv):
@@ -38,19 +38,35 @@ def test_gen_then_solve_round_trip(tmp_path, capsys):
 
 
 def test_gen_all_families(tmp_path):
-    combos = [
-        ("uniform-line", ["--m", "5"]),
-        ("heavy-tail-line", ["--m", "4", "--epsilon", "1.0"]),
-        (
-            "coverage-mmnl",
-            ["--sets", "[[0,1],[1,2]]", "--universe", "3", "--cardinality", "1", "--epsilon", "0.5"],
-        ),
-        ("random", ["--n", "4", "--m", "3", "--model", "markov", "--browsing", "explicit"]),
-    ]
-    for family, extra in combos:
+    extras = {
+        "uniform-line": ["--m", "5"],
+        "heavy-tail-line": ["--m", "4", "--epsilon", "1.0"],
+        "coverage-mmnl": [
+            "--sets", "[[0,1],[1,2]]", "--universe", "3", "--cardinality", "1", "--epsilon", "0.5",
+        ],
+        "random": ["--n", "4", "--m", "3", "--model", "markov", "--browsing", "explicit"],
+    }
+    for family in GENERATORS:  # a new family runs at the parser defaults
         path = tmp_path / f"{family}.json"
-        assert run("gen", "--family", family, *extra, "-o", str(path)) == 0
+        assert run("gen", "--family", family, *extras.get(family, []), "-o", str(path)) == 0
         from_json(path.read_text())  # parses and validates
+
+
+def test_every_algorithm_runs_with_every_oracle(tmp_path):
+    # MNL, uniform prices, line browsing: every algorithm and oracle applies
+    inst_path = tmp_path / "inst.json"
+    assert run("gen", "--family", "uniform-line", "--m", "3", "-o", str(inst_path)) == 0
+    inst = from_json(inst_path.read_text())
+    for algorithm in ALGORITHMS:
+        for oracle in ORACLES:
+            out = tmp_path / f"{algorithm}-{oracle}.json"
+            argv = ["--instance", str(inst_path), "--algorithm", algorithm]
+            assert run("solve", *argv, "--oracle", oracle, "-o", str(out)) == 0
+            report = json.loads(out.read_text())
+            assert report["w_exact"] == evaluate_exact(inst, report["placement"]), (
+                algorithm,
+                oracle,
+            )
 
 
 def test_compare_brute_has_unit_ratio(tmp_path):
@@ -187,6 +203,13 @@ def test_unparseable_instance_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")
     assert run("solve", "--instance", str(bad), "--algorithm", "brute") == 2
+
+
+def test_estimate_out_of_range_placement_exits_2(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    run("gen", "--family", "random", "--n", "5", "--m", "3", "-o", str(inst_path))
+    argv = ["estimate", "--instance", str(inst_path), "--placement", "99,-7,42"]
+    assert run(*argv, "--samples-override", "10") == 2
 
 
 def test_size_guard_exits_3(tmp_path):

@@ -74,12 +74,6 @@ def test_i_star_prefers_lowest_id_on_ties():
     assert inst.i_star == 0
 
 
-def test_real_ids_filters_sentinels_and_padding():
-    products = [Product(0, 1.0), Product(1, 2.0)]
-    inst = Instance(products, MnlModel([1.0, 1.0]), 2, LineBrowsing([0.4, 0.6]))
-    assert inst.real_ids([-1, 0, 1, 2, 7]) == frozenset({0, 1})
-
-
 def test_substream_is_deterministic_and_name_separated():
     a1 = substream(42, "placement").random(4)
     a2 = substream(42, "placement").random(4)

@@ -49,6 +49,14 @@ def test_plan_validation_and_override():
         EstimationPlan(0.2, 0.1, 0, 1.0)
 
 
+def test_estimate_rejects_ids_outside_catalog():
+    inst = gen_random(5, 3, model="mnl", seed=2)
+    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=10)
+    for slots in [(99, -7, 42), (0, 1, 5), (-1, 0, 0)]:
+        with pytest.raises(ValueError):
+            estimate_w(inst, slots, plan, np.random.default_rng(0))
+
+
 def test_point_mass_browsing_estimates_exactly():
     inst = gen_random(3, 2, model="mnl", browsing="full", seed=1)
     plan = EstimationPlan.for_instance(inst, 1.0, 1.0, samples_override=3)

@@ -259,6 +259,35 @@ def test_json_round_trip_all_families():
         assert to_json(from_json(text)) == text
 
 
+NON_FINITE_FIELDS = [
+    ("mnl", "line", ("products", 0, "price")),
+    ("mnl", "line", ("choice_model", "weights", 0)),
+    ("mmnl", "line", ("choice_model", "segments", 0, "theta")),
+    ("mmnl", "line", ("choice_model", "segments", 0, "weights", 0)),
+    ("markov", "line", ("choice_model", "arrival", 1)),
+    ("markov", "line", ("choice_model", "transitions", 1, 2)),
+    ("ranked", "line", ("choice_model", "lists", 0, "prob")),
+    ("mnl", "line", ("browsing", "theta", 0)),
+    ("mnl", "explicit", ("browsing", "support", 0, "prob")),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "model, browsing, path",
+    NON_FINITE_FIELDS,
+    ids=[".".join(map(str, path)) for _, _, path in NON_FINITE_FIELDS],
+)
+def test_from_json_rejects_non_finite_numbers(model, browsing, path, bad):
+    data = json.loads(to_json(gen_random(3, 2, model=model, browsing=browsing, seed=81)))
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = bad
+    with pytest.raises(ValueError):
+        from_json(json.dumps(data))
+
+
 def test_from_json_rejects_bad_payloads():
     inst = gen_random(3, 2, model="mnl", seed=80)
     data = json.loads(to_json(inst))

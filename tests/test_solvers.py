@@ -32,6 +32,7 @@ from placement_opt import (
     uniform_price_matroid_greedy,
 )
 from placement_opt import solvers
+from placement_opt.solvers import _lattice_violations
 from placement_opt.oracle import GreedyUniformOracle, exact_oracle
 
 from helpers import reference_partition_greedy, twin_optimum
@@ -447,6 +448,22 @@ def test_restricted_revenue_checker_flags_same_counterexample():
         full_support(1),
     )
     assert check_restricted_revenue_properties(inst, [0, 1]) != []
+
+
+def test_lattice_walker_flags_supermodular_but_monotone_table():
+    # f(empty) = f({a}) = f({b}) = 0, f({a, b}) = 1: monotone, gains grow
+    assert _lattice_violations([0.0, 0.0, 0.0, 1.0], ["a", "b"], 1e-9) == [
+        "submodularity: U 0 within V 1, b",
+        "submodularity: U 0 within V 2, a",
+    ]
+
+
+def test_lattice_walker_flags_non_monotone_table():
+    # adding either element to the other loses value; gains still shrink
+    assert _lattice_violations([0.0, 1.0, 1.0, 0.5], ["a", "b"], 1e-9) == [
+        "monotonicity: mask 1 + b",
+        "monotonicity: mask 2 + a",
+    ]
 
 
 def test_restricted_revenue_properties_hold_on_oracle_assortments():
