@@ -12,20 +12,26 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import EnumerationUnsupportedError
+from .core import EnumerationUnsupportedError, as_int
 
 _PROB_TOL = 1e-9
-
-
-def _categorical(rng: np.random.Generator, cum: np.ndarray) -> int:
-    """Index drawn from a cumulative probability vector."""
-    return int(np.searchsorted(cum, rng.random(), side="right"))
 
 
 class BrowsingDistribution:
     """Base interface: i.i.d. sampling plus (optional) exact support."""
 
-    def sample(self, rng: np.random.Generator) -> frozenset[int]:
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """One visited set, or a list of ``size`` i.i.d. visited sets.
+
+        Follows numpy's ``size`` convention: a block of draws returns the
+        same sets, and leaves the generator in the same state, as ``size``
+        single draws. This default loops the single draw.
+        """
+        if size is None:
+            return self._draw(rng)
+        return [self._draw(rng) for _ in range(size)]
+
+    def _draw(self, rng: np.random.Generator) -> frozenset[int]:
         raise NotImplementedError
 
     def support(self) -> list[tuple[frozenset[int], float]]:
@@ -36,7 +42,25 @@ class BrowsingDistribution:
         raise NotImplementedError
 
 
-class ExplicitBrowsing(BrowsingDistribution):
+class _CategoricalBrowsing(BrowsingDistribution):
+    """Finitely many visited sets ``_sets`` drawn by the cumulative vector
+    ``_cum``; a block is one ``searchsorted`` over one ``rng.random(size)``.
+
+    The sets are built once, so repeated draws return the same objects and
+    dict lookups keyed by them hit on identity.
+    """
+
+    _sets: list[frozenset[int]]
+    _cum: np.ndarray
+
+    def sample(self, rng, size=None):
+        index = np.searchsorted(self._cum, rng.random(size), side="right")
+        if size is None:
+            return self._sets[index]
+        return [self._sets[i] for i in index.tolist()]
+
+
+class ExplicitBrowsing(_CategoricalBrowsing):
     """Distribution given by an explicit list of (location set, probability).
 
     Duplicate sets are merged; probabilities must be finite, nonnegative and
@@ -48,7 +72,7 @@ class ExplicitBrowsing(BrowsingDistribution):
         for locations, prob in support:
             if not math.isfinite(prob) or prob < 0:
                 raise ValueError("support probabilities must be finite and nonnegative")
-            key = frozenset(int(j) for j in locations)
+            key = frozenset(as_int(j, "location") for j in locations)
             if any(j < 0 for j in key):
                 raise ValueError("location indices must be nonnegative")
             merged[key] = merged.get(key, 0.0) + float(prob)
@@ -65,9 +89,6 @@ class ExplicitBrowsing(BrowsingDistribution):
     def max_location(self) -> int:
         return max((max(s) for s in self._sets if s), default=-1)
 
-    def sample(self, rng):
-        return self._sets[_categorical(rng, self._cum)]
-
     def support(self):
         return list(zip(self._sets, (float(p) for p in self._probs)))
 
@@ -81,7 +102,7 @@ class ExplicitBrowsing(BrowsingDistribution):
         }
 
 
-class LineBrowsing(BrowsingDistribution):
+class LineBrowsing(_CategoricalBrowsing):
     """Customers scan locations 0,1,2,... and stop; visited sets are prefixes.
 
     ``theta[j]`` is the probability of visiting exactly locations 0..j.
@@ -101,12 +122,9 @@ class LineBrowsing(BrowsingDistribution):
         self.m = int(t.size)
         self._residual = max(0.0, 1.0 - total)
         # category 0 = visit nothing, category j >= 1 = prefix 0..j-1
+        self._sets = [frozenset(range(j)) for j in range(self.m + 1)]
         self._cum = np.cumsum(np.concatenate(([self._residual], t)))
         self._cum[-1] = 1.0
-
-    def sample(self, rng):
-        j = _categorical(rng, self._cum)
-        return frozenset(range(j))
 
     def support(self):
         out = [
@@ -129,10 +147,10 @@ class SamplerBrowsing(BrowsingDistribution):
     """
 
     def __init__(self, draw: Callable[[np.random.Generator], Iterable[int]]):
-        self._draw = draw
+        self._simulate = draw
 
-    def sample(self, rng):
-        return frozenset(int(j) for j in self._draw(rng))
+    def _draw(self, rng):
+        return frozenset(int(j) for j in self._simulate(rng))
 
     def support(self):
         raise EnumerationUnsupportedError(

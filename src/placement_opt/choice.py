@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import canon
+from .core import as_int, canon
 
 _PROB_TOL = 1e-9
 
@@ -152,6 +152,17 @@ class MarkovModel(ChoiceModel):
         quit_row[0] = 1.0
         if not np.allclose(rho[0], quit_row, atol=_PROB_TOL):
             raise ValueError("the quit state must be absorbing")
+        # A product state that cannot reach quit lies in a closed class: left
+        # unoffered, its walk never ends and the absorption solve is singular.
+        reaches_quit = quit_row > 0
+        while True:
+            grown = reaches_quit | (rho[:, reaches_quit] > 0).any(axis=1)
+            if (grown == reaches_quit).all():
+                break
+            reaches_quit = grown
+        if not reaches_quit.all():
+            stuck = (np.flatnonzero(~reaches_quit) - 1).tolist()
+            raise ValueError(f"products {stuck} can never reach the quit state")
         self.arrival = lam
         self.transitions = rho
         self.n = int(lam.size) - 1
@@ -190,6 +201,7 @@ class RankedListModel(ChoiceModel):
 
     def __init__(self, lists: Sequence[tuple[float, Sequence[int]]], n: int):
         super().__init__()
+        n = as_int(n, "product count")
         if n < 1:
             raise ValueError("need at least one product")
         if not lists:
@@ -201,14 +213,14 @@ class RankedListModel(ChoiceModel):
             raise ValueError("ranking probabilities must sum to 1")
         orders = []
         for _, order in lists:
-            order = tuple(int(i) for i in order)
+            order = tuple(as_int(i, "ranked product id") for i in order)
             if len(set(order)) != len(order):
                 raise ValueError("a ranking may not repeat a product")
             if any(not 0 <= i < n for i in order):
                 raise ValueError("ranking contains an unknown product id")
             orders.append(order)
         self.lists = tuple(zip((float(p) for p in probs), orders))
-        self.n = int(n)
+        self.n = n
 
     def _probs(self, key):
         offered = set(key)

@@ -33,6 +33,20 @@ class EnumerationUnsupportedError(ValueError):
     """The browsing distribution cannot enumerate its support exactly."""
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as an int, for integer fields read from JSON.
+
+    Raises ValueError unless the value is integral: ``2`` and ``2.0`` pass,
+    ``2.7``, ``"2"``, NaN and infinities do not.
+    """
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def canon(ids: Iterable[int]) -> tuple[int, ...]:
     """Canonical sorted duplicate-free tuple for an assortment."""
     return tuple(sorted(set(ids)))

@@ -19,6 +19,10 @@ import numpy as np
 from .choice import expected_revenue
 from .core import Instance, canon, products_at
 
+# Visited sets drawn per call to ``sample``: one vectorized draw per block for
+# enumerable browsing, with memory bounded for any sample count.
+_BLOCK = 1 << 16
+
 
 def sample_size(m: int, epsilon: float, delta: float) -> int:
     """Samples needed for an (epsilon, delta) estimate over m locations."""
@@ -75,6 +79,9 @@ def estimate_w(
 
     Draws ``plan.samples`` visited sets and averages the exact assortment
     revenue of the products at each. Returns (estimate, samples used).
+    Sets are drawn in blocks and the revenue is computed once per distinct
+    visited set; the sum still runs in draw order, so the estimate and the
+    generator's end state are those of one draw per sample.
     Raises ValueError unless the placement fills every slot with a catalog id.
     """
     if len(slots) != instance.m:
@@ -83,16 +90,16 @@ def estimate_w(
     if bad:
         raise ValueError(f"placement ids {bad} lie outside [0, {instance.n})")
     model, prices = instance.choice_model, instance.prices
-    cache: dict[tuple[int, ...], float] = {}
+    revenues: dict[frozenset[int], float] = {}
     total = 0.0
-    for _ in range(plan.samples):
-        visited = instance.browsing.sample(rng)
-        key = canon(products_at(slots, visited))
-        rev = cache.get(key)
-        if rev is None:
-            rev = expected_revenue(model, prices, key)
-            cache[key] = rev
-        total += rev
+    for start in range(0, plan.samples, _BLOCK):
+        size = min(_BLOCK, plan.samples - start)
+        for visited in instance.browsing.sample(rng, size):
+            rev = revenues.get(visited)
+            if rev is None:
+                rev = expected_revenue(model, prices, canon(products_at(slots, visited)))
+                revenues[visited] = rev
+            total += rev
     return total / plan.samples, plan.samples
 
 

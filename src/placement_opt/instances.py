@@ -22,7 +22,7 @@ from .browsing import (
     singleton_uniform,
 )
 from .choice import MarkovModel, MmnlModel, MnlModel, RankedListModel, model_from_spec
-from .core import Instance, Product
+from .core import Instance, Product, as_int
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +39,12 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> Instance:
-    products = [Product(int(p["id"]), float(p["price"])) for p in data["products"]]
+    products = [
+        Product(as_int(p["id"], "product id"), float(p["price"])) for p in data["products"]
+    ]
     model = model_from_spec(data["choice_model"], n=len(products))
     browsing = browsing_from_spec(data["browsing"])
-    return Instance(products, model, int(data["m"]), browsing)
+    return Instance(products, model, as_int(data["m"], "m"), browsing)
 
 
 def to_json(instance: Instance) -> str:

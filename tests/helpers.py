@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from placement_opt import EMPTY_SLOT, Instance
+from placement_opt import EMPTY_SLOT, Instance, canon, expected_revenue, products_at
 
 
 def direct_revenue(instance: Instance, ids) -> float:
@@ -101,3 +101,22 @@ def reference_partition_greedy(instance: Instance, candidates, ev):
         slots[j] = i
         current += best_gain
     return tuple(slots), ev.value(slots)
+
+
+def reference_estimate_w(instance: Instance, slots, plan, rng):
+    """Sample-average revenue with one browsing draw per sample.
+
+    The straightforward loop the library's block-drawing estimator must
+    match bit for bit, estimate and generator end state alike: a scalar
+    ``sample(rng)`` per sample, revenue memoized per product set, and the
+    running sum in draw order.
+    """
+    model, prices = instance.choice_model, instance.prices
+    cache: dict[tuple[int, ...], float] = {}
+    total = 0.0
+    for _ in range(plan.samples):
+        key = canon(products_at(slots, instance.browsing.sample(rng)))
+        if key not in cache:
+            cache[key] = expected_revenue(model, prices, key)
+        total += cache[key]
+    return total / plan.samples, plan.samples

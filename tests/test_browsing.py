@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placement_opt import (
     EnumerationUnsupportedError,
@@ -154,3 +156,70 @@ def test_browsing_spec_round_trip():
         browsing_from_spec({"type": "mystery"})
     with pytest.raises(ValueError):
         SamplerBrowsing(lambda rng: set()).to_spec()
+
+
+# ---------------------------------------------------------------------------
+# block draws: sample(rng, size) == [sample(rng) for _ in range(size)]
+
+_weights = st.lists(
+    st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=8
+).filter(lambda w: sum(w) > 0)
+
+
+@st.composite
+def _line(draw):
+    weights = draw(_weights)  # the last weight is the visit-nothing residual
+    total = sum(weights)
+    return LineBrowsing([w / total for w in weights[:-1]] or [1.0])
+
+
+@st.composite
+def _explicit(draw):
+    weights = draw(_weights)
+    sets = draw(
+        st.lists(st.sets(st.integers(0, 5), max_size=4), min_size=len(weights),
+                 max_size=len(weights))
+    )
+    total = sum(weights)
+    return ExplicitBrowsing([(s, w / total) for s, w in zip(sets, weights)])
+
+
+@st.composite
+def _sampler(draw):
+    m = draw(st.integers(1, 6))
+    q = draw(st.floats(0.0, 1.0))
+    return SamplerBrowsing(lambda rng: np.flatnonzero(rng.random(m) < q))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    browsing=st.one_of(_line(), _explicit(), _sampler()),
+    size=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sample_equals_single_draws(browsing, size, seed):
+    block, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = browsing.sample(block, size)
+    assert isinstance(drawn, list)
+    assert drawn == [browsing.sample(single) for _ in range(size)]
+    assert block.bit_generator.state == single.bit_generator.state
+    assert browsing.sample(block) == browsing.sample(single)
+
+
+def test_empty_block_draws_nothing():
+    for browsing in [
+        LineBrowsing([0.3, 0.5]),
+        singleton_uniform(3),
+        SamplerBrowsing(lambda rng: [int(rng.integers(0, 4))]),
+    ]:
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert browsing.sample(rng, 0) == []
+        assert rng.bit_generator.state == before
+
+
+def test_line_block_returns_the_prebuilt_prefix_sets():
+    browsing = LineBrowsing([0.2, 0.3, 0.4])
+    first = browsing.sample(np.random.default_rng(0), 200)
+    again = browsing.sample(np.random.default_rng(0), 200)
+    assert all(a is b for a, b in zip(first, again))

@@ -98,7 +98,8 @@ def test_markov_all_offered_uses_arrival_directly():
 
 def test_markov_closed_transient_class_raises():
     # products 0 and 1 only feed each other, so offering just product 2
-    # leaves a closed unoffered class and no absorption.
+    # would leave a closed unoffered class and a singular absorption solve;
+    # the model is rejected when built instead.
     arrival = [0.0, 0.5, 0.5, 0.0]
     rho = [
         [1.0, 0.0, 0.0, 0.0],
@@ -106,9 +107,23 @@ def test_markov_closed_transient_class_raises():
         [0.0, 1.0, 0.0, 0.0],
         [1.0, 0.0, 0.0, 0.0],
     ]
+    with pytest.raises(ValueError, match=r"products \[0, 1\] can never reach"):
+        MarkovModel(arrival, rho)
+
+
+def test_markov_multi_step_path_to_quit_is_accepted():
+    # product 2 -> product 1 -> product 0 -> quit: only product 0 leaves
+    # directly, yet every walk ends
+    arrival = [0.0, 0.0, 0.0, 1.0]
+    rho = [
+        [1.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.5, 0.5],
+    ]
     model = MarkovModel(arrival, rho)
-    with pytest.raises(np.linalg.LinAlgError):
-        model.choice_probs([2])
+    assert model.choice_probs([0]) == {0: pytest.approx(1.0)}
+    assert model.choice_probs([1]) == {1: pytest.approx(1.0)}
 
 
 def test_ranked_list_top_match_mass():

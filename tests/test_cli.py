@@ -212,6 +212,22 @@ def test_estimate_out_of_range_placement_exits_2(tmp_path):
     assert run(*argv, "--samples-override", "10") == 2
 
 
+def test_solve_markov_closed_class_exits_2(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    data = json.loads(to_json(gen_random(3, 2, model="markov", seed=4)))
+    data["choice_model"]["transitions"][1:3] = [[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+    inst_path.write_text(json.dumps(data))
+    assert run("solve", "--instance", str(inst_path), "--algorithm", "brute") == 2
+
+
+def test_non_integral_location_count_exits_2(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    data = json.loads(to_json(gen_random(3, 2, model="mnl", browsing="explicit", seed=4)))
+    data["m"] = 2.7
+    inst_path.write_text(json.dumps(data))
+    assert run("solve", "--instance", str(inst_path), "--algorithm", "brute") == 2
+
+
 def test_size_guard_exits_3(tmp_path):
     inst_path = tmp_path / "big.json"
     inst = gen_random(30, 5, model="mnl", seed=0)

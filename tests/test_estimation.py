@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,15 +6,22 @@ import pytest
 
 from placement_opt import (
     EstimationPlan,
+    Instance,
+    SamplerBrowsing,
     brute_force_placement,
     estimate_w,
     evaluate_exact,
     expected_revenue,
     gen_random,
+    randomized_placement,
     sample_size,
     select_best,
     substream,
 )
+from placement_opt import estimation, solvers
+from placement_opt.oracle import BruteForceOracle
+
+from helpers import reference_estimate_w
 
 
 def test_sample_size_known_values():
@@ -180,3 +188,89 @@ def test_identical_candidates_get_equal_treatment():
     assert 0 <= idx < 3
     truth = evaluate_exact(inst, (1, 2))
     assert all(abs(v - truth) < 0.5 for v in values)
+
+
+# ---------------------------------------------------------------------------
+# block draws == one draw per sample, bit for bit
+
+
+def _with_sampler(inst):
+    """The instance with its browsing replaced by an opaque simulator."""
+    m = inst.m
+
+    def draw(rng):
+        return np.flatnonzero(rng.random(m) < 0.5)
+
+    return Instance(inst.products, inst.choice_model, m, SamplerBrowsing(draw))
+
+
+def _estimation_cases():
+    """(name, instance, placement, seed) over every model x browsing family."""
+    families = itertools.product(
+        ("mnl", "mmnl", "markov", "ranked"), ("line", "explicit", "singleton", "sampler")
+    )
+    for seed, (model, browsing) in enumerate(families):
+        if browsing == "sampler":
+            inst = _with_sampler(gen_random(5, 4, model=model, seed=seed))
+        else:
+            inst = gen_random(5, 4, model=model, browsing=browsing, seed=seed)
+        slots = tuple(int(i) for i in np.random.default_rng(seed).integers(0, 5, 4))
+        yield f"{model}-{browsing}", inst, slots, seed
+
+
+def _assert_estimates_match_reference(inst, slots, counts, seed):
+    for samples in counts:
+        plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=samples)
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert estimate_w(inst, slots, plan, fast) == reference_estimate_w(
+            inst, slots, plan, slow
+        ), samples
+        assert fast.bit_generator.state == slow.bit_generator.state, samples
+
+
+def test_estimate_matches_per_draw_loop_across_block_edges(monkeypatch):
+    monkeypatch.setattr(estimation, "_BLOCK", 7)
+    for _, inst, slots, seed in _estimation_cases():
+        _assert_estimates_match_reference(inst, slots, (1, 6, 7, 8, 15), seed)
+
+
+def test_estimate_matches_per_draw_loop_at_the_real_block_size():
+    block = estimation._BLOCK
+    for browsing in ("line", "explicit"):
+        inst = gen_random(6, 5, model="mmnl", browsing=browsing, seed=41)
+        _assert_estimates_match_reference(
+            inst, (0, 3, 5, 3, 1), (1, block - 1, block, block + 1), seed=42
+        )
+
+
+def test_select_best_matches_per_draw_loop(monkeypatch):
+    monkeypatch.setattr(estimation, "_BLOCK", 7)
+    candidates = [(0, 1, 2, 3), (4, 4, 0, 1), (2, 2, 2, 2)]
+    for name, inst, _, seed in _estimation_cases():
+        plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=20)
+        runs = []
+        for loop in (estimate_w, reference_estimate_w):
+            monkeypatch.setattr(estimation, "estimate_w", loop)
+            for union_bound in (False, True):
+                rng = np.random.default_rng(seed)
+                result = select_best(inst, candidates, plan, rng, union_bound)
+                runs.append((result, rng.bit_generator.state))
+        assert runs[:2] == runs[2:], name
+
+
+def test_randomized_on_sampler_browsing_matches_per_draw_loop(monkeypatch):
+    monkeypatch.setattr(estimation, "_BLOCK", 7)
+    for model in ("mnl", "mmnl", "markov", "ranked"):
+        inst = _with_sampler(gen_random(4, 3, model=model, seed=50))
+        plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=30)
+        runs = []
+        for loop in (estimate_w, reference_estimate_w):
+            monkeypatch.setattr(solvers, "estimate_w", loop)
+            rng = np.random.default_rng(51)
+            report = randomized_placement(
+                inst, BruteForceOracle(inst), repetitions=4, rng=rng, plan=plan
+            )
+            runs.append(
+                (report.placement, report.w_estimate, report.k, rng.bit_generator.state)
+            )
+        assert runs[0] == runs[1], model

@@ -288,6 +288,36 @@ def test_from_json_rejects_non_finite_numbers(model, browsing, path, bad):
         from_json(json.dumps(data))
 
 
+NON_INTEGRAL_FIELDS = [
+    ("mnl", "line", ("m",)),
+    ("mnl", "line", ("products", 1, "id")),
+    ("ranked", "line", ("choice_model", "n")),
+    ("ranked", "line", ("choice_model", "lists", 0, "order", 0)),
+    ("mnl", "explicit", ("browsing", "support", 0, "locations", 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "model, browsing, path",
+    NON_INTEGRAL_FIELDS,
+    ids=[".".join(map(str, path)) for _, _, path in NON_INTEGRAL_FIELDS],
+)
+def test_from_json_rejects_non_integral_numbers(model, browsing, path):
+    data = json.loads(to_json(gen_random(3, 2, model=model, browsing=browsing, seed=83)))
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    value = holder[path[-1]]
+    holder[path[-1]] = float(value)  # integral floats load as ints
+    assert to_json(from_json(json.dumps(data))) == to_json(
+        gen_random(3, 2, model=model, browsing=browsing, seed=83)
+    )
+    for bad in (value + 0.5, value - 0.1, str(value)):
+        holder[path[-1]] = bad
+        with pytest.raises(ValueError, match="must be an integer"):
+            from_json(json.dumps(data))
+
+
 def test_from_json_rejects_bad_payloads():
     inst = gen_random(3, 2, model="mnl", seed=80)
     data = json.loads(to_json(inst))
