@@ -52,6 +52,17 @@ class ChoiceModel:
             raise ValueError(f"product {i} is not in the offered assortment")
         return probs[i]
 
+    def revenues(self, prices: Sequence[float], ids: np.ndarray) -> np.ndarray:
+        """Revenues of many same-size assortments, one per row of sorted ids.
+
+        ``ids`` is a ``(B, s)`` integer array; entry b equals
+        ``expected_revenue(self, prices, ids[b])`` bitwise.
+        """
+        return np.array(
+            [expected_revenue(self, prices, row) for row in np.asarray(ids).tolist()],
+            dtype=float,
+        )
+
     def _probs(self, key: tuple[int, ...]) -> dict[int, float]:
         raise NotImplementedError
 
@@ -168,19 +179,49 @@ class MarkovModel(ChoiceModel):
         self.n = int(lam.size) - 1
 
     def _probs(self, key):
-        # Absorption probabilities with states {quit} | offered made absorbing,
-        # solved as a dense linear system over the transient (unoffered) states.
-        absorbing = [0] + [i + 1 for i in key]
-        offered = set(absorbing)
-        transient = [s for s in range(self.n + 1) if s not in offered]
-        if not transient:
-            return {i: float(self.arrival[i + 1]) for i in key}
-        q = self.transitions[np.ix_(transient, transient)]
-        r = self.transitions[np.ix_(transient, absorbing)]
-        hit = np.linalg.solve(np.eye(len(transient)) - q, r)
-        absorbed = self.arrival[absorbing] + self.arrival[transient] @ hit
-        # absorbed[0] is the quit state; entry pos+1 matches key[pos]
-        return {i: float(absorbed[pos + 1]) for pos, i in enumerate(key)}
+        absorbed = self._absorbed(np.array([key], dtype=np.intp))[0]
+        return {i: float(p) for i, p in zip(key, absorbed.tolist())}
+
+    def _absorbed(self, ids: np.ndarray) -> np.ndarray:
+        """Purchase probabilities for each row of sorted offered ids.
+
+        States {quit} | offered are made absorbing, and each row solves the
+        dense linear system over its transient (unoffered) states; all rows
+        go through one stacked solve. Returns a ``(B, s)`` array matching
+        ``ids``.
+        """
+        rows = np.arange(len(ids))[:, None]
+        absorbing = np.hstack([np.zeros_like(rows), ids + 1])
+        unoffered = np.ones((len(ids), self.n + 1), dtype=bool)
+        unoffered[rows, absorbing] = False
+        transient = np.nonzero(unoffered)[1].reshape(len(ids), -1)
+        if transient.shape[1] == 0:
+            return self.arrival[ids + 1]
+        rho = self.transitions
+        q = rho[transient[:, :, None], transient[:, None, :]]
+        r = rho[transient[:, :, None], absorbing[:, None, :]]
+        hit = np.linalg.solve(np.eye(transient.shape[1]) - q, r)
+        start = self.arrival[transient][:, None, :]
+        # column 0 is the quit state; column pos + 1 matches ids[:, pos]
+        return (self.arrival[absorbing] + (start @ hit)[:, 0])[:, 1:]
+
+    def revenues(self, prices, ids):
+        # _probs is one row of _absorbed, and the revenue adds r_i p_i one
+        # column at a time in id order as expected_revenue's sum does, so
+        # every entry is bitwise the one-at-a-time result. The stacked
+        # systems take memory linear in the rows; callers bound them (the
+        # brute-force oracle passes oracle._BATCH rows at a time).
+        ids = np.asarray(ids, dtype=np.intp)
+        if not ids.size:
+            return np.zeros(len(ids))
+        if ids.min() < 0 or ids.max() >= self.n:
+            raise ValueError("unknown product id in assortment batch")
+        prices = np.asarray(prices, dtype=float)
+        probs = self._absorbed(ids)
+        rev = np.zeros(len(ids))
+        for col in range(ids.shape[1]):
+            rev = rev + prices[ids[:, col]] * probs[:, col]
+        return rev
 
     def to_spec(self) -> dict:
         return {

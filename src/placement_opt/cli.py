@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -63,8 +64,28 @@ def _load_instance(path: str) -> Instance:
         raise InstanceParseError(f"cannot parse instance {path}: {exc}") from exc
 
 
+_ORACLE_LOCK = threading.Lock()
+
+
 def _oracle(instance: Instance, args):
-    return ORACLES[args.oracle](instance)
+    # One oracle per run, built on first use and shared by every solver of
+    # the run (compare may run them on several threads), so its memoized
+    # answers are computed once.
+    with _ORACLE_LOCK:
+        oracle = getattr(args, "shared_oracle", None)
+        if oracle is None:
+            oracle = args.shared_oracle = ORACLES[args.oracle](instance)
+        return oracle
+
+
+def _worker_count() -> int:
+    raw = os.environ.get("PLACEMENT_OPT_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(
+            f"PLACEMENT_OPT_THREADS must be an integer, got {raw!r}"
+        ) from None
 
 
 def _randomized(instance: Instance, args) -> SolveReport:
@@ -150,8 +171,7 @@ def cmd_compare(args) -> int:
             raise ValueError(
                 f"unknown algorithm {name!r}, choose from {', '.join(ALGORITHMS)}"
             )
-    workers = max(1, int(os.environ.get("PLACEMENT_OPT_THREADS", "1")))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         futures = {
             name: pool.submit(ALGORITHMS[name], instance, args) for name in names
         }

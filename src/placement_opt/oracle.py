@@ -9,15 +9,17 @@ topped up first with the highest-price product and then with padding ids
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .choice import ChoiceModel, MnlModel, expected_revenue
+from .choice import MnlModel, expected_revenue
 from .core import Instance, SizeGuardError
 
 BRUTE_FORCE_MAX_N = 22
 _MNL_BISECT_ITERS = 200
+# Subsets per ``revenues`` call in the brute-force pass; bounds the id array.
+_BATCH = 256
 
 
 def _pad_to_size(ids: frozenset[int], k: int, instance: Instance) -> frozenset[int]:
@@ -39,26 +41,42 @@ def _pad_to_size(ids: frozenset[int], k: int, instance: Instance) -> frozenset[i
 
 
 class AssortmentOracle:
-    """Interface: ``best_assortment(k)`` with guaranteed factor ``alpha``."""
+    """Interface: ``best_assortment(k)`` with guaranteed factor ``alpha``.
+
+    Answers are memoized per k, so solvers sharing one oracle pay for each
+    k once.
+    """
 
     alpha: float
 
     def __init__(self, instance: Instance):
         self.instance = instance
+        self._answers: dict[int, frozenset[int]] = {}
 
     def best_assortment(self, k: int) -> frozenset[int]:
         """Size-k assortment with revenue >= alpha * optimum over <= k sets."""
-        if not 1 <= k <= self.instance.m:
-            raise ValueError(f"cardinality {k} outside [1, {self.instance.m}]")
-        found = self._solve(min(k, self.instance.n))
-        return _pad_to_size(found, k, self.instance)
+        found = self._answers.get(k)
+        if found is None:
+            if not 1 <= k <= self.instance.m:
+                raise ValueError(f"cardinality {k} outside [1, {self.instance.m}]")
+            found = _pad_to_size(self._solve(min(k, self.instance.n)), k, self.instance)
+            self._answers[k] = found
+        return found
 
     def _solve(self, k: int) -> frozenset[int]:
         raise NotImplementedError
 
 
 class BruteForceOracle(AssortmentOracle):
-    """Exact oracle by enumerating every subset of size at most k."""
+    """Exact oracle by enumerating every subset of size at most k.
+
+    One pass visits sizes 1, 2, ... in ``combinations`` order and keeps a
+    new record whenever a revenue beats the best so far by more than 1e-15.
+    The pass for k is a prefix of the pass for k + 1, so the best after
+    size s answers k = s, and the pass runs only as far as the largest k
+    asked. Each size is scored in batches by ``ChoiceModel.revenues``, in
+    all ``sum_{s <= min(m, n)} C(n, s)`` subsets.
+    """
 
     alpha = 1.0
 
@@ -68,17 +86,38 @@ class BruteForceOracle(AssortmentOracle):
             raise SizeGuardError(
                 f"brute-force assortment search capped at n <= {max_n}, got {instance.n}"
             )
+        # (record set, record revenue) after sizes 1..s, at index s. Replaced
+        # whole, never mutated, so a concurrent caller sees an old table or a
+        # new one and at worst repeats the extension.
+        self._records: tuple[tuple[frozenset[int], float], ...] = ((frozenset(), 0.0),)
 
     def _solve(self, k):
+        records = self._records
+        if k >= len(records):
+            records = self._records = self._extend(records, k)
+        return records[k][0]
+
+    def _extend(self, records, k):
         model = self.instance.choice_model
         prices = self.instance.prices
-        best, best_rev = frozenset(), 0.0
-        for size in range(1, k + 1):
-            for subset in combinations(range(self.instance.n), size):
-                rev = expected_revenue(model, prices, subset)
-                if rev > best_rev + 1e-15:
-                    best, best_rev = frozenset(subset), rev
-        return best
+        out = list(records)
+        best, best_rev = out[-1]
+        for size in range(len(out), k + 1):
+            subsets = combinations(range(self.instance.n), size)
+            while True:
+                flat = chain.from_iterable(islice(subsets, _BATCH))
+                ids = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
+                if not len(ids):
+                    break
+                revs = model.revenues(prices, ids)
+                # The record threshold only rises within a batch, so rows
+                # below the opening threshold can never become records.
+                for b in np.flatnonzero(revs > best_rev + 1e-15).tolist():
+                    rev = float(revs[b])
+                    if rev > best_rev + 1e-15:
+                        best, best_rev = frozenset(ids[b].tolist()), rev
+            out.append((best, best_rev))
+        return tuple(out)
 
 
 class MnlExactOracle(AssortmentOracle):
@@ -97,7 +136,7 @@ class MnlExactOracle(AssortmentOracle):
         if not isinstance(instance.choice_model, MnlModel):
             raise ValueError("MnlExactOracle requires an MNL choice model")
 
-    def _top_scores(self, t: float, k: int) -> np.ndarray:
+    def _top_scores(self, t: float, k: int) -> tuple[np.ndarray, np.ndarray]:
         v = self.instance.choice_model.weights
         scores = v * (self.instance.prices - t)
         order = np.lexsort((np.arange(scores.size), -scores))

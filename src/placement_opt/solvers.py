@@ -127,9 +127,16 @@ class WEvaluator:
         return val
 
     def _value_uncached(self, slots: tuple[int, ...]) -> float:
+        # cached revenues are read directly; only a miss (or a key holding
+        # sentinels or padding, which is never cached) goes through revenue
+        revenues = self._revenues
         total = 0.0
         for locations, prob in self._support:
-            total += prob * self.revenue(slots[j] for j in locations)
+            offered = frozenset([slots[j] for j in locations])
+            rev = revenues.get(offered)
+            if rev is None:
+                rev = self.revenue(offered)
+            total += prob * rev
         return total
 
 
@@ -267,10 +274,13 @@ def randomized_placement(
 
     best = None
     for k in range(1, m + 1):
-        members = np.array(sorted(oracle.best_assortment(k)))
+        # padding ids are filled before the draws: drawing a filled member
+        # is filling a drawn one
+        members = np.array(fill_empty(instance, sorted(oracle.best_assortment(k))))
         draws = rng.integers(0, len(members), size=(repetitions, m))
-        for row in draws:
-            slots = fill_empty(instance, tuple(int(i) for i in members[row]))
+        # a repeated draw cannot beat its first occurrence, so each distinct
+        # placement is evaluated once, in draw order
+        for slots in dict.fromkeys(map(tuple, members[draws].tolist())):
             w = value(slots)
             if best is None or w > best[0]:
                 best = (w, k, slots)

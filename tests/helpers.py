@@ -7,9 +7,12 @@ instead of a linear solve) so agreement is meaningful.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from placement_opt import EMPTY_SLOT, Instance, canon, expected_revenue, products_at
+from placement_opt.oracle import _pad_to_size
 
 
 def direct_revenue(instance: Instance, ids) -> float:
@@ -120,3 +123,42 @@ def reference_estimate_w(instance: Instance, slots, plan, rng):
             cache[key] = expected_revenue(model, prices, key)
         total += cache[key]
     return total / plan.samples, plan.samples
+
+
+def reference_brute_oracle(instance: Instance, k: int) -> frozenset[int]:
+    """Brute-force oracle answer that re-enumerates sizes 1..k for this k.
+
+    The straightforward per-k loop the library's one-pass oracle must match
+    exactly: every subset of sizes 1..min(k, n) in ``combinations`` order,
+    one ``expected_revenue`` each, a new record only when it beats the best
+    so far by more than 1e-15, then the library's padding to k members.
+    """
+    model, prices = instance.choice_model, instance.prices
+    best, best_rev = frozenset(), 0.0
+    for size in range(1, min(k, instance.n) + 1):
+        for subset in combinations(range(instance.n), size):
+            rev = expected_revenue(model, prices, subset)
+            if rev > best_rev + 1e-15:
+                best, best_rev = frozenset(subset), rev
+    return _pad_to_size(best, k, instance)
+
+
+def reference_randomized(instance: Instance, oracle, repetitions: int, rng, value):
+    """(w, k, slots) of the randomized solver's loop, one value per draw.
+
+    Every drawn row is filled and evaluated in draw order, repeats included;
+    the first strictly better value wins. ``value`` maps a slot tuple to its
+    value, as the library's exact or estimated evaluator does.
+    """
+    from placement_opt import fill_empty
+
+    best = None
+    for k in range(1, instance.m + 1):
+        members = np.array(sorted(oracle.best_assortment(k)))
+        draws = rng.integers(0, len(members), size=(repetitions, instance.m))
+        for row in draws:
+            slots = fill_empty(instance, tuple(int(i) for i in members[row]))
+            w = value(slots)
+            if best is None or w > best[0]:
+                best = (w, k, slots)
+    return best

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from placement_opt import (
     MarkovModel,
@@ -246,3 +250,47 @@ def test_zero_weight_encodes_never_chosen():
     probs = model.choice_probs([0, 1])
     assert probs[1] == 0.0
     assert probs[0] == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# batch hook: revenues(prices, ids)[b] == expected_revenue(model, prices, ids[b])
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+# 8 and 9 columns: from 8 on, a row sum(axis=1) adds pairwise, not left to right
+@example(family="markov", n=9, seed=1, size_pick=7, rows=3)
+@example(family="markov", n=9, seed=2, size_pick=8, rows=1)
+@given(
+    family=st.sampled_from(["mnl", "mmnl", "markov", "ranked"]),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    size_pick=st.integers(0, 8),
+    rows=st.integers(1, 8),
+)
+def test_batch_revenues_equal_expected_revenue(family, n, seed, size_pick, rows):
+    inst = gen_random(n, 1, model=family, seed=seed)
+    size = 1 + size_pick % n  # every size, the full catalog included
+    ids = np.array(list(combinations(range(n), size)))
+    whole = inst.choice_model.revenues(inst.prices, ids)
+    assert whole.shape == (len(ids),)
+    # the same rows in small batches give the same entries
+    parts = [
+        inst.choice_model.revenues(inst.prices, ids[lo : lo + rows])
+        for lo in range(0, len(ids), rows)
+    ]
+    assert np.concatenate(parts).tolist() == whole.tolist()
+    fresh = model_from_spec(inst.choice_model.to_spec(), n=n)
+    for b, row in enumerate(ids.tolist()):
+        assert whole[b] == expected_revenue(fresh, inst.prices, row), (b, row)
+
+
+def test_markov_batch_revenues_on_ties_and_bad_ids():
+    model = markov_from_mnl(MnlModel(np.ones(6)))
+    prices = np.full(6, 2.0)
+    for size in range(1, 7):
+        ids = np.array(list(combinations(range(6), size)))
+        got = model.revenues(prices, ids)
+        assert got.tolist() == [expected_revenue(model, prices, row) for row in ids.tolist()]
+    assert model.revenues(prices, np.empty((0, 3), dtype=int)).shape == (0,)
+    with pytest.raises(ValueError):
+        model.revenues(prices, np.array([[0, 6]]))

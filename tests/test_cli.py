@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from placement_opt import evaluate_exact, from_json, gen_random, to_json
+from placement_opt import cli, evaluate_exact, from_json, gen_random, to_json
 from placement_opt.cli import ALGORITHMS, GENERATORS, ORACLES, main
 
 
@@ -131,6 +131,69 @@ def test_compare_parallel_env(tmp_path, monkeypatch):
     best = max(row["w"] for row in payload["results"])
     for row in payload["results"]:
         assert row["w"] <= best + 1e-12
+
+
+def _markov_instance(tmp_path, prices=(1.0, 10.0)):
+    inst = gen_random(6, 3, model="markov", price_range=prices, browsing="explicit", seed=9)
+    path = tmp_path / "inst.json"
+    path.write_text(to_json(inst))
+    return path
+
+
+def _compare(path, algorithms, out):
+    argv = ["compare", "--instance", str(path), "--algorithms", algorithms]
+    return run(*argv, "--oracle", "brute", "--repetitions", "8", "-o", str(out))
+
+
+def _untimed(doc):
+    for row in doc["results"]:
+        del row["report"]["ms"]
+    return doc
+
+
+def test_compare_builds_one_shared_oracle(tmp_path, monkeypatch):
+    path = _markov_instance(tmp_path)
+    built, real = [], ORACLES["brute"]
+
+    def counting(instance):
+        oracle = real(instance)
+        built.append(oracle)
+        return oracle
+
+    monkeypatch.setitem(cli.ORACLES, "brute", counting)
+    docs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PLACEMENT_OPT_THREADS", threads)
+        out = tmp_path / f"cmp-{threads}.json"
+        assert _compare(path, "markov-greedy,randomized", out) == 0
+        assert len(built) == 1, threads
+        assert sorted(built.pop()._answers) == [1, 2, 3]
+        docs[threads] = _untimed(json.loads(out.read_text()))
+    assert docs["1"] == docs["2"]
+
+    uniform = _markov_instance(tmp_path, prices=(2.0, 2.0))
+    assert _compare(uniform, "brute,uniform-greedy", tmp_path / "none.json") == 0
+    assert built == [], "brute and uniform-greedy use no oracle"
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys, value):
+    path = _markov_instance(tmp_path)
+    monkeypatch.setenv("PLACEMENT_OPT_THREADS", value)
+    assert _compare(path, "markov-greedy", tmp_path / "out.json") == 2
+    err = capsys.readouterr().err
+    assert "PLACEMENT_OPT_THREADS" in err and "invalid literal" not in err
+
+
+def test_non_positive_thread_count_means_one(tmp_path, monkeypatch):
+    path = _markov_instance(tmp_path)
+    docs = []
+    for value in ("1", "0", "-3"):
+        monkeypatch.setenv("PLACEMENT_OPT_THREADS", value)
+        out = tmp_path / f"out{value}.json"
+        assert _compare(path, "markov-greedy,randomized", out) == 0
+        docs.append(_untimed(json.loads(out.read_text())))
+    assert docs[0] == docs[1] == docs[2]
 
 
 def test_solve_randomized_is_reproducible(tmp_path):

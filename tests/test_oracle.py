@@ -1,6 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from math import comb
+
 import numpy as np
 import pytest
 
+from placement_opt import oracle as oracle_module
 from placement_opt import (
     BruteForceOracle,
     GreedyUniformOracle,
@@ -16,9 +21,10 @@ from placement_opt import (
     gen_heavy_tail_line,
     gen_random,
     gen_uniform_line,
+    markov_from_mnl,
 )
 
-from helpers import direct_revenue
+from helpers import direct_revenue, reference_brute_oracle
 
 
 def _real_revenue(instance, ids):
@@ -101,6 +107,106 @@ def test_mnl_early_exit_matches_full_bisection():
         oracle = MnlExactOracle(inst)
         for k in range(1, inst.n + 1):
             assert oracle._solve(k) == _full_bisection(inst, k), (inst.n, k)
+
+
+def _brute_reference_instances():
+    insts = []
+    for family in ("mnl", "mmnl", "markov", "ranked"):
+        for seed in range(4):
+            n = 3 + 2 * seed  # 3, 5, 7, 9
+            insts.append(gen_random(n, min(n, 5), model=family, seed=seed))
+            insts.append(gen_random(n, 4, model=family, price_range=(3.0, 3.0), seed=seed))
+        insts.append(gen_random(2, 4, model=family, seed=11))  # k > n pads
+    rng = np.random.default_rng(8)
+    for n in (4, 7):
+        for prices in (np.full(n, 2.0), rng.uniform(1.0, 10.0, n)):
+            products = [Product(i, float(prices[i])) for i in range(n)]
+            for model in (
+                MnlModel(np.zeros(n)),
+                MnlModel(np.where(np.arange(n) % 2 == 0, 0.0, 1.5)),
+                markov_from_mnl(MnlModel(np.ones(n))),
+            ):
+                insts.append(Instance(products, model, n, LineBrowsing([1.0] + [0.0] * (n - 1))))
+    # near ties: revenues one ulp apart (inside the 1e-15 record rule) and
+    # 1e-13 apart (outside it)
+    for step in (np.spacing(2.0), 1e-13):
+        for n in (3, 6):
+            products = [Product(i, 2.0 + step * i) for i in range(n)]
+            for model in (MnlModel(np.ones(n)), markov_from_mnl(MnlModel(np.ones(n)))):
+                insts.append(Instance(products, model, 3, LineBrowsing([0.5, 0.5, 0.0])))
+    return insts
+
+
+@pytest.mark.parametrize("batch", [oracle_module._BATCH, 3])
+def test_brute_force_matches_per_k_reference(monkeypatch, batch):
+    monkeypatch.setattr(oracle_module, "_BATCH", batch)
+    for inst in _brute_reference_instances():
+        m = inst.m
+        expected = {k: reference_brute_oracle(inst, k) for k in range(1, m + 1)}
+        for order in (range(1, m + 1), range(m, 0, -1)):
+            oracle = BruteForceOracle(inst)
+            got = {k: oracle.best_assortment(k) for k in order}
+            assert got == expected, (inst.n, m, type(inst.choice_model).__name__)
+
+
+def test_brute_force_scores_each_size_once_and_memoizes(monkeypatch):
+    inst = gen_random(7, 5, model="markov", seed=3)
+    model = inst.choice_model
+    real = model.revenues
+    sizes = []
+
+    def spy(prices, ids):
+        sizes.extend([ids.shape[1]] * len(ids))
+        return real(prices, ids)
+
+    monkeypatch.setattr(model, "revenues", spy)
+    oracle = BruteForceOracle(inst)
+    first = oracle.best_assortment(3)
+    assert sorted(sizes) == sorted(s for s in range(1, 4) for _ in range(comb(7, s)))
+    sizes.clear()
+    assert oracle.best_assortment(3) == first
+    assert oracle.best_assortment(1) == reference_brute_oracle(inst, 1)
+    assert sizes == []
+    assert oracle.best_assortment(5) == reference_brute_oracle(inst, 5)
+    assert sorted(set(sizes)) == [4, 5]
+    assert len(sizes) == comb(7, 4) + comb(7, 5)
+
+
+def test_shared_brute_oracle_under_threads():
+    inst = gen_random(8, 5, model="markov", seed=6)
+    expected = {k: reference_brute_oracle(inst, k) for k in range(1, 6)}
+    oracle = BruteForceOracle(inst)
+    orders = [range(1, 6), range(5, 0, -1), (3, 1, 5, 2, 4), (2, 4, 1, 5, 3)] * 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            futures = [
+                pool.submit(lambda ks: {k: oracle.best_assortment(k) for k in ks}, order)
+                for order in orders
+            ]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == expected for result in results)
+    # a racing thread may publish a shorter table, never a torn one
+    records = oracle._records
+    for size in range(1, len(records)):
+        padded = oracle_module._pad_to_size(records[size][0], size, inst)
+        assert padded == expected[size], size
+    assert {k: oracle.best_assortment(k) for k in expected} == expected
+
+
+def test_best_assortment_memoizes_every_oracle(monkeypatch):
+    inst = gen_random(6, 3, model="mnl", price_range=(2.0, 2.0), seed=4)
+    for cls in (BruteForceOracle, MnlExactOracle, GreedyUniformOracle):
+        oracle = cls(inst)
+        calls = []
+        real = oracle._solve
+        monkeypatch.setattr(oracle, "_solve", lambda k: calls.append(k) or real(k))
+        answers = [oracle.best_assortment(k) for k in (2, 1, 2, 3, 1)]
+        assert calls == [2, 1, 3], cls.__name__
+        assert answers[0] is answers[2] and answers[1] is answers[4]
 
 
 def test_brute_force_dominates_other_strategies():

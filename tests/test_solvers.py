@@ -20,6 +20,7 @@ from placement_opt import (
     brute_force_placement,
     check_pair_objective_properties,
     check_restricted_revenue_properties,
+    estimate_w,
     evaluate_exact,
     expected_revenue,
     fill_empty,
@@ -35,7 +36,7 @@ from placement_opt import solvers
 from placement_opt.solvers import _lattice_violations
 from placement_opt.oracle import GreedyUniformOracle, exact_oracle
 
-from helpers import reference_partition_greedy, twin_optimum
+from helpers import reference_partition_greedy, reference_randomized, twin_optimum
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,18 @@ def test_line_value_is_prefix_weighted_sum():
         for j in range(3)
     )
     assert evaluate_exact(inst, slots) == pytest.approx(manual, abs=1e-12)
+
+
+def test_value_with_sentinels_and_padding_caches_only_catalog_sets():
+    inst = gen_random(4, 3, model="markov", browsing="explicit", seed=2)
+    ev, other = WEvaluator(inst), WEvaluator(inst)
+    for slots in [(0, 1, 2), (EMPTY_SLOT, 1, 6), (0, 0, EMPTY_SLOT), (5, 6, 7), (1, 6, 2)]:
+        got = ev.value(slots)
+        expected = 0.0
+        for locations, prob in other.support:
+            expected += prob * other.revenue(slots[j] for j in locations)
+        assert got == expected, slots
+    assert all(0 <= i < inst.n for key in ev._revenues for i in key)
 
 
 def test_evaluator_rejects_wrong_length():
@@ -239,6 +252,49 @@ def test_randomized_is_reproducible_bit_for_bit():
     assert a.placement == b.placement
     assert a.w_exact == b.w_exact
     assert a.k == b.k
+
+
+def test_randomized_matches_per_draw_loop():
+    cases = [
+        gen_random(n, m, model=family, browsing=browsing, seed=seed)
+        for seed, (n, m) in enumerate([(2, 4), (5, 3), (7, 5)])
+        for family in ("mnl", "markov", "ranked")
+        for browsing in ("line", "explicit")
+    ]
+    for inst in cases:
+        oracle = BruteForceOracle(inst)
+        for reps in (1, 5, 64):
+            got = randomized_placement(inst, oracle, repetitions=reps, seed=4)
+            ev = WEvaluator(inst)
+            w, k, slots = reference_randomized(
+                inst, oracle, reps, np.random.default_rng(4), ev.value
+            )
+            assert (got.w_exact, got.k, got.placement) == (w, k, slots), (inst.n, reps)
+
+
+def test_randomized_estimation_matches_per_draw_loop():
+    base = gen_random(4, 3, model="markov", browsing="line", seed=8)
+    prefixes = [frozenset(range(t)) for t in range(4)]
+    hidden = Instance(
+        base.products,
+        base.choice_model,
+        base.m,
+        SamplerBrowsing(lambda rng: prefixes[int(rng.integers(0, 4))]),
+    )
+    plan = EstimationPlan.for_instance(hidden, 0.5, 0.5, samples_override=50)
+    oracle = BruteForceOracle(base)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = randomized_placement(hidden, oracle, repetitions=6, rng=rng, plan=plan)
+    estimates = {}
+
+    def value(slots):
+        if slots not in estimates:
+            estimates[slots], _ = estimate_w(hidden, slots, plan, ref_rng)
+        return estimates[slots]
+
+    w, k, slots = reference_randomized(hidden, oracle, 6, ref_rng, value)
+    assert (got.w_estimate.value, got.k, got.placement) == (w, k, slots)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_randomized_estimation_path_with_sampler_browsing():
