@@ -20,7 +20,7 @@ _PROB_TOL = 1e-9
 
 
 class ChoiceModel:
-    """Base class. Subclasses implement ``_probs`` over a sorted id tuple."""
+    """Base class. Subclasses implement ``_batch_probs`` over rows of sorted ids."""
 
     n: int
 
@@ -56,14 +56,30 @@ class ChoiceModel:
         """Revenues of many same-size assortments, one per row of sorted ids.
 
         ``ids`` is a ``(B, s)`` integer array; entry b equals
-        ``expected_revenue(self, prices, ids[b])`` bitwise.
+        ``expected_revenue(self, prices, ids[b])`` bitwise, because
+        ``_probs`` is one row of the same ``_batch_probs`` and the revenue
+        adds ``r_i p_i`` one column at a time in id order as that sum does.
+        The batch bypasses the ``choice_probs`` cache; its memory is linear
+        in the rows, so callers bound them.
         """
-        return np.array(
-            [expected_revenue(self, prices, row) for row in np.asarray(ids).tolist()],
-            dtype=float,
-        )
+        ids = np.asarray(ids, dtype=np.intp)
+        if not ids.size:
+            return np.zeros(len(ids))
+        if ids.min() < 0 or ids.max() >= self.n:
+            raise ValueError("unknown product id in assortment batch")
+        prices = np.asarray(prices, dtype=float)
+        probs = self._batch_probs(ids)
+        rev = np.zeros(len(ids))
+        for col in range(ids.shape[1]):
+            rev = rev + prices[ids[:, col]] * probs[:, col]
+        return rev
 
     def _probs(self, key: tuple[int, ...]) -> dict[int, float]:
+        row = self._batch_probs(np.array([key], dtype=np.intp))[0]
+        return dict(zip(key, row.tolist()))
+
+    def _batch_probs(self, ids: np.ndarray) -> np.ndarray:
+        """``(B, s)`` purchase probabilities for ``(B, s)`` sorted valid ids."""
         raise NotImplementedError
 
     def to_spec(self) -> dict:
@@ -87,9 +103,9 @@ class MnlModel(ChoiceModel):
         self.weights = w
         self.n = int(w.size)
 
-    def _probs(self, key):
-        denom = 1.0 + float(self.weights[list(key)].sum())
-        return {i: float(self.weights[i]) / denom for i in key}
+    def _batch_probs(self, ids):
+        w = self.weights[ids]
+        return w / (1.0 + w.sum(axis=1))[:, None]
 
     def to_spec(self) -> dict:
         return {"type": "mnl", "weights": [float(v) for v in self.weights]}
@@ -118,12 +134,10 @@ class MmnlModel(ChoiceModel):
         self.weight_matrix = matrix
         self.n = int(n)
 
-    def _probs(self, key):
-        cols = self.weight_matrix[:, list(key)]
-        denom = 1.0 + cols.sum(axis=1)
-        probs = (cols / denom[:, None]) * self.thetas[:, None]
-        total = probs.sum(axis=0)
-        return {i: float(total[pos]) for pos, i in enumerate(key)}
+    def _batch_probs(self, ids):
+        cols = self.weight_matrix[:, ids]  # segment x row x column
+        denom = 1.0 + cols.sum(axis=2)
+        return ((cols / denom[:, :, None]) * self.thetas[:, None, None]).sum(axis=0)
 
     def to_spec(self) -> dict:
         return {
@@ -178,18 +192,10 @@ class MarkovModel(ChoiceModel):
         self.transitions = rho
         self.n = int(lam.size) - 1
 
-    def _probs(self, key):
-        absorbed = self._absorbed(np.array([key], dtype=np.intp))[0]
-        return {i: float(p) for i, p in zip(key, absorbed.tolist())}
-
-    def _absorbed(self, ids: np.ndarray) -> np.ndarray:
-        """Purchase probabilities for each row of sorted offered ids.
-
-        States {quit} | offered are made absorbing, and each row solves the
-        dense linear system over its transient (unoffered) states; all rows
-        go through one stacked solve. Returns a ``(B, s)`` array matching
-        ``ids``.
-        """
+    def _batch_probs(self, ids):
+        # States {quit} | offered are made absorbing, and each row solves the
+        # dense linear system over its transient (unoffered) states; all rows
+        # go through one stacked solve.
         rows = np.arange(len(ids))[:, None]
         absorbing = np.hstack([np.zeros_like(rows), ids + 1])
         unoffered = np.ones((len(ids), self.n + 1), dtype=bool)
@@ -204,24 +210,6 @@ class MarkovModel(ChoiceModel):
         start = self.arrival[transient][:, None, :]
         # column 0 is the quit state; column pos + 1 matches ids[:, pos]
         return (self.arrival[absorbing] + (start @ hit)[:, 0])[:, 1:]
-
-    def revenues(self, prices, ids):
-        # _probs is one row of _absorbed, and the revenue adds r_i p_i one
-        # column at a time in id order as expected_revenue's sum does, so
-        # every entry is bitwise the one-at-a-time result. The stacked
-        # systems take memory linear in the rows; callers bound them (the
-        # brute-force oracle passes oracle._BATCH rows at a time).
-        ids = np.asarray(ids, dtype=np.intp)
-        if not ids.size:
-            return np.zeros(len(ids))
-        if ids.min() < 0 or ids.max() >= self.n:
-            raise ValueError("unknown product id in assortment batch")
-        prices = np.asarray(prices, dtype=float)
-        probs = self._absorbed(ids)
-        rev = np.zeros(len(ids))
-        for col in range(ids.shape[1]):
-            rev = rev + prices[ids[:, col]] * probs[:, col]
-        return rev
 
     def to_spec(self) -> dict:
         return {
@@ -262,15 +250,20 @@ class RankedListModel(ChoiceModel):
             orders.append(order)
         self.lists = tuple(zip((float(p) for p in probs), orders))
         self.n = n
+        # rank of each product in each list, n where the list leaves it out
+        self._ranks = np.full((len(orders), n), n)
+        for row, order in zip(self._ranks, orders):
+            row[list(order)] = np.arange(len(order))
+        self._list_probs = probs
 
-    def _probs(self, key):
-        offered = set(key)
-        out = {i: 0.0 for i in key}
-        for prob, order in self.lists:
-            for i in order:
-                if i in offered:
-                    out[i] += prob
-                    break
+    def _batch_probs(self, ids):
+        ranks = self._ranks[:, ids]  # list x row x column
+        # a list with no offered id adds 0.0, which leaves every sum as it is
+        adds = np.where(ranks.min(axis=2) < self.n, self._list_probs[:, None], 0.0)
+        rows = np.arange(len(ids))
+        out = np.zeros(ids.shape)
+        for first, add in zip(ranks.argmin(axis=2), adds):  # lists in order
+            out[rows, first] += add
         return out
 
     def to_spec(self) -> dict:

@@ -350,6 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # every verb takes --seed; reject it before any work
+            raise ValueError("seed must be nonnegative")
         return args.func(args)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .choice import MnlModel, expected_revenue
+from .choice import MnlModel
 from .core import Instance, SizeGuardError
 
 BRUTE_FORCE_MAX_N = 22
@@ -169,6 +169,8 @@ class GreedyUniformOracle(AssortmentOracle):
 
     With one common price the revenue function is monotone submodular, so
     iteratively adding the best marginal product is (1 - 1/e)-approximate.
+    Each round scores all its candidates in one ``ChoiceModel.revenues``
+    batch and keeps the first strict improvement in id order.
     """
 
     alpha = 1.0 - 1.0 / np.e
@@ -191,11 +193,11 @@ class GreedyUniformOracle(AssortmentOracle):
         chosen: set[int] = set()
         current = 0.0
         for _ in range(k):
+            cands = [i for i in range(self.instance.n) if i not in chosen]
+            ids = np.array([sorted(chosen | {i}) for i in cands])
             best_gain, best_i = -np.inf, None
-            for i in range(self.instance.n):
-                if i in chosen:
-                    continue
-                gain = expected_revenue(model, prices, chosen | {i}) - current
+            for i, rev in zip(cands, model.revenues(prices, ids).tolist()):
+                gain = rev - current
                 if gain > best_gain + 1e-15:
                     best_gain, best_i = gain, i
             chosen.add(best_i)

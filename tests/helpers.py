@@ -11,7 +11,16 @@ from itertools import combinations
 
 import numpy as np
 
-from placement_opt import EMPTY_SLOT, Instance, canon, expected_revenue, products_at
+from placement_opt import (
+    EMPTY_SLOT,
+    Instance,
+    MmnlModel,
+    MnlModel,
+    RankedListModel,
+    canon,
+    expected_revenue,
+    products_at,
+)
 from placement_opt.oracle import _pad_to_size
 
 
@@ -75,6 +84,66 @@ def absorption_by_iteration(model, offered, steps: int = 5000) -> dict[int, floa
         for s in absorbing:
             transient_mass[s] = 0.0
     return hit
+
+
+def reference_choice_probs(model, key) -> dict[int, float]:
+    """Purchase probabilities of one sorted assortment, one formula per family.
+
+    The per-assortment dict builders the library's batched kernel must match
+    bit for bit: one weight sum per assortment for MNL and MMNL, a walk down
+    every ranked list in list order, and one absorption solve per assortment
+    (indexed with ``np.ix_``) for a Markov chain.
+    """
+    if isinstance(model, MnlModel):
+        denom = 1.0 + float(model.weights[list(key)].sum())
+        return {i: float(model.weights[i]) / denom for i in key}
+    if isinstance(model, MmnlModel):
+        cols = model.weight_matrix[:, list(key)]
+        denom = 1.0 + cols.sum(axis=1)
+        probs = (cols / denom[:, None]) * model.thetas[:, None]
+        total = probs.sum(axis=0)
+        return {i: float(total[pos]) for pos, i in enumerate(key)}
+    if isinstance(model, RankedListModel):
+        offered = set(key)
+        out = {i: 0.0 for i in key}
+        for prob, order in model.lists:
+            for i in order:
+                if i in offered:
+                    out[i] += prob
+                    break
+        return out
+    absorbing = [0] + [i + 1 for i in key]
+    offered = set(absorbing)
+    transient = [s for s in range(model.n + 1) if s not in offered]
+    if not transient:
+        return {i: float(model.arrival[i + 1]) for i in key}
+    q = model.transitions[np.ix_(transient, transient)]
+    r = model.transitions[np.ix_(transient, absorbing)]
+    hit = np.linalg.solve(np.eye(len(transient)) - q, r)
+    absorbed = model.arrival[absorbing] + model.arrival[transient] @ hit
+    return {i: float(absorbed[pos + 1]) for pos, i in enumerate(key)}
+
+
+def reference_greedy_uniform(instance: Instance, k: int) -> frozenset[int]:
+    """Uniform-price greedy assortment with one ``expected_revenue`` per trial.
+
+    The straightforward loop the library's batched rounds must match
+    exactly: candidates in id order, the first gain that beats the best so
+    far by more than 1e-15 wins the round.
+    """
+    model, prices = instance.choice_model, instance.prices
+    chosen: set[int] = set()
+    current = 0.0
+    for _ in range(k):
+        best_gain, best_i = -np.inf, None
+        for i in range(instance.n):
+            if i not in chosen:
+                gain = expected_revenue(model, prices, chosen | {i}) - current
+                if gain > best_gain + 1e-15:
+                    best_gain, best_i = gain, i
+        chosen.add(best_i)
+        current += best_gain
+    return frozenset(chosen)
 
 
 def reference_partition_greedy(instance: Instance, candidates, ev):

@@ -20,7 +20,7 @@ from placement_opt import (
     no_purchase_prob,
 )
 
-from helpers import absorption_by_iteration
+from helpers import absorption_by_iteration, reference_choice_probs
 
 
 def test_mnl_symmetric_pair():
@@ -284,13 +284,71 @@ def test_batch_revenues_equal_expected_revenue(family, n, seed, size_pick, rows)
         assert whole[b] == expected_revenue(fresh, inst.prices, row), (b, row)
 
 
-def test_markov_batch_revenues_on_ties_and_bad_ids():
-    model = markov_from_mnl(MnlModel(np.ones(6)))
+_TIED_MODELS = {
+    "mnl": lambda: MnlModel(np.ones(6)),
+    "mmnl": lambda: MmnlModel([(0.5, np.ones(6)), (0.5, np.full(6, 3.0))]),
+    "markov": lambda: markov_from_mnl(MnlModel(np.ones(6))),
+    "ranked": lambda: RankedListModel([(0.25, (i, (i + 1) % 6)) for i in range(4)], n=6),
+}
+
+
+@pytest.mark.parametrize("family", _TIED_MODELS)
+def test_batch_revenues_on_ties_and_bad_ids(family):
+    model = _TIED_MODELS[family]()
     prices = np.full(6, 2.0)
     for size in range(1, 7):
         ids = np.array(list(combinations(range(6), size)))
         got = model.revenues(prices, ids)
         assert got.tolist() == [expected_revenue(model, prices, row) for row in ids.tolist()]
     assert model.revenues(prices, np.empty((0, 3), dtype=int)).shape == (0,)
-    with pytest.raises(ValueError):
-        model.revenues(prices, np.array([[0, 6]]))
+    for bad in ([[0, 6]], [[-1, 2]], [[1, 2], [3, 9]]):
+        with pytest.raises(ValueError):
+            model.revenues(prices, np.array(bad))
+
+
+def _ranked_edge_model(n, offered, rng):
+    # an empty order, a zero-probability list, two lists topped by the same
+    # product and a list naming only products the first row leaves out
+    top = int(rng.integers(n))
+    lists = [
+        (),
+        tuple(rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()),
+        (top,) + tuple(i for i in rng.permutation(n).tolist() if i != top),
+        (top,),
+        tuple(i for i in range(n) if i not in offered),
+    ]
+    probs = [0.0] + rng.dirichlet(np.ones(len(lists) - 1)).tolist()
+    return RankedListModel(list(zip(probs, lists)), n=n)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+# rows of 8 to 30 columns, where a row sum adds pairwise rather than left to right
+@example(family="mnl", n=40, seed=1, size=30, rows=3)
+@example(family="mmnl", n=100, seed=2, size=17, rows=3)
+@example(family="ranked", n=100, seed=3, size=8, rows=3)
+@example(family="ranked-edge", n=40, seed=4, size=12, rows=3)
+@example(family="markov", n=40, seed=5, size=9, rows=2)
+@given(
+    family=st.sampled_from(["mnl", "mmnl", "markov", "ranked", "ranked-edge"]),
+    n=st.sampled_from([1, 3, 9, 40, 100]),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 30),
+    rows=st.integers(1, 4),
+)
+def test_choice_probs_equal_per_assortment_reference(family, n, seed, size, rows):
+    rng = np.random.default_rng(seed)
+    keys = [
+        tuple(sorted(rng.choice(n, size=min(size, n), replace=False).tolist()))
+        for _ in range(rows)
+    ]
+    if family == "ranked-edge":
+        model = _ranked_edge_model(n, keys[0], rng)
+    else:
+        model = gen_random(n, 1, model=family, seed=seed).choice_model
+    for key in keys:
+        got = model.choice_probs(key)
+        assert list(got.items()) == list(reference_choice_probs(model, key).items()), key
+    # the rows in one batch score as they do one at a time
+    prices = rng.uniform(1.0, 10.0, n)
+    revs = model.revenues(prices, np.array(keys))
+    assert revs.tolist() == [expected_revenue(model, prices, key) for key in keys]

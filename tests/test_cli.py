@@ -309,6 +309,22 @@ def test_wrong_algorithm_for_model_exits_2(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--family", "uniform-line"], ["compare", "--algorithms", "brute"],
+     ["estimate", "--placement", "0"], ["verify"]]
+    + [["solve", "--algorithm", name] for name in ALGORITHMS],
+)
+def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    # the instance file does not exist: the seed is checked before it is read
+    inst = [] if argv[0] == "gen" else ["--instance", str(tmp_path / "nope.json")]
+    rest = [] if argv[0] == "verify" else ["-o", str(out)]
+    assert run(*argv, *inst, *rest, "--seed", "-1") == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as err:
         run("solve", "--algorithm", "brute")  # missing --instance
