@@ -235,6 +235,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError("trials must be positive")
     instance = _load_instance(args.instance)
     failures: list[str] = []
 

@@ -82,7 +82,8 @@ def estimate_w(
     Sets are drawn in blocks and the revenue is computed once per distinct
     visited set; the sum still runs in draw order, so the estimate and the
     generator's end state are those of one draw per sample.
-    Raises ValueError unless the placement fills every slot with a catalog id.
+    Raises ValueError unless the placement fills every slot with a catalog id,
+    or when the browsing draws a location outside [0, m).
     """
     if len(slots) != instance.m:
         raise ValueError(f"placement must fill {instance.m} slots")
@@ -97,6 +98,11 @@ def estimate_w(
         for visited in instance.browsing.sample(rng, size):
             rev = revenues.get(visited)
             if rev is None:
+                outside = sorted(j for j in visited if not 0 <= j < instance.m)
+                if outside:
+                    raise ValueError(
+                        f"browsing drew locations {outside} outside [0, {instance.m})"
+                    )
                 rev = expected_revenue(model, prices, canon(products_at(slots, visited)))
                 revenues[visited] = rev
             total += rev

@@ -20,6 +20,9 @@ BRUTE_FORCE_MAX_N = 22
 _MNL_BISECT_ITERS = 200
 # Subsets per ``revenues`` call in the brute-force pass; bounds the id array.
 _BATCH = 256
+# Scores (sizes x products) per lockstep pass of the MNL bisection. It bounds
+# the pass's arrays: more than half this many products bisect one size a pass.
+_MNL_CELLS = 1 << 14
 
 
 def _pad_to_size(ids: frozenset[int], k: int, instance: Instance) -> frozenset[int]:
@@ -127,6 +130,12 @@ class MnlExactOracle(AssortmentOracle):
     positive values of v_i (r_i - t) sum to at least t; that test is
     monotone in t, so bisection pins the optimum and the final threshold
     reconstructs the set. Ties in v_i (r_i - t) go to the lower id.
+
+    A miss for k bisects k together with the other unsolved sizes up to
+    min(m, n), one row per size and at most ``_MNL_CELLS // n`` rows at a
+    time, so one pass usually answers every k a solver asks. Every row
+    takes the steps a bisection of its size alone would: the same
+    midpoints, the same test and the same early exit.
     """
 
     alpha = 1.0
@@ -135,33 +144,54 @@ class MnlExactOracle(AssortmentOracle):
         super().__init__(instance)
         if not isinstance(instance.choice_model, MnlModel):
             raise ValueError("MnlExactOracle requires an MNL choice model")
-
-    def _top_scores(self, t: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-        v = self.instance.choice_model.weights
-        scores = v * (self.instance.prices - t)
-        order = np.lexsort((np.arange(scores.size), -scores))
-        return order[:k], scores
+        self._sets: dict[int, frozenset[int]] = {}
 
     def _solve(self, k):
-        # Stop once an update would leave lo or hi unchanged: the next step
-        # would then repeat this one forever. The iteration cap still binds
-        # when the optimum is 0 and hi only halves.
-        lo, hi = 0.0, float(self.instance.prices.max())
+        found = self._sets.get(k)
+        if found is None:
+            n = self.instance.n
+            rest = range(1, min(self.instance.m, n) + 1)
+            rest = [s for s in rest if s != k and s not in self._sets]
+            sizes = [k] + rest[: max(1, _MNL_CELLS // n) - 1]
+            self._sets.update(zip(sizes, self._bisect(sizes)))
+            found = self._sets[k]
+        return found
+
+    def _ranked(self, t: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's ``width`` best ids (lower id first on ties) and scores
+        v_i (r_i - t) at that row's threshold t."""
+        v = self.instance.choice_model.weights
+        scores = v * (self.instance.prices - t[:, None])
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :width]
+        return order, scores
+
+    def _bisect(self, sizes: list[int]) -> list[frozenset[int]]:
+        # A row stops once an update would leave its lo or hi unchanged: its
+        # next step would then repeat this one forever. The iteration cap
+        # still binds when the optimum is 0 and hi only halves.
+        width = max(sizes)
+        lo = np.zeros(len(sizes))
+        hi = np.full(len(sizes), float(self.instance.prices.max()))
+        live = np.arange(len(sizes))
         for _ in range(_MNL_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            top, scores = self._top_scores(mid, k)
-            gain = float(np.maximum(scores[top], 0.0).sum())
-            if gain >= mid:
-                if mid == lo:
-                    break
-                lo = mid
-            else:
-                if mid == hi:
-                    break
-                hi = mid
-        top, scores = self._top_scores(lo, k)
-        chosen = frozenset(int(i) for i in top if scores[i] > 0.0)
-        return chosen
+            mid = 0.5 * (lo[live] + hi[live])
+            order, scores = self._ranked(mid, width)
+            top = np.maximum(np.take_along_axis(scores, order, axis=1), 0.0)
+            # one contiguous row slice per size: the same pairwise sum as a
+            # bisection of that size alone
+            gain = [row[: sizes[i]].sum() for row, i in zip(top, live.tolist())]
+            up = np.array(gain) >= mid
+            stuck = np.where(up, mid == lo[live], mid == hi[live])
+            lo[live] = np.where(up, mid, lo[live])
+            hi[live] = np.where(up, hi[live], mid)
+            live = live[~stuck]
+            if not live.size:
+                break
+        order, scores = self._ranked(lo, width)
+        return [
+            frozenset(int(i) for i in order[r, :k] if scores[r, i] > 0.0)
+            for r, k in enumerate(sizes)
+        ]
 
 
 class GreedyUniformOracle(AssortmentOracle):

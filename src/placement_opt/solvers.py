@@ -484,6 +484,8 @@ def markov_deterministic_placement(
     For each k, the placement objective restricted to the best size-k
     assortment is monotone submodular, so a greedy one-product-per-location
     pass over just those products is provably good; the best k wins.
+    The greedy depends on the products alone, so an assortment that an
+    earlier k already returned is skipped: it would only tie that k.
     """
     if not isinstance(instance.choice_model, (MnlModel, MarkovModel)):
         raise ValueError(
@@ -493,8 +495,12 @@ def markov_deterministic_placement(
     ev = evaluator or WEvaluator(instance)
     n, m = instance.n, instance.m
     best = None
+    greedied = set()
     for k in range(1, m + 1):
-        members = sorted(i for i in oracle.best_assortment(k) if i < n)
+        members = tuple(sorted(i for i in oracle.best_assortment(k) if i < n))
+        if members in greedied:
+            continue
+        greedied.add(members)
         slots, w = _partition_greedy(instance, members, ev)
         slots = fill_empty(instance, slots)
         if best is None or w > best[0]:

@@ -231,3 +231,55 @@ def reference_randomized(instance: Instance, oracle, repetitions: int, rng, valu
             if best is None or w > best[0]:
                 best = (w, k, slots)
     return best
+
+
+def reference_mnl_bisection(instance: Instance, k: int) -> frozenset[int]:
+    """Exact MNL set of at most k products from a bisection of size k alone.
+
+    The scalar loop the library's lockstep bisection must match exactly: one
+    ``lexsort`` per step, the gain as the sum of the k best positive scores,
+    and the early exit once an update would leave lo or hi unchanged.
+    """
+
+    def top_scores(t: float) -> tuple[np.ndarray, np.ndarray]:
+        v = instance.choice_model.weights
+        scores = v * (instance.prices - t)
+        order = np.lexsort((np.arange(scores.size), -scores))
+        return order[:k], scores
+
+    lo, hi = 0.0, float(instance.prices.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        top, scores = top_scores(mid)
+        gain = float(np.maximum(scores[top], 0.0).sum())
+        if gain >= mid:
+            if mid == lo:
+                break
+            lo = mid
+        else:
+            if mid == hi:
+                break
+            hi = mid
+    top, scores = top_scores(lo)
+    return frozenset(int(i) for i in top if scores[i] > 0.0)
+
+
+def reference_markov_greedy(instance: Instance, oracle):
+    """(w, k, slots) of the markov-greedy loop, one greedy pass for every k.
+
+    The per-k loop the library's one-pass-per-distinct-set solver must match
+    exactly: a partition greedy over each k's real members, even when an
+    earlier k returned the same set, and the first strictly better w wins.
+    """
+    from placement_opt import WEvaluator, fill_empty
+    from placement_opt.solvers import _partition_greedy
+
+    ev = WEvaluator(instance)
+    best = None
+    for k in range(1, instance.m + 1):
+        members = sorted(i for i in oracle.best_assortment(k) if i < instance.n)
+        slots, w = _partition_greedy(instance, members, ev)
+        slots = fill_empty(instance, slots)
+        if best is None or w > best[0]:
+            best = (w, k, slots)
+    return best

@@ -329,3 +329,14 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as err:
         run("solve", "--algorithm", "brute")  # missing --instance
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_nonpositive_trials_exit_2_before_any_work(tmp_path, capsys, trials):
+    path = tmp_path / "inst.json"
+    argv = ["--family", "random", "--n", "8", "--m", "2", "-o", str(path)]
+    assert run("gen", *argv) == 0
+    assert run("verify", "--instance", str(path), "--trials", trials) == 2
+    captured = capsys.readouterr()
+    assert "trials must be positive" in captured.err
+    assert "OK" not in captured.out

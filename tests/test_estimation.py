@@ -65,6 +65,17 @@ def test_estimate_rejects_ids_outside_catalog():
             estimate_w(inst, slots, plan, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("location", [-1, 3])
+def test_estimate_rejects_drawn_locations_outside_m(location):
+    inst = gen_random(5, 3, model="mnl", seed=2)
+    inst = Instance(
+        inst.products, inst.choice_model, 3, SamplerBrowsing(lambda rng: [0, location])
+    )
+    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=10)
+    with pytest.raises(ValueError, match=rf"locations \[{location}\] outside \[0, 3\)"):
+        estimate_w(inst, (0, 1, 2), plan, np.random.default_rng(0))
+
+
 def test_point_mass_browsing_estimates_exactly():
     inst = gen_random(3, 2, model="mnl", browsing="full", seed=1)
     plan = EstimationPlan.for_instance(inst, 1.0, 1.0, samples_override=3)

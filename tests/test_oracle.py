@@ -17,6 +17,7 @@ from placement_opt import (
     SizeGuardError,
     exact_oracle,
     expected_revenue,
+    full_support,
     gen_first_slot_only,
     gen_heavy_tail_line,
     gen_random,
@@ -24,7 +25,12 @@ from placement_opt import (
     markov_from_mnl,
 )
 
-from helpers import direct_revenue, reference_brute_oracle, reference_greedy_uniform
+from helpers import (
+    direct_revenue,
+    reference_brute_oracle,
+    reference_greedy_uniform,
+    reference_mnl_bisection,
+)
 
 
 def _real_revenue(instance, ids):
@@ -107,6 +113,73 @@ def test_mnl_early_exit_matches_full_bisection():
         oracle = MnlExactOracle(inst)
         for k in range(1, inst.n + 1):
             assert oracle._solve(k) == _full_bisection(inst, k), (inst.n, k)
+
+
+def _tie_heavy_mnl_instances():
+    """The early-exit test's instances, each with m = n so every size is
+    bisected in lockstep: equal weights, equal prices, zero weights."""
+    insts = [gen_first_slot_only(k) for k in range(1, 9)]
+    insts += [gen_random(8, 5, model="mnl", seed=seed) for seed in range(10)]
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 9):
+        prices = [rng.uniform(1.0, 10.0, n), np.full(n, 4.0)]
+        weights = [
+            np.ones(n),
+            rng.uniform(0.1, 2.0, n),
+            np.where(np.arange(n) % 2 == 0, 0.0, 1.0),
+            np.zeros(n),
+        ]
+        for r in prices:
+            for w in weights:
+                products = [Product(i, float(r[i])) for i in range(n)]
+                insts.append(Instance(products, MnlModel(w), 1, LineBrowsing([1.0])))
+    return [
+        Instance(inst.products, inst.choice_model, inst.n, full_support(inst.n))
+        for inst in insts
+    ]
+
+
+def _assert_lockstep_matches_reference(inst, ks, alone):
+    """Sizes ``ks`` asked in ascending and descending order, and each of
+    ``alone`` asked first, against one scalar bisection per size."""
+    expected = {k: reference_mnl_bisection(inst, k) for k in ks}
+    for order in (ks, ks[::-1]):
+        oracle = MnlExactOracle(inst)
+        assert {k: oracle._solve(k) for k in order} == expected, (inst.n, inst.m)
+    for k in alone:
+        assert MnlExactOracle(inst)._solve(k) == expected[k], (inst.n, inst.m, k)
+
+
+def test_mnl_lockstep_matches_scalar_bisection():
+    insts = _tie_heavy_mnl_instances()
+    insts.append(gen_random(100, 20, model="mnl", seed=0))
+    insts.append(gen_random(100, 20, model="mnl", price_range=(3.0, 3.0), seed=3))
+    # at t = 1.0, the last product's price, the other ten score 0.1 each: their
+    # pairwise sum is 1.0, which leaves the last one out; a running sum is not
+    products = [Product(i, 2.0) for i in range(10)] + [Product(10, 1.0)]
+    insts.append(Instance(products, MnlModel([0.1] * 10 + [1.0]), 11, full_support(11)))
+    for inst in insts:
+        ks = list(range(1, inst.n + 1))
+        # each size a solver can ask (k <= m) also asked first, alone
+        _assert_lockstep_matches_reference(inst, ks, ks[: inst.m])
+
+
+def test_mnl_lockstep_splits_sizes_at_the_cell_cap(monkeypatch):
+    inst = gen_random(3000, 12, model="mnl", seed=9)
+    rows = oracle_module._MNL_CELLS // inst.n
+    assert 1 < rows < inst.m
+    passes = []
+    real = MnlExactOracle._bisect
+
+    def recorded(self, sizes):
+        passes.append(sizes)
+        return real(self, sizes)
+
+    monkeypatch.setattr(MnlExactOracle, "_bisect", recorded)
+    ks = list(range(1, inst.m + 1))
+    _assert_lockstep_matches_reference(inst, ks, [1, rows, inst.m])
+    assert passes[:3] == [ks[:rows], ks[rows : 2 * rows], ks[2 * rows :]]
+    assert max(len(sizes) for sizes in passes) == rows
 
 
 def _brute_reference_instances():

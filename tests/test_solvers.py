@@ -36,7 +36,12 @@ from placement_opt import solvers
 from placement_opt.solvers import _lattice_violations
 from placement_opt.oracle import GreedyUniformOracle, exact_oracle
 
-from helpers import reference_partition_greedy, reference_randomized, twin_optimum
+from helpers import (
+    reference_markov_greedy,
+    reference_partition_greedy,
+    reference_randomized,
+    twin_optimum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +407,48 @@ def test_markov_greedy_rejects_other_models():
     inst = gen_random(4, 2, model="mmnl", seed=7)
     with pytest.raises(ValueError):
         markov_deterministic_placement(inst, BruteForceOracle(inst))
+
+
+def _markov_greedy_cases():
+    """MNL instances (exact MNL oracle) and Markov ones (brute oracle) over
+    every enumerable browsing family; the MNL optima saturate below m, so
+    later k repeat earlier sets."""
+    for browsing in ("line", "explicit", "singleton", "full"):
+        for seed in range(3):
+            yield gen_random(14, 8, model="mnl", browsing=browsing, seed=seed)
+            yield gen_random(6, 4, model="markov", browsing=browsing, seed=seed)
+    yield gen_random(5, 5, model="mnl", price_range=(2.0, 2.0), seed=3)
+    yield gen_random(6, 5, model="markov", price_range=(2.0, 2.0), seed=3)
+
+
+def test_markov_greedy_matches_per_k_reference():
+    for inst in _markov_greedy_cases():
+        report = markov_deterministic_placement(inst, exact_oracle(inst))
+        w, k, slots = reference_markov_greedy(inst, exact_oracle(inst))
+        assert (report.placement, report.w_exact, report.k) == (slots, w, k)
+
+
+def test_markov_greedy_runs_one_greedy_per_distinct_set(monkeypatch):
+    calls = []
+    real = solvers._partition_greedy
+
+    def counted(instance, candidates, ev):
+        calls.append(tuple(candidates))
+        return real(instance, candidates, ev)
+
+    monkeypatch.setattr(solvers, "_partition_greedy", counted)
+    repeats = 0
+    for inst in _markov_greedy_cases():
+        oracle = exact_oracle(inst)
+        calls.clear()
+        markov_deterministic_placement(inst, oracle)
+        sets = [
+            tuple(sorted(i for i in oracle.best_assortment(k) if i < inst.n))
+            for k in range(1, inst.m + 1)
+        ]
+        assert calls == list(dict.fromkeys(sets))
+        repeats += len(sets) - len(calls)
+    assert repeats > 0  # the cases do repeat sets
 
 
 # ---------------------------------------------------------------------------
