@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import EnumerationUnsupportedError, as_int
+from .core import EnumerationUnsupportedError, _reals, as_int
 
 _PROB_TOL = 1e-9
 
@@ -70,12 +70,13 @@ class ExplicitBrowsing(_CategoricalBrowsing):
     def __init__(self, support: Iterable[tuple[Iterable[int], float]]):
         merged: dict[frozenset[int], float] = {}
         for locations, prob in support:
+            prob = float(_reals(prob, "support probabilities"))
             if not math.isfinite(prob) or prob < 0:
                 raise ValueError("support probabilities must be finite and nonnegative")
             key = frozenset(as_int(j, "location") for j in locations)
             if any(j < 0 for j in key):
                 raise ValueError("location indices must be nonnegative")
-            merged[key] = merged.get(key, 0.0) + float(prob)
+            merged[key] = merged.get(key, 0.0) + prob
         total = sum(merged.values())
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"support probabilities sum to {total}, expected 1")
@@ -110,7 +111,7 @@ class LineBrowsing(_CategoricalBrowsing):
     """
 
     def __init__(self, theta: Sequence[float]):
-        t = np.asarray(theta, dtype=float)
+        t = _reals(theta, "prefix probabilities")
         if t.ndim != 1 or t.size == 0:
             raise ValueError("theta must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(t)) or np.any(t < 0):
@@ -127,13 +128,9 @@ class LineBrowsing(_CategoricalBrowsing):
         self._cum[-1] = 1.0
 
     def support(self):
-        out = [
-            (frozenset(range(j + 1)), float(p))
-            for j, p in enumerate(self.theta)
-            if p > 0.0
-        ]
+        out = [(s, float(p)) for s, p in zip(self._sets[1:], self.theta) if p > 0.0]
         if self._residual > _PROB_TOL:
-            out.insert(0, (frozenset(), self._residual))
+            out.insert(0, (self._sets[0], self._residual))
         return out
 
     def to_spec(self) -> dict:

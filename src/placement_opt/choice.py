@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import as_int, canon
+from .core import _reals, as_int, canon
 
 _PROB_TOL = 1e-9
 
@@ -95,7 +95,7 @@ class MnlModel(ChoiceModel):
 
     def __init__(self, weights: Sequence[float]):
         super().__init__()
-        w = np.asarray(weights, dtype=float)
+        w = _reals(weights, "weights")
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -118,12 +118,12 @@ class MmnlModel(ChoiceModel):
         super().__init__()
         if not segments:
             raise ValueError("need at least one segment")
-        thetas = np.array([t for t, _ in segments], dtype=float)
+        thetas = _reals([t for t, _ in segments], "segment probabilities")
         if not np.all(np.isfinite(thetas)) or np.any(thetas < 0):
             raise ValueError("segment probabilities must be finite and nonnegative")
         if abs(thetas.sum() - 1.0) > _PROB_TOL:
             raise ValueError("segment probabilities must sum to 1")
-        mats = [np.asarray(w, dtype=float) for _, w in segments]
+        mats = [_reals(w, "segment weights") for _, w in segments]
         n = mats[0].size
         if any(w.ndim != 1 or w.size != n for w in mats):
             raise ValueError("all segments must weight the same product set")
@@ -161,8 +161,8 @@ class MarkovModel(ChoiceModel):
 
     def __init__(self, arrival: Sequence[float], transitions: Sequence[Sequence[float]]):
         super().__init__()
-        lam = np.asarray(arrival, dtype=float)
-        rho = np.asarray(transitions, dtype=float)
+        lam = _reals(arrival, "arrival")
+        rho = _reals(transitions, "transitions")
         if lam.ndim != 1 or lam.size < 2:
             raise ValueError("arrival must cover the quit state plus >= 1 product")
         if rho.shape != (lam.size, lam.size):
@@ -235,7 +235,7 @@ class RankedListModel(ChoiceModel):
             raise ValueError("need at least one product")
         if not lists:
             raise ValueError("need at least one ranking")
-        probs = np.array([p for p, _ in lists], dtype=float)
+        probs = _reals([p for p, _ in lists], "ranking probabilities")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0):
             raise ValueError("ranking probabilities must be finite and nonnegative")
         if abs(probs.sum() - 1.0) > _PROB_TOL:

@@ -10,6 +10,7 @@ stored.
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -37,14 +38,34 @@ def as_int(value, what: str) -> int:
     """``value`` as an int, for integer fields read from JSON.
 
     Raises ValueError unless the value is integral: ``2`` and ``2.0`` pass,
-    ``2.7``, ``"2"``, NaN and infinities do not.
+    ``2.7``, ``"2"``, ``True``, NaN and infinities do not.
     """
     try:
-        if int(value) == value:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """``values``, a number or nested sequence of numbers, as a float array.
+
+    Raises ValueError naming ``what`` on an entry that is not a real number
+    or is a boolean: numpy alone reads ``"0.5"`` as 0.5 and ``True`` as 1.0,
+    so a quoted or boolean JSON number would load silently.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        entries = np.asarray(values, dtype=object).ravel().tolist()
+        wrong = {
+            kind
+            for kind in set(map(type, entries))
+            if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, numbers.Real)
+        }
+        if wrong:
+            bad = next(v for v in entries if type(v) in wrong)
+            raise ValueError(f"{what}: expected a number, got {bad!r}")
+    return np.asarray(values, dtype=float)
 
 
 def canon(ids: Iterable[int]) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from .browsing import (
     singleton_uniform,
 )
 from .choice import MarkovModel, MmnlModel, MnlModel, RankedListModel, model_from_spec
-from .core import Instance, Product, as_int
+from .core import Instance, Product, _reals, as_int
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +39,10 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> Instance:
+    prices = _reals([p["price"] for p in data["products"]], "price").tolist()
     products = [
-        Product(as_int(p["id"], "product id"), float(p["price"])) for p in data["products"]
+        Product(as_int(p["id"], "product id"), price)
+        for p, price in zip(data["products"], prices)
     ]
     model = model_from_spec(data["choice_model"], n=len(products))
     browsing = browsing_from_spec(data["browsing"])

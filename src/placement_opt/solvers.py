@@ -9,7 +9,7 @@ estimation for sampler-only browsing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
@@ -57,35 +57,19 @@ class SolveReport:
         return self.w_exact if self.w_exact is not None else self.w_estimate.value
 
     def to_dict(self) -> dict:
-        est = self.w_estimate
-        return {
-            "algorithm": self.algorithm,
-            "placement": list(self.placement),
-            "w_exact": self.w_exact,
-            "w_estimate": None
-            if est is None
-            else {
-                "value": est.value,
-                "epsilon": est.epsilon,
-                "delta": est.delta,
-                "samples": est.samples,
-            },
-            "k": self.k,
-            "seed": self.seed,
-            "ms": self.ms,
-        }
+        return {**asdict(self), "placement": list(self.placement)}
 
 
 class WEvaluator:
     """Exact expected-revenue evaluation with per-instance memoization.
 
     Assortment revenues are cached by the frozenset of catalog ids offered
-    (visited sets repeat assortments heavily) and placement values by slot
-    tuple. Empty-slot sentinels and padding ids contribute nothing to
-    revenue. Keys are frozensets, not integer bitmasks: a frozenset costs
-    time linear in the assortment, a bitmask time linear in the catalog,
-    and ``gen_heavy_tail_line(256)`` has about 33k products (bitmask keys
-    took acceptance check 7 from about 3 s to 336 s).
+    (visited sets repeat assortments heavily); placement values are summed
+    afresh on every call. Empty-slot sentinels and padding ids contribute
+    nothing to revenue. Keys are frozensets, not integer bitmasks: a
+    frozenset costs time linear in the assortment, a bitmask time linear in
+    the catalog, and ``gen_heavy_tail_line(256)`` has about 33k products
+    (bitmask keys took acceptance check 7 from about 3 s to 336 s).
     """
 
     def __init__(self, instance: Instance):
@@ -94,7 +78,6 @@ class WEvaluator:
             (tuple(sorted(s)), p) for s, p in instance.browsing.support()
         )
         self._revenues: dict[frozenset[int], float] = {}
-        self._values: dict[tuple[int, ...], float] = {}
 
     @property
     def support(self) -> tuple[tuple[tuple[int, ...], float], ...]:
@@ -119,14 +102,6 @@ class WEvaluator:
         """Expected revenue of a (possibly partial) placement."""
         if len(slots) != self.instance.m:
             raise ValueError(f"placement must fill {self.instance.m} slots")
-        key = tuple(slots)
-        val = self._values.get(key)
-        if val is None:
-            val = self._value_uncached(key)
-            self._values[key] = val
-        return val
-
-    def _value_uncached(self, slots: tuple[int, ...]) -> float:
         # cached revenues are read directly; only a miss (or a key holding
         # sentinels or padding, which is never cached) goes through revenue
         revenues = self._revenues
@@ -156,8 +131,28 @@ def fill_empty(instance: Instance, slots: Sequence[int]) -> tuple[int, ...]:
     return tuple(star if (s == EMPTY_SLOT or s >= n) else s for s in slots)
 
 
-def _elapsed_ms(start: float) -> int:
-    return int(round((time.perf_counter() - start) * 1000))
+def _report(
+    algorithm: str,
+    start: float,
+    seed: int,
+    slots: tuple[int, ...],
+    w: float,
+    k: int | None = None,
+    plan: EstimationPlan | None = None,
+) -> SolveReport:
+    """Report of a run begun at ``start``; ``w`` is exact unless ``plan``
+    is the estimation plan that produced it."""
+    return SolveReport(
+        algorithm=algorithm,
+        placement=slots,
+        w_exact=w if plan is None else None,
+        w_estimate=None
+        if plan is None
+        else WEstimate(w, plan.epsilon, plan.delta, plan.samples),
+        k=k,
+        seed=seed,
+        ms=int(round((time.perf_counter() - start) * 1000)),
+    )
 
 
 def brute_force_placement(
@@ -171,25 +166,13 @@ def brute_force_placement(
     n, m = instance.n, instance.m
     if n**m > guard:
         raise SizeGuardError(f"brute force needs {n ** m} > {guard} placements")
-    ev = WEvaluator(instance)
-    support = ev.support
-    revenue = ev.revenue
+    value = WEvaluator(instance).value
     best_w, best = -1.0, None
     for slots in iter_product(range(n), repeat=m):
-        w = 0.0
-        for locations, prob in support:
-            w += prob * revenue(slots[j] for j in locations)
+        w = value(slots)
         if w > best_w:
             best_w, best = w, slots
-    return SolveReport(
-        algorithm="brute-force",
-        placement=best,
-        w_exact=best_w,
-        w_estimate=None,
-        k=None,
-        seed=seed,
-        ms=_elapsed_ms(start),
-    )
+    return _report("brute-force", start, seed, best, best_w)
 
 
 def best_of_many_line(
@@ -217,15 +200,7 @@ def best_of_many_line(
         if best is None or w > best[0]:
             best = (w, k, slots)
     w, k, slots = best
-    return SolveReport(
-        algorithm="best-of-many",
-        placement=slots,
-        w_exact=w,
-        w_estimate=None,
-        k=k,
-        seed=seed,
-        ms=_elapsed_ms(start),
-    )
+    return _report("best-of-many", start, seed, slots, w, k)
 
 
 def randomized_placement(
@@ -285,17 +260,7 @@ def randomized_placement(
             if best is None or w > best[0]:
                 best = (w, k, slots)
     w, k, slots = best
-    return SolveReport(
-        algorithm="randomized",
-        placement=slots,
-        w_exact=w if exact else None,
-        w_estimate=None
-        if exact
-        else WEstimate(w, plan.epsilon, plan.delta, plan.samples),
-        k=k,
-        seed=seed,
-        ms=_elapsed_ms(start),
-    )
+    return _report("randomized", start, seed, slots, w, k, None if exact else plan)
 
 
 def _partition_greedy(
@@ -371,15 +336,7 @@ def uniform_price_matroid_greedy(
     start = time.perf_counter()
     ev = evaluator or WEvaluator(instance)
     slots, w = _partition_greedy(instance, range(instance.n), ev)
-    return SolveReport(
-        algorithm="uniform-greedy",
-        placement=slots,
-        w_exact=w,
-        w_estimate=None,
-        k=None,
-        seed=seed,
-        ms=_elapsed_ms(start),
-    )
+    return _report("uniform-greedy", start, seed, slots, w)
 
 
 def pair_objective_values(instance: Instance, guard: int = 18) -> np.ndarray:
@@ -502,16 +459,7 @@ def markov_deterministic_placement(
             continue
         greedied.add(members)
         slots, w = _partition_greedy(instance, members, ev)
-        slots = fill_empty(instance, slots)
         if best is None or w > best[0]:
             best = (w, k, slots)
     w, k, slots = best
-    return SolveReport(
-        algorithm="markov-greedy",
-        placement=slots,
-        w_exact=w,
-        w_estimate=None,
-        k=k,
-        seed=seed,
-        ms=_elapsed_ms(start),
-    )
+    return _report("markov-greedy", start, seed, slots, w, k)

@@ -7,7 +7,7 @@ instead of a linear solve) so agreement is meaningful.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from placement_opt import (
     MmnlModel,
     MnlModel,
     RankedListModel,
+    WEvaluator,
     canon,
     expected_revenue,
     products_at,
@@ -175,6 +176,27 @@ def reference_partition_greedy(instance: Instance, candidates, ev):
     return tuple(slots), ev.value(slots)
 
 
+def reference_brute_placement(instance: Instance):
+    """(placement, w) of brute force with the W sum written out per placement.
+
+    The loop the library's brute force must match bit for bit: every slot
+    assignment in ``itertools.product`` order, ``sum_L P(L) * R(X(L))``
+    added in support order with each revenue from ``ev.revenue``, and the
+    first strictly better w wins.
+    """
+    ev = WEvaluator(instance)
+    support = ev.support
+    revenue = ev.revenue
+    best_w, best = -1.0, None
+    for slots in product(range(instance.n), repeat=instance.m):
+        w = 0.0
+        for locations, prob in support:
+            w += prob * revenue(slots[j] for j in locations)
+        if w > best_w:
+            best_w, best = w, slots
+    return best, best_w
+
+
 def reference_estimate_w(instance: Instance, slots, plan, rng):
     """Sample-average revenue with one browsing draw per sample.
 
@@ -271,7 +293,7 @@ def reference_markov_greedy(instance: Instance, oracle):
     exactly: a partition greedy over each k's real members, even when an
     earlier k returned the same set, and the first strictly better w wins.
     """
-    from placement_opt import WEvaluator, fill_empty
+    from placement_opt import fill_empty
     from placement_opt.solvers import _partition_greedy
 
     ev = WEvaluator(instance)

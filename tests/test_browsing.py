@@ -142,6 +142,8 @@ def test_validation_errors():
         LineBrowsing([-0.1, 0.5])
     with pytest.raises(ValueError):
         LineBrowsing([])
+    with pytest.raises(ValueError, match="support probabilities"):
+        ExplicitBrowsing([([0], "1.0")])
 
 
 def test_browsing_spec_round_trip():

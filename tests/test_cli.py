@@ -291,6 +291,26 @@ def test_non_integral_location_count_exits_2(tmp_path):
     assert run("solve", "--instance", str(inst_path), "--algorithm", "brute") == 2
 
 
+@pytest.mark.parametrize(
+    "path, bad, message",
+    [
+        (("products", 0, "price"), "3", "price: expected a number, got '3'"),
+        (("m",), True, "m must be an integer, got True"),
+    ],
+    ids=["price", "m"],
+)
+def test_quoted_or_boolean_number_exits_2(tmp_path, capsys, path, bad, message):
+    inst_path = tmp_path / "inst.json"
+    data = json.loads(to_json(gen_random(3, 2, model="mnl", seed=4)))
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = bad
+    inst_path.write_text(json.dumps(data))
+    assert run("solve", "--instance", str(inst_path), "--algorithm", "markov-greedy") == 2
+    assert message in capsys.readouterr().err
+
+
 def test_size_guard_exits_3(tmp_path):
     inst_path = tmp_path / "big.json"
     inst = gen_random(30, 5, model="mnl", seed=0)

@@ -259,33 +259,48 @@ def test_json_round_trip_all_families():
         assert to_json(from_json(text)) == text
 
 
-NON_FINITE_FIELDS = [
-    ("mnl", "line", ("products", 0, "price")),
-    ("mnl", "line", ("choice_model", "weights", 0)),
-    ("mmnl", "line", ("choice_model", "segments", 0, "theta")),
-    ("mmnl", "line", ("choice_model", "segments", 0, "weights", 0)),
-    ("markov", "line", ("choice_model", "arrival", 1)),
-    ("markov", "line", ("choice_model", "transitions", 1, 2)),
-    ("ranked", "line", ("choice_model", "lists", 0, "prob")),
-    ("mnl", "line", ("browsing", "theta", 0)),
-    ("mnl", "explicit", ("browsing", "support", 0, "prob")),
+# every float field of the JSON format, with the name its errors give it
+NUMERIC_FIELDS = [
+    ("mnl", "line", ("products", 0, "price"), "price"),
+    ("mnl", "line", ("choice_model", "weights", 0), "weights"),
+    ("mmnl", "line", ("choice_model", "segments", 0, "theta"), "segment probabilities"),
+    ("mmnl", "line", ("choice_model", "segments", 0, "weights", 0), "segment weights"),
+    ("markov", "line", ("choice_model", "arrival", 1), "arrival"),
+    ("markov", "line", ("choice_model", "transitions", 1, 2), "transitions"),
+    ("ranked", "line", ("choice_model", "lists", 0, "prob"), "ranking probabilities"),
+    ("mnl", "line", ("browsing", "theta", 0), "prefix probabilities"),
+    ("mnl", "explicit", ("browsing", "support", 0, "prob"), "support probabilities"),
 ]
+NUMERIC_FIELD_IDS = [".".join(map(str, path)) for _, _, path, _ in NUMERIC_FIELDS]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize(
-    "model, browsing, path",
-    NON_FINITE_FIELDS,
-    ids=[".".join(map(str, path)) for _, _, path in NON_FINITE_FIELDS],
+    "model, browsing, path, field", NUMERIC_FIELDS, ids=NUMERIC_FIELD_IDS
 )
-def test_from_json_rejects_non_finite_numbers(model, browsing, path, bad):
+def test_from_json_rejects_non_finite_numbers(model, browsing, path, field, bad):
     data = json.loads(to_json(gen_random(3, 2, model=model, browsing=browsing, seed=81)))
     holder = data
     for key in path[:-1]:
         holder = holder[key]
     holder[path[-1]] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "model, browsing, path, field", NUMERIC_FIELDS, ids=NUMERIC_FIELD_IDS
+)
+def test_from_json_rejects_quoted_and_boolean_numbers(model, browsing, path, field):
+    data = json.loads(to_json(gen_random(3, 2, model=model, browsing=browsing, seed=81)))
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    # numpy alone would read each of these as the number it spells
+    for bad in (str(holder[path[-1]]), True, False):
+        holder[path[-1]] = bad
+        with pytest.raises(ValueError, match=f"{field}: expected a number"):
+            from_json(json.dumps(data))
 
 
 NON_INTEGRAL_FIELDS = [
@@ -312,7 +327,7 @@ def test_from_json_rejects_non_integral_numbers(model, browsing, path):
     assert to_json(from_json(json.dumps(data))) == to_json(
         gen_random(3, 2, model=model, browsing=browsing, seed=83)
     )
-    for bad in (value + 0.5, value - 0.1, str(value)):
+    for bad in (value + 0.5, value - 0.1, str(value), True):
         holder[path[-1]] = bad
         with pytest.raises(ValueError, match="must be an integer"):
             from_json(json.dumps(data))

@@ -93,10 +93,12 @@ def _full_bisection(instance, k):
     return frozenset(int(i) for i in order if scores[i] > 0.0)
 
 
-def test_mnl_early_exit_matches_full_bisection():
-    rng = np.random.default_rng(5)
+def _tie_heavy_mnl_instances():
+    """Small MNL instances rich in ties: equal weights, equal prices, zero
+    weights."""
     insts = [gen_first_slot_only(k) for k in range(1, 9)]
     insts += [gen_random(8, 5, model="mnl", seed=seed) for seed in range(10)]
+    rng = np.random.default_rng(5)
     for n in (1, 4, 9):
         prices = [rng.uniform(1.0, 10.0, n), np.full(n, 4.0)]
         weights = [
@@ -109,34 +111,14 @@ def test_mnl_early_exit_matches_full_bisection():
             for w in weights:
                 products = [Product(i, float(r[i])) for i in range(n)]
                 insts.append(Instance(products, MnlModel(w), 1, LineBrowsing([1.0])))
-    for inst in insts:
+    return insts
+
+
+def test_mnl_early_exit_matches_full_bisection():
+    for inst in _tie_heavy_mnl_instances():
         oracle = MnlExactOracle(inst)
         for k in range(1, inst.n + 1):
             assert oracle._solve(k) == _full_bisection(inst, k), (inst.n, k)
-
-
-def _tie_heavy_mnl_instances():
-    """The early-exit test's instances, each with m = n so every size is
-    bisected in lockstep: equal weights, equal prices, zero weights."""
-    insts = [gen_first_slot_only(k) for k in range(1, 9)]
-    insts += [gen_random(8, 5, model="mnl", seed=seed) for seed in range(10)]
-    rng = np.random.default_rng(5)
-    for n in (1, 4, 9):
-        prices = [rng.uniform(1.0, 10.0, n), np.full(n, 4.0)]
-        weights = [
-            np.ones(n),
-            rng.uniform(0.1, 2.0, n),
-            np.where(np.arange(n) % 2 == 0, 0.0, 1.0),
-            np.zeros(n),
-        ]
-        for r in prices:
-            for w in weights:
-                products = [Product(i, float(r[i])) for i in range(n)]
-                insts.append(Instance(products, MnlModel(w), 1, LineBrowsing([1.0])))
-    return [
-        Instance(inst.products, inst.choice_model, inst.n, full_support(inst.n))
-        for inst in insts
-    ]
 
 
 def _assert_lockstep_matches_reference(inst, ks, alone):
@@ -151,7 +133,11 @@ def _assert_lockstep_matches_reference(inst, ks, alone):
 
 
 def test_mnl_lockstep_matches_scalar_bisection():
-    insts = _tie_heavy_mnl_instances()
+    # m = n, so every size is bisected in lockstep
+    insts = [
+        Instance(inst.products, inst.choice_model, inst.n, full_support(inst.n))
+        for inst in _tie_heavy_mnl_instances()
+    ]
     insts.append(gen_random(100, 20, model="mnl", seed=0))
     insts.append(gen_random(100, 20, model="mnl", price_range=(3.0, 3.0), seed=3))
     # at t = 1.0, the last product's price, the other ten score 0.1 each: their

@@ -1,7 +1,10 @@
+import json
 from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placement_opt import (
     EMPTY_SLOT,
@@ -15,6 +18,7 @@ from placement_opt import (
     SamplerBrowsing,
     SizeGuardError,
     SolveReport,
+    WEstimate,
     WEvaluator,
     best_of_many_line,
     brute_force_placement,
@@ -37,6 +41,7 @@ from placement_opt.solvers import _lattice_violations
 from placement_opt.oracle import GreedyUniformOracle, exact_oracle
 
 from helpers import (
+    reference_brute_placement,
     reference_markov_greedy,
     reference_partition_greedy,
     reference_randomized,
@@ -142,6 +147,19 @@ def test_brute_force_matches_recursive_twin():
         assert brute_force_placement(inst).w_exact == pytest.approx(
             twin_optimum(inst), abs=1e-9
         )
+
+
+def test_brute_force_matches_reference_loop():
+    for model in ("mnl", "mmnl", "markov", "ranked"):
+        for browsing in ("line", "explicit", "singleton", "full"):
+            for seed, prices in enumerate(((1.0, 10.0), (2.0, 2.0))):
+                inst = gen_random(
+                    4, 3, model=model, price_range=prices, browsing=browsing, seed=seed
+                )
+                report = brute_force_placement(inst)
+                assert (report.placement, report.w_exact) == reference_brute_placement(
+                    inst
+                ), (model, browsing, prices)
 
 
 def test_brute_force_guard():
@@ -600,6 +618,50 @@ def test_solve_report_shape_and_serialization():
     assert all(0 <= i < inst.n for i in data["placement"])
     with pytest.raises(ValueError):
         SolveReport("x", (0,), None, None, None, 0, 0)
+
+
+def test_solve_report_json_is_frozen():
+    exact = SolveReport("markov-greedy", (2, 0, 2), 1.25, None, 3, 7, 12)
+    assert json.dumps(exact.to_dict()) == (
+        '{"algorithm": "markov-greedy", "placement": [2, 0, 2], "w_exact": 1.25, '
+        '"w_estimate": null, "k": 3, "seed": 7, "ms": 12}'
+    )
+    estimate = WEstimate(0.5, 0.01, 0.05, 18445)
+    estimated = SolveReport("randomized", (1,), None, estimate, 1, 0, 4)
+    assert json.dumps(estimated.to_dict()) == (
+        '{"algorithm": "randomized", "placement": [1], "w_exact": null, '
+        '"w_estimate": {"value": 0.5, "epsilon": 0.01, "delta": 0.05, '
+        '"samples": 18445}, "k": 1, "seed": 0, "ms": 4}'
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(["mnl", "mmnl", "markov", "ranked"]),
+    browsing=st.sampled_from(["line", "explicit", "singleton", "full"]),
+    n=st.integers(1, 5),
+    m=st.integers(1, 4),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_solver_reports_the_exact_value_of_its_placement(
+    model, browsing, n, m, uniform, seed
+):
+    prices = (2.0, 2.0) if uniform else (1.0, 10.0)
+    inst = gen_random(n, m, model=model, price_range=prices, browsing=browsing, seed=seed)
+    oracle = exact_oracle(inst)
+    reports = [
+        brute_force_placement(inst),
+        randomized_placement(inst, oracle, repetitions=4, seed=seed),
+    ]
+    if browsing == "line":
+        reports.append(best_of_many_line(inst, oracle))
+    if uniform:
+        reports.append(uniform_price_matroid_greedy(inst))
+    if model in ("mnl", "markov"):
+        reports.append(markov_deterministic_placement(inst, oracle))
+    for report in reports:
+        assert report.w_exact == evaluate_exact(inst, report.placement), report.algorithm
 
 
 def test_more_locations_than_products():
