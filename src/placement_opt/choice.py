@@ -20,30 +20,24 @@ _PROB_TOL = 1e-9
 
 
 class ChoiceModel:
-    """Base class. Subclasses implement ``_batch_probs`` over rows of sorted ids."""
+    """Base class. Subclasses implement ``_batch_probs`` over rows of sorted ids.
+
+    Models are immutable values: nothing is stored per assortment, so
+    concurrent readers need no lock.
+    """
 
     n: int
 
-    def __init__(self):
-        self._cache: dict[tuple[int, ...], dict[int, float]] = {}
-
     def choice_probs(self, assortment: Iterable[int]) -> dict[int, float]:
-        """Purchase probability for every product in the assortment.
-
-        Results are cached per canonical assortment; models are immutable so
-        concurrent reads agree.
-        """
+        """Purchase probability for every product in the assortment."""
         key = canon(assortment)
         if not key:
             return {}
-        probs = self._cache.get(key)
-        if probs is None:
-            for i in key:
-                if not 0 <= i < self.n:
-                    raise ValueError(f"unknown product id {i}")
-            probs = self._probs(key)
-            self._cache[key] = probs
-        return probs
+        for i in key:
+            if not 0 <= i < self.n:
+                raise ValueError(f"unknown product id {i}")
+        row = self._batch_probs(np.array([key], dtype=np.intp))[0]
+        return dict(zip(key, row.tolist()))
 
     def choose_prob(self, i: int, assortment: Iterable[int]) -> float:
         """Probability of picking product ``i`` from the offered assortment."""
@@ -57,10 +51,9 @@ class ChoiceModel:
 
         ``ids`` is a ``(B, s)`` integer array; entry b equals
         ``expected_revenue(self, prices, ids[b])`` bitwise, because
-        ``_probs`` is one row of the same ``_batch_probs`` and the revenue
-        adds ``r_i p_i`` one column at a time in id order as that sum does.
-        The batch bypasses the ``choice_probs`` cache; its memory is linear
-        in the rows, so callers bound them.
+        ``choice_probs`` is one row of the same ``_batch_probs`` and the
+        revenue adds ``r_i p_i`` one column at a time in id order as that sum
+        does. Its memory is linear in the rows, so callers bound them.
         """
         ids = np.asarray(ids, dtype=np.intp)
         if not ids.size:
@@ -73,10 +66,6 @@ class ChoiceModel:
         for col in range(ids.shape[1]):
             rev = rev + prices[ids[:, col]] * probs[:, col]
         return rev
-
-    def _probs(self, key: tuple[int, ...]) -> dict[int, float]:
-        row = self._batch_probs(np.array([key], dtype=np.intp))[0]
-        return dict(zip(key, row.tolist()))
 
     def _batch_probs(self, ids: np.ndarray) -> np.ndarray:
         """``(B, s)`` purchase probabilities for ``(B, s)`` sorted valid ids."""
@@ -94,7 +83,6 @@ class MnlModel(ChoiceModel):
     """
 
     def __init__(self, weights: Sequence[float]):
-        super().__init__()
         w = _reals(weights, "weights")
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
@@ -115,7 +103,6 @@ class MmnlModel(ChoiceModel):
     """Mixture of MNL segments, each with its own arrival weight."""
 
     def __init__(self, segments: Sequence[tuple[float, Sequence[float]]]):
-        super().__init__()
         if not segments:
             raise ValueError("need at least one segment")
         thetas = _reals([t for t, _ in segments], "segment probabilities")
@@ -160,7 +147,6 @@ class MarkovModel(ChoiceModel):
     """
 
     def __init__(self, arrival: Sequence[float], transitions: Sequence[Sequence[float]]):
-        super().__init__()
         lam = _reals(arrival, "arrival")
         rho = _reals(transitions, "transitions")
         if lam.ndim != 1 or lam.size < 2:
@@ -229,7 +215,6 @@ class RankedListModel(ChoiceModel):
     """
 
     def __init__(self, lists: Sequence[tuple[float, Sequence[int]]], n: int):
-        super().__init__()
         n = as_int(n, "product count")
         if n < 1:
             raise ValueError("need at least one product")
@@ -358,9 +343,7 @@ def check_weak_rationality(
     if n < 2:
         return violations
 
-    def check_triple(subset: tuple[int, ...], i: int, j: int):
-        before = model.choose_prob(i, subset)
-        after = model.choose_prob(i, subset + (j,))
+    def check(subset, i, j, before: float, after: float):
         if after > before + tol:
             violations.append(RationalityViolation(i, subset, j, after - before))
 
@@ -370,9 +353,11 @@ def check_weak_rationality(
         for mask in range(1, 2**n):
             subset = tuple(i for i in range(n) if mask >> i & 1)
             rest = [j for j in range(n) if not mask >> j & 1]
+            before = model.choice_probs(subset)
+            after = {j: model.choice_probs(subset + (j,)) for j in rest}
             for i in subset:
                 for j in rest:
-                    check_triple(subset, i, j)
+                    check(subset, i, j, before[i], after[j][i])
     else:
         rng = np.random.default_rng(seed)
         for _ in range(trials):
@@ -381,5 +366,6 @@ def check_weak_rationality(
             rest = [j for j in range(n) if j not in subset]
             i = int(rng.choice(list(subset)))
             j = int(rng.choice(rest))
-            check_triple(subset, i, j)
+            before = model.choose_prob(i, subset)
+            check(subset, i, j, before, model.choose_prob(i, subset + (j,)))
     return violations

@@ -13,6 +13,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .instances import (
 from .oracle import BruteForceOracle, GreedyUniformOracle, MnlExactOracle, exact_oracle
 from .solvers import (
     SolveReport,
+    WEstimate,
     best_of_many_line,
     brute_force_placement,
     check_pair_objective_properties,
@@ -52,16 +54,12 @@ ORACLES = {
 }
 
 
-class InstanceParseError(ValueError):
-    pass
-
-
 def _load_instance(path: str) -> Instance:
     try:
         with open(path, encoding="utf-8") as handle:
             return from_json(handle.read())
     except Exception as exc:
-        raise InstanceParseError(f"cannot parse instance {path}: {exc}") from exc
+        raise ValueError(f"cannot parse instance {path}: {exc}") from exc
 
 
 _ORACLE_LOCK = threading.Lock()
@@ -217,20 +215,9 @@ def cmd_estimate(args) -> int:
     value, samples = estimate_w(
         instance, slots, plan, substream(args.seed, "estimation")
     )
-    _write_output(
-        json.dumps(
-            {
-                "w_estimate": {
-                    "value": value,
-                    "epsilon": plan.epsilon,
-                    "delta": plan.delta,
-                    "samples": samples,
-                },
-                "seed": args.seed,
-            }
-        ),
-        args.output,
-    )
+    estimate = WEstimate(value, plan.epsilon, plan.delta, samples)
+    payload = {"w_estimate": asdict(estimate), "seed": args.seed}
+    _write_output(json.dumps(payload), args.output)
     return 0
 
 
@@ -240,12 +227,10 @@ def cmd_verify(args) -> int:
     instance = _load_instance(args.instance)
     failures: list[str] = []
 
-    if instance.n <= 6:
-        violations = check_weak_rationality(instance.choice_model, instance.n)
-    else:
-        violations = check_weak_rationality(
-            instance.choice_model, instance.n, trials=args.trials, seed=args.seed
-        )
+    trials = None if instance.n <= 6 else args.trials
+    violations = check_weak_rationality(
+        instance.choice_model, instance.n, trials=trials, seed=args.seed
+    )
     if violations:
         failures.append(f"weak rationality: {len(violations)} violations")
 
@@ -358,9 +343,6 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InstanceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

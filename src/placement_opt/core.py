@@ -96,6 +96,14 @@ class Product:
     price: float
 
     def __post_init__(self):
+        # concrete types, not numbers.Real: an ABC check costs about 1 us per
+        # product; bool subclasses int and np.bool_ is neither type
+        if isinstance(self.id, bool) or not isinstance(self.id, (int, np.integer)):
+            raise ValueError(f"product id must be an integer, got {self.id!r}")
+        if isinstance(self.price, bool) or not isinstance(
+            self.price, (int, float, np.integer, np.floating)
+        ):
+            raise ValueError(f"price must be a number, got {self.price!r}")
         if self.id < 0:
             raise ValueError(f"product id must be nonnegative, got {self.id}")
         if not math.isfinite(self.price) or self.price < 0:
@@ -117,6 +125,7 @@ class Instance:
     browsing: BrowsingDistribution
 
     def __post_init__(self):
+        self.m = as_int(self.m, "m")
         if not self.products:
             raise ValueError("instance needs at least one product")
         if self.m < 1:

@@ -46,7 +46,7 @@ def instance_from_dict(data: Mapping) -> Instance:
     ]
     model = model_from_spec(data["choice_model"], n=len(products))
     browsing = browsing_from_spec(data["browsing"])
-    return Instance(products, model, as_int(data["m"], "m"), browsing)
+    return Instance(products, model, data["m"], browsing)
 
 
 def to_json(instance: Instance) -> str:

@@ -22,6 +22,7 @@ from placement_opt import (
     expected_revenue,
     products_at,
 )
+from placement_opt.choice import RationalityViolation
 from placement_opt.oracle import _pad_to_size
 
 
@@ -305,3 +306,39 @@ def reference_markov_greedy(instance: Instance, oracle):
         if best is None or w > best[0]:
             best = (w, k, slots)
     return best
+
+
+def reference_weak_rationality(model, n, trials=None, seed=0, tol=1e-9):
+    """Substitutability check with two ``choose_prob`` calls per triple.
+
+    The straightforward triple loop the library's check must match exactly,
+    violations in the same order and with the same magnitudes: subsets in
+    mask order, then products ``i`` of the subset, then added products ``j``.
+    """
+    violations = []
+    if n < 2:
+        return violations
+
+    def check_triple(subset, i, j):
+        before = model.choose_prob(i, subset)
+        after = model.choose_prob(i, subset + (j,))
+        if after > before + tol:
+            violations.append(RationalityViolation(i, subset, j, after - before))
+
+    if trials is None:
+        for mask in range(1, 2**n):
+            subset = tuple(i for i in range(n) if mask >> i & 1)
+            rest = [j for j in range(n) if not mask >> j & 1]
+            for i in subset:
+                for j in rest:
+                    check_triple(subset, i, j)
+    else:
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            size = int(rng.integers(1, n))
+            subset = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+            rest = [j for j in range(n) if j not in subset]
+            i = int(rng.choice(list(subset)))
+            j = int(rng.choice(rest))
+            check_triple(subset, i, j)
+    return violations

@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +21,11 @@ from placement_opt import (
     no_purchase_prob,
 )
 
-from helpers import absorption_by_iteration, reference_choice_probs
+from helpers import (
+    absorption_by_iteration,
+    reference_choice_probs,
+    reference_weak_rationality,
+)
 
 
 def test_mnl_symmetric_pair():
@@ -162,6 +167,31 @@ def test_weak_rationality_all_families_exhaustive():
 def test_weak_rationality_sampled_mode():
     inst = gen_random(8, 2, model="mnl", seed=7)
     assert check_weak_rationality(inst.choice_model, 8, trials=500, seed=1) == []
+
+
+@pytest.mark.parametrize("family", ["mnl", "mmnl", "markov", "ranked"])
+def test_weak_rationality_equals_the_triple_loop(family):
+    # tol=-1.0 reports every triple, so the whole order and every magnitude
+    # is compared, not just the (empty) list of real violations
+    for n in range(2, 7):
+        model = gen_random(n, 2, model=family, seed=300 + n).choice_model
+        got = check_weak_rationality(model, n, tol=-1.0)
+        assert got == reference_weak_rationality(model, n, tol=-1.0)
+    model = gen_random(9, 2, model=family, seed=309).choice_model
+    got = check_weak_rationality(model, 9, trials=300, seed=5, tol=-1.0)
+    assert got == reference_weak_rationality(model, 9, trials=300, seed=5, tol=-1.0)
+
+
+@pytest.mark.parametrize("family", ["mnl", "mmnl", "markov", "ranked"])
+def test_models_hold_no_per_assortment_state(family):
+    inst = gen_random(6, 2, model=family, seed=11)
+    model = inst.choice_model
+    state = pickle.dumps(vars(model))
+    for key in [(0,), (1, 3), (0, 2, 4, 5), tuple(range(6))]:
+        model.choice_probs(key)
+        expected_revenue(model, inst.prices, key)
+    model.revenues(inst.prices, np.array([[0, 1, 2], [1, 3, 5]]))
+    assert pickle.dumps(vars(model)) == state
 
 
 class _CherryPicker:

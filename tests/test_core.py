@@ -53,6 +53,27 @@ def test_product_validation():
         Product(-1, 1.0)
 
 
+def test_constructors_reject_boolean_and_non_numeric_fields():
+    with pytest.raises(ValueError, match="product id must be an integer"):
+        Product(True, 2.0)
+    with pytest.raises(ValueError, match="product id must be an integer"):
+        Product(1.5, 2.0)
+    with pytest.raises(ValueError, match="price must be a number"):
+        Product(0, True)
+    with pytest.raises(ValueError, match="price must be a number"):
+        Product(0, "3")
+    with pytest.raises(ValueError, match="price must be a number"):
+        Product(0, np.True_)
+    assert Product(np.int64(2), np.float64(1.5)) == Product(2, 1.5)
+    products = [Product(0, 1.0)]
+    model, browsing = MnlModel([1.0]), LineBrowsing([1.0])
+    with pytest.raises(ValueError, match="m must be an integer, got True"):
+        Instance(products, model, True, browsing)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        Instance(products, model, 1.5, browsing)
+    assert type(Instance(products, model, 1.0, browsing).m) is int
+
+
 def test_instance_validation():
     products = [Product(0, 1.0), Product(1, 2.0)]
     inst = Instance(products, MnlModel([1.0, 1.0]), 2, LineBrowsing([0.4, 0.6]))
