@@ -21,15 +21,24 @@ class BrowsingDistribution:
     """Base interface: i.i.d. sampling plus (optional) exact support."""
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """One visited set, or a list of ``size`` i.i.d. visited sets.
+        """One visited set, or a block of ``size`` i.i.d. visited sets.
 
-        Follows numpy's ``size`` convention: a block of draws returns the
+        A block is ``(sets, index)``: ``sets`` lists distinct visited sets
+        and the ``np.intp`` array ``index`` holds each draw's position in
+        ``sets``, so draw ``t`` is ``sets[index[t]]``. The block draws the
         same sets, and leaves the generator in the same state, as ``size``
-        single draws. This default loops the single draw.
+        single draws. This default loops the single draw and lists each set
+        at its first draw.
         """
         if size is None:
             return self._draw(rng)
-        return [self._draw(rng) for _ in range(size)]
+        positions: dict[frozenset[int], int] = {}
+        index = np.fromiter(
+            (positions.setdefault(self._draw(rng), len(positions)) for _ in range(size)),
+            dtype=np.intp,
+            count=size,
+        )
+        return list(positions), index
 
     def _draw(self, rng: np.random.Generator) -> frozenset[int]:
         raise NotImplementedError
@@ -46,8 +55,8 @@ class _CategoricalBrowsing(BrowsingDistribution):
     """Finitely many visited sets ``_sets`` drawn by the cumulative vector
     ``_cum``; a block is one ``searchsorted`` over one ``rng.random(size)``.
 
-    The sets are built once, so repeated draws return the same objects and
-    dict lookups keyed by them hit on identity.
+    The sets are built once, so a block returns ``_sets`` itself with the
+    category index of every draw; sets never drawn are listed too.
     """
 
     _sets: list[frozenset[int]]
@@ -57,7 +66,7 @@ class _CategoricalBrowsing(BrowsingDistribution):
         index = np.searchsorted(self._cum, rng.random(size), side="right")
         if size is None:
             return self._sets[index]
-        return [self._sets[i] for i in index.tolist()]
+        return self._sets, index
 
 
 class ExplicitBrowsing(_CategoricalBrowsing):

@@ -79,9 +79,10 @@ def estimate_w(
 
     Draws ``plan.samples`` visited sets and averages the exact assortment
     revenue of the products at each. Returns (estimate, samples used).
-    Sets are drawn in blocks and the revenue is computed once per distinct
-    visited set; the sum still runs in draw order, so the estimate and the
-    generator's end state are those of one draw per sample.
+    Sets are drawn in blocks of ``(sets, index)``; each block computes one
+    revenue per distinct drawn set and adds the per-draw revenues with one
+    sequential ``np.add.accumulate``, so the estimate and the generator's
+    end state are those of one draw and one ``total += rev`` per sample.
     Raises ValueError unless the placement fills every slot with a catalog id,
     or when the browsing draws a location outside [0, m).
     """
@@ -90,23 +91,42 @@ def estimate_w(
     bad = [i for i in slots if not 0 <= i < instance.n]
     if bad:
         raise ValueError(f"placement ids {bad} lie outside [0, {instance.n})")
-    model, prices = instance.choice_model, instance.prices
-    revenues: dict[frozenset[int], float] = {}
+    # running[0] carries the total into a block and running[1:] its revenues
+    running = np.empty(min(_BLOCK, plan.samples) + 1)
     total = 0.0
     for start in range(0, plan.samples, _BLOCK):
         size = min(_BLOCK, plan.samples - start)
-        for visited in instance.browsing.sample(rng, size):
-            rev = revenues.get(visited)
-            if rev is None:
-                outside = sorted(j for j in visited if not 0 <= j < instance.m)
-                if outside:
-                    raise ValueError(
-                        f"browsing drew locations {outside} outside [0, {instance.m})"
-                    )
-                rev = expected_revenue(model, prices, canon(products_at(slots, visited)))
-                revenues[visited] = rev
-            total += rev
+        sets, index = instance.browsing.sample(rng, size)
+        revs = _set_revenues(instance, slots, sets, index)
+        block = running[: size + 1]
+        block[0] = total
+        np.take(revs, index, out=block[1:])
+        total = float(np.add.accumulate(block, out=block)[-1])
     return total / plan.samples, plan.samples
+
+
+def _set_revenues(
+    instance: Instance, slots: Sequence[int], sets: list[frozenset[int]], index: np.ndarray
+) -> np.ndarray:
+    """Revenue of the products at each set of ``sets`` that ``index`` draws.
+
+    Sets never drawn get 0.0. Raises ValueError naming the first drawn set,
+    in draw order, that holds a location outside [0, m).
+    """
+    m = instance.m
+    drawn = np.flatnonzero(np.bincount(index, minlength=len(sets))).tolist()
+    outside = [i for i in drawn if any(not 0 <= j < m for j in sets[i])]
+    if outside:
+        first = sets[index[np.isin(index, outside).argmax()]]
+        raise ValueError(
+            f"browsing drew locations {sorted(j for j in first if not 0 <= j < m)} "
+            f"outside [0, {m})"
+        )
+    model, prices = instance.choice_model, instance.prices
+    revs = np.zeros(len(sets))
+    for i in drawn:
+        revs[i] = expected_revenue(model, prices, canon(products_at(slots, sets[i])))
+    return revs
 
 
 def select_best(

@@ -27,10 +27,10 @@ from placement_opt.oracle import _pad_to_size
 
 
 def direct_revenue(instance: Instance, ids) -> float:
-    """Assortment revenue straight from per-product choice probabilities."""
+    """Assortment revenue from one ``choice_probs`` call, summed in id order."""
     ids = sorted(set(i for i in ids if 0 <= i < instance.n))
-    model = instance.choice_model
-    return sum(instance.products[i].price * model.choose_prob(i, ids) for i in ids)
+    probs = instance.choice_model.choice_probs(ids)
+    return sum(instance.products[i].price * probs[i] for i in ids)
 
 
 def twin_optimum(instance: Instance) -> float:

@@ -161,7 +161,7 @@ def test_browsing_spec_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# block draws: sample(rng, size) == [sample(rng) for _ in range(size)]
+# block draws: sample(rng, size) == (sets, index) of the single draws
 
 _weights = st.lists(
     st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=8
@@ -201,9 +201,10 @@ def _sampler(draw):
 )
 def test_block_sample_equals_single_draws(browsing, size, seed):
     block, single = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = browsing.sample(block, size)
-    assert isinstance(drawn, list)
-    assert drawn == [browsing.sample(single) for _ in range(size)]
+    sets, index = browsing.sample(block, size)
+    assert isinstance(sets, list) and len(set(sets)) == len(sets)
+    assert index.dtype == np.intp and len(index) == size
+    assert [sets[i] for i in index] == [browsing.sample(single) for _ in range(size)]
     assert block.bit_generator.state == single.bit_generator.state
     assert browsing.sample(block) == browsing.sample(single)
 
@@ -216,12 +217,12 @@ def test_empty_block_draws_nothing():
     ]:
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        assert browsing.sample(rng, 0) == []
+        _, index = browsing.sample(rng, 0)
+        assert len(index) == 0
         assert rng.bit_generator.state == before
 
 
 def test_line_block_returns_the_prebuilt_prefix_sets():
     browsing = LineBrowsing([0.2, 0.3, 0.4])
-    first = browsing.sample(np.random.default_rng(0), 200)
-    again = browsing.sample(np.random.default_rng(0), 200)
-    assert all(a is b for a, b in zip(first, again))
+    sets, _ = browsing.sample(np.random.default_rng(0), 200)
+    assert sets is browsing._sets

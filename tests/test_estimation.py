@@ -1,8 +1,11 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placement_opt import (
     EstimationPlan,
@@ -73,6 +76,17 @@ def test_estimate_rejects_drawn_locations_outside_m(location):
     )
     plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=10)
     with pytest.raises(ValueError, match=rf"locations \[{location}\] outside \[0, 3\)"):
+        estimate_w(inst, (0, 1, 2), plan, np.random.default_rng(0))
+
+
+def test_estimate_names_the_first_bad_set_in_draw_order():
+    inst = gen_random(5, 3, model="mnl", seed=2)
+    draws = itertools.cycle([[0], [0, 5], [0, -1]])
+    inst = Instance(
+        inst.products, inst.choice_model, 3, SamplerBrowsing(lambda rng: next(draws))
+    )
+    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=3)
+    with pytest.raises(ValueError, match=r"locations \[5\] outside \[0, 3\)"):
         estimate_w(inst, (0, 1, 2), plan, np.random.default_rng(0))
 
 
@@ -252,6 +266,40 @@ def test_estimate_matches_per_draw_loop_at_the_real_block_size():
         _assert_estimates_match_reference(
             inst, (0, 3, 5, 3, 1), (1, block - 1, block, block + 1), seed=42
         )
+
+
+@st.composite
+def _block_case(draw):
+    """(instance, placement) on line, explicit or sampler browsing.
+
+    At most three products over up to five slots, so distinct visited sets
+    often hold the same products.
+    """
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    model = draw(st.sampled_from(("mnl", "mmnl", "markov", "ranked")))
+    browsing = draw(st.sampled_from(("line", "explicit", "sampler")))
+    seed = draw(st.integers(0, 2**16))
+    if browsing == "sampler":
+        inst = _with_sampler(gen_random(n, m, model=model, seed=seed))
+    else:
+        inst = gen_random(n, m, model=model, browsing=browsing, seed=seed)
+    slots = tuple(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+    return inst, slots
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    case=_block_case(),
+    block=st.integers(1, 9),
+    blocks=st.integers(0, 3),
+    edge=st.integers(-1, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_matches_per_draw_loop_property(case, block, blocks, edge, seed):
+    inst, slots = case
+    samples = max(1, block * blocks + edge)
+    with mock.patch.object(estimation, "_BLOCK", block):
+        _assert_estimates_match_reference(inst, slots, (samples,), seed)
 
 
 def test_select_best_matches_per_draw_loop(monkeypatch):

@@ -127,6 +127,31 @@ def test_fill_empty_never_decreases_value():
         assert after >= before - 1e-12
 
 
+@st.composite
+def _placement_with_gaps(draw):
+    """(instance, slots): slots mix catalog ids, EMPTY_SLOT and padding ids."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    model = draw(st.sampled_from(["mnl", "mmnl", "markov", "ranked"]))
+    browsing = draw(st.sampled_from(["line", "explicit"]))
+    uniform = draw(st.booleans())
+    prices = (2.0, 2.0) if uniform else (1.0, 10.0)
+    seed = draw(st.integers(0, 2**32 - 1))
+    inst = gen_random(n, m, model=model, price_range=prices, browsing=browsing, seed=seed)
+    ids = st.integers(EMPTY_SLOT, n + 2)  # n.. are padding ids
+    return inst, tuple(draw(st.lists(ids, min_size=m, max_size=m)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=_placement_with_gaps())
+def test_fill_empty_never_decreases_value_property(case):
+    # offering the priciest product can only add revenue under any
+    # random-utility model, so W(fill_empty(X)) >= W(X) for every family
+    inst, slots = case
+    # adding i_star can move mass within a sum whose terms then regroup,
+    # so allow rounding as test_fill_empty_never_decreases_value does
+    assert evaluate_exact(inst, fill_empty(inst, slots)) >= evaluate_exact(inst, slots) - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # brute force
 
