@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
-import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
@@ -33,7 +32,6 @@ from .instances import (
 )
 from .oracle import BruteForceOracle, GreedyUniformOracle, MnlExactOracle, exact_oracle
 from .solvers import (
-    SolveReport,
     WEstimate,
     best_of_many_line,
     brute_force_placement,
@@ -62,60 +60,34 @@ def _load_instance(path: str) -> Instance:
         raise ValueError(f"cannot parse instance {path}: {exc}") from exc
 
 
-_ORACLE_LOCK = threading.Lock()
-
-
 def _oracle(instance: Instance, args):
-    # One oracle per run, built on first use and shared by every solver of
-    # the run (compare may run them on several threads), so its memoized
-    # answers are computed once.
-    with _ORACLE_LOCK:
-        oracle = getattr(args, "shared_oracle", None)
-        if oracle is None:
-            oracle = args.shared_oracle = ORACLES[args.oracle](instance)
-        return oracle
+    # One oracle per run, built on the first call and shared by every solver
+    # of the run, so its memoized answers are computed once.
+    return functools.cache(lambda: ORACLES[args.oracle](instance))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PLACEMENT_OPT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(
-            f"PLACEMENT_OPT_THREADS must be an integer, got {raw!r}"
-        ) from None
-
-
-def _randomized(instance: Instance, args) -> SolveReport:
-    oracle = _oracle(instance, args)
-    plan = None
-    if args.epsilon is not None and args.delta is not None:
-        plan = EstimationPlan.for_instance(
-            instance, args.epsilon, args.delta, args.samples_override
-        )
-    return randomized_placement(
+# Entries take (instance, args, oracle) with ``oracle`` from ``_oracle``; they
+# name their solver at call time, not by a captured function object, so
+# rebinding the module attribute (a profiler, a test double) reaches them.
+ALGORITHMS = {
+    "brute": lambda instance, args, oracle: brute_force_placement(
+        instance, seed=args.seed
+    ),
+    "best-of-many": lambda instance, args, oracle: best_of_many_line(
+        instance, oracle(), seed=args.seed
+    ),
+    "randomized": lambda instance, args, oracle: randomized_placement(
         instance,
-        oracle,
+        oracle(),
         repetitions=args.repetitions,
         seed=args.seed,
         rng=substream(args.seed, "placement"),
-        plan=plan,
-    )
-
-
-# Entries name their solver at call time, not by a captured function object,
-# so rebinding the module attribute (a profiler, a test double) reaches them.
-ALGORITHMS = {
-    "brute": lambda instance, args: brute_force_placement(instance, seed=args.seed),
-    "best-of-many": lambda instance, args: best_of_many_line(
-        instance, _oracle(instance, args), seed=args.seed
     ),
-    "randomized": _randomized,
-    "uniform-greedy": lambda instance, args: uniform_price_matroid_greedy(
+    "uniform-greedy": lambda instance, args, oracle: uniform_price_matroid_greedy(
         instance, seed=args.seed
     ),
-    "markov-greedy": lambda instance, args: markov_deterministic_placement(
-        instance, _oracle(instance, args), seed=args.seed
+    "markov-greedy": lambda instance, args, oracle: markov_deterministic_placement(
+        instance, oracle(), seed=args.seed
     ),
 }
 
@@ -156,7 +128,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
-    report = ALGORITHMS[args.algorithm](instance, args)
+    report = ALGORITHMS[args.algorithm](instance, args, _oracle(instance, args))
     _write_output(json.dumps(report.to_dict()), args.output)
     return 0
 
@@ -169,17 +141,22 @@ def cmd_compare(args) -> int:
             raise ValueError(
                 f"unknown algorithm {name!r}, choose from {', '.join(ALGORITHMS)}"
             )
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    oracle = _oracle(instance, args)
+    # one worker: the solvers run in turn, so the shared oracle needs no lock
+    with ThreadPoolExecutor(max_workers=1) as pool:
         futures = {
-            name: pool.submit(ALGORITHMS[name], instance, args) for name in names
+            name: pool.submit(ALGORITHMS[name], instance, args, oracle) for name in names
         }
         reports = {name: fut.result() for name, fut in futures.items()}
 
     opt = None
     if "brute" in reports:
         opt = reports["brute"].w
-    elif instance.n**instance.m <= args.opt_guard:
-        opt = brute_force_placement(instance).w
+    else:
+        try:
+            opt = brute_force_placement(instance, guard=args.opt_guard).w
+        except SizeGuardError:
+            pass
 
     best = max(report.w for report in reports.values())
     rows = []
@@ -235,15 +212,15 @@ def cmd_verify(args) -> int:
         failures.append(f"weak rationality: {len(violations)} violations")
 
     if np.ptp(instance.prices) == 0.0 and instance.n * instance.m <= 12:
-        try:
-            problems = check_pair_objective_properties(instance)
-            if problems:
-                failures.append(f"pair objective: {len(problems)} violations")
-        except SizeGuardError:
-            pass
+        problems = check_pair_objective_properties(instance)
+        if problems:
+            failures.append(f"pair objective: {len(problems)} violations")
 
-    if instance.n**instance.m <= args.opt_guard:
-        opt = brute_force_placement(instance).w
+    try:
+        opt = brute_force_placement(instance, guard=args.opt_guard).w
+    except SizeGuardError:
+        print("note: instance too large for the brute-force coverage check")
+    else:
         slots = (instance.i_star,) * instance.m
         truth = evaluate_exact(instance, slots)
         plan = EstimationPlan.for_instance(instance, 0.2, 0.1)
@@ -254,8 +231,6 @@ def cmd_verify(args) -> int:
         )
         if opt > 0 and hits < 40:  # plan guarantees >= 1 - 2*delta = 80%
             failures.append(f"estimator coverage: {hits}/50 within bound")
-    else:
-        print("note: instance too large for the brute-force coverage check")
 
     for line in failures:
         print(f"FAIL {line}")
@@ -297,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", choices=ORACLES, default="auto")
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     run.add_argument("--repetitions", type=int, default=32)
-    run.add_argument("--epsilon", type=float, default=None)
-    run.add_argument("--delta", type=float, default=None)
-    run.add_argument("--samples-override", type=int, default=None)
     run.add_argument("-o", "--output", default=None)
 
     solve = sub.add_parser("solve", parents=[run], help="run one placement algorithm")
@@ -339,11 +311,13 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # every verb takes --seed; reject it before any work
             raise ValueError("seed must be nonnegative")
+        if getattr(args, "repetitions", 1) < 1:  # solve and compare
+            raise ValueError("repetitions must be positive")
         return args.func(args)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

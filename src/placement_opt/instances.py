@@ -255,8 +255,8 @@ def gen_random(
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
     lo, hi = price_range
-    if lo < 0 or hi < lo:
-        raise ValueError("price range must satisfy 0 <= lo <= hi")
+    if not (0 <= lo <= hi < math.inf):  # also false for a NaN end
+        raise ValueError("price range must be finite and satisfy 0 <= lo <= hi")
     rng = np.random.default_rng(seed)
     prices = np.full(n, float(lo)) if lo == hi else rng.uniform(lo, hi, n)
     products = [Product(i, float(prices[i])) for i in range(n)]

@@ -164,8 +164,10 @@ def brute_force_placement(
     """
     start = time.perf_counter()
     n, m = instance.n, instance.m
-    if n**m > guard:
-        raise SizeGuardError(f"brute force needs {n ** m} > {guard} placements")
+    # exact for m up to the guard's bit length; past it, n >= 2 exceeds the
+    # guard already, and n**m itself may be too large to compute
+    if n ** min(m, guard.bit_length() + 1) > guard:
+        raise SizeGuardError(f"brute force needs {n}^{m} > {guard} placements")
     value = WEvaluator(instance).value
     best_w, best = -1.0, None
     for slots in iter_product(range(n), repeat=m):

@@ -102,8 +102,7 @@ def test_compare_brute_has_unit_ratio(tmp_path):
     assert [r["algorithm"] for r in records] == ["best-of-many", "brute"]
 
 
-def test_compare_parallel_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("PLACEMENT_OPT_THREADS", "4")
+def test_compare_rows_sorted_by_algorithm(tmp_path):
     inst_path = tmp_path / "inst.json"
     run("gen", "--family", "random", "--n", "4", "--m", "2", "--model", "markov",
         "--browsing", "explicit", "-o", str(inst_path))
@@ -174,26 +173,6 @@ def test_compare_builds_one_shared_oracle(tmp_path, monkeypatch):
     uniform = _markov_instance(tmp_path, prices=(2.0, 2.0))
     assert _compare(uniform, "brute,uniform-greedy", tmp_path / "none.json") == 0
     assert built == [], "brute and uniform-greedy use no oracle"
-
-
-@pytest.mark.parametrize("value", ["abc", "1.5", ""])
-def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys, value):
-    path = _markov_instance(tmp_path)
-    monkeypatch.setenv("PLACEMENT_OPT_THREADS", value)
-    assert _compare(path, "markov-greedy", tmp_path / "out.json") == 2
-    err = capsys.readouterr().err
-    assert "PLACEMENT_OPT_THREADS" in err and "invalid literal" not in err
-
-
-def test_non_positive_thread_count_means_one(tmp_path, monkeypatch):
-    path = _markov_instance(tmp_path)
-    docs = []
-    for value in ("1", "0", "-3"):
-        monkeypatch.setenv("PLACEMENT_OPT_THREADS", value)
-        out = tmp_path / f"out{value}.json"
-        assert _compare(path, "markov-greedy,randomized", out) == 0
-        docs.append(_untimed(json.loads(out.read_text())))
-    assert docs[0] == docs[1] == docs[2]
 
 
 def test_solve_randomized_is_reproducible(tmp_path):
@@ -360,3 +339,63 @@ def test_nonpositive_trials_exit_2_before_any_work(tmp_path, capsys, trials):
     captured = capsys.readouterr()
     assert "trials must be positive" in captured.err
     assert "OK" not in captured.out
+
+
+@pytest.mark.parametrize("verb", ["solve", "compare"])
+@pytest.mark.parametrize(
+    "flag", [["--epsilon", "0.1"], ["--delta", "0.05"], ["--samples-override", "10"]]
+)
+def test_estimation_flags_are_gone_from_solve_and_compare(tmp_path, verb, flag):
+    # JSON browsing is always enumerable, so solve and compare evaluate W exactly
+    path = _markov_instance(tmp_path)
+    pick = ["--algorithm", "randomized"] if verb == "solve" else ["--algorithms", "randomized"]
+    with pytest.raises(SystemExit) as err:
+        run(verb, "--instance", str(path), *pick, *flag)
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "--algorithms", "brute", "--repetitions", "0"],
+     ["solve", "--algorithm", "markov-greedy", "--repetitions", "-3"]],
+)
+def test_nonpositive_repetitions_exit_2_before_any_work(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    # the instance file does not exist: repetitions are checked before it is read
+    assert run(*argv, "--instance", str(tmp_path / "nope.json"), "-o", str(out)) == 2
+    assert "repetitions must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_location_count_is_guarded_without_computing_n_to_the_m(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    data = json.loads(to_json(gen_random(3, 2, model="mnl", browsing="explicit", seed=4)))
+    data["m"] = 10**7
+    inst_path.write_text(json.dumps(data))
+    assert run("solve", "--instance", str(inst_path), "--algorithm", "brute") == 3
+    assert "placements" in capsys.readouterr().err
+    assert run("verify", "--instance", str(inst_path)) == 0
+    assert "too large for the brute-force coverage check" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--algorithm", "markov-greedy", "-o"],
+     ["compare", "--algorithms", "markov-greedy", "-o", "cmp.json", "--csv"]],
+    ids=["output", "csv"],
+)
+def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+    path = _markov_instance(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    missing = str(tmp_path / "missing" / "out")
+    assert run(*argv, missing, "--instance", str(path), "--oracle", "brute") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bound", ["--price-min", "--price-max"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_price_range_exits_2(tmp_path, capsys, bound, value):
+    out = tmp_path / "inst.json"
+    assert run("gen", "--family", "random", bound, value, "-o", str(out)) == 2
+    assert "price range must be finite" in capsys.readouterr().err
+    assert not out.exists()

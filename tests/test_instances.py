@@ -236,6 +236,9 @@ def test_gen_random_validation():
         gen_random(0, 2)
     with pytest.raises(ValueError):
         gen_random(2, 2, price_range=(5.0, 1.0))
+    for bad in [(1.0, math.inf), (1.0, math.nan), (math.nan, 5.0), (-math.inf, 5.0)]:
+        with pytest.raises(ValueError, match="finite"):
+            gen_random(2, 2, price_range=bad)
     with pytest.raises(ValueError):
         gen_random(2, 2, model="mystery")
     with pytest.raises(ValueError):
