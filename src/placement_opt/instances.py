@@ -168,6 +168,8 @@ def gen_coverage_mmnl(
     """
     if universe < 1:
         raise ValueError("universe must be nonempty")
+    if not isinstance(cover_sets, (list, tuple)):
+        raise ValueError(f"covering sets must be a list of lists, got {cover_sets!r}")
     if not cover_sets:
         raise ValueError("need at least one covering set")
     if not 0 < epsilon <= 1:
@@ -176,9 +178,12 @@ def gen_coverage_mmnl(
         raise ValueError("cardinality must lie in [1, number of sets]")
     n = len(cover_sets)
     big = 1.0 / epsilon - 1.0
-    members = [frozenset(int(e) for e in s) for s in cover_sets]
-    for s in members:
-        if any(not 0 <= e < universe for e in s):
+    members = []
+    for s in cover_sets:
+        if not isinstance(s, (list, tuple, set, frozenset)):
+            raise ValueError(f"a covering set must be a list of elements, got {s!r}")
+        members.append(frozenset(as_int(e, "set element") for e in s))
+        if any(not 0 <= e < universe for e in members[-1]):
             raise ValueError("set element outside the universe")
     segments = []
     for j in range(universe):
@@ -228,6 +233,8 @@ def _random_browsing(rng: np.random.Generator, family: str, m: int):
         theta = rng.dirichlet(np.ones(m + 1))[:m]  # leftover mass visits nothing
         return LineBrowsing(theta)
     if family == "explicit":
+        if m > 62:  # location masks below 2**m are drawn as int64
+            raise ValueError(f"explicit random browsing needs m <= 62, got {m}")
         size = int(rng.integers(1, min(2**m, 8) + 1))
         masks = rng.choice(2**m, size=size, replace=False)
         probs = rng.dirichlet(np.ones(size))

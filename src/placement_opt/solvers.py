@@ -8,10 +8,11 @@ estimation for sampler-only browsing.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import asdict, dataclass
 from itertools import product as iter_product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -135,13 +136,12 @@ def _report(
     algorithm: str,
     start: float,
     seed: int,
-    slots: tuple[int, ...],
-    w: float,
-    k: int | None = None,
+    best: tuple[float, int | None, tuple[int, ...]],
     plan: EstimationPlan | None = None,
 ) -> SolveReport:
-    """Report of a run begun at ``start``; ``w`` is exact unless ``plan``
-    is the estimation plan that produced it."""
+    """Report of a run begun at ``start`` that found ``best = (w, k, slots)``;
+    ``w`` is exact unless ``plan`` is the estimation plan that produced it."""
+    w, k, slots = best
     return SolveReport(
         algorithm=algorithm,
         placement=slots,
@@ -174,14 +174,31 @@ def brute_force_placement(
         w = value(slots)
         if w > best_w:
             best_w, best = w, slots
-    return _report("brute-force", start, seed, best, best_w)
+    return _report("brute-force", start, seed, (best_w, None, best))
+
+
+def _best_over_k(
+    instance: Instance,
+    oracle: AssortmentOracle,
+    candidates: Callable[[int, frozenset[int]], Iterable[tuple[float, tuple[int, ...]]]],
+) -> tuple[float, int, tuple[int, ...]]:
+    """(w, k, slots) of the best candidate placement over k = 1..m.
+
+    ``candidates(k, members)`` yields the ``(w, slots)`` pairs a solver
+    builds from the oracle's best size-k assortment ``members``. The first
+    strictly better value wins, so ties go to the smaller k and, within a
+    k, to the earlier pair.
+    """
+    best = None
+    for k in range(1, instance.m + 1):
+        for w, slots in candidates(k, oracle.best_assortment(k)):
+            if best is None or w > best[0]:
+                best = (w, k, slots)
+    return best
 
 
 def best_of_many_line(
-    instance: Instance,
-    oracle: AssortmentOracle,
-    seed: int = 0,
-    evaluator: WEvaluator | None = None,
+    instance: Instance, oracle: AssortmentOracle, seed: int = 0
 ) -> SolveReport:
     """Try the best size-k assortment in the first k slots for every k.
 
@@ -192,17 +209,14 @@ def best_of_many_line(
     if not isinstance(instance.browsing, LineBrowsing):
         raise ValueError("best_of_many_line requires line browsing")
     start = time.perf_counter()
-    ev = evaluator or WEvaluator(instance)
+    value = WEvaluator(instance).value
     m = instance.m
-    best = None
-    for k in range(1, m + 1):
-        members = sorted(oracle.best_assortment(k))
-        slots = fill_empty(instance, tuple(members) + (EMPTY_SLOT,) * (m - k))
-        w = ev.value(slots)
-        if best is None or w > best[0]:
-            best = (w, k, slots)
-    w, k, slots = best
-    return _report("best-of-many", start, seed, slots, w, k)
+
+    def prefix(k, members):
+        slots = fill_empty(instance, tuple(sorted(members)) + (EMPTY_SLOT,) * (m - k))
+        yield value(slots), slots
+
+    return _report("best-of-many", start, seed, _best_over_k(instance, oracle, prefix))
 
 
 def randomized_placement(
@@ -212,7 +226,6 @@ def randomized_placement(
     seed: int = 0,
     rng: np.random.Generator | None = None,
     plan: EstimationPlan | None = None,
-    evaluator: WEvaluator | None = None,
 ) -> SolveReport:
     """Uniform random replication of the best size-k assortment, best of all k.
 
@@ -228,41 +241,27 @@ def randomized_placement(
     start = time.perf_counter()
     rng = np.random.default_rng(seed) if rng is None else rng
     m = instance.m
+    try:
+        value = WEvaluator(instance).value
+        plan = None  # the reported value is exact
+    except EnumerationUnsupportedError:
+        if plan is None:
+            raise ValueError("sampler-only browsing needs an estimation plan") from None
+        # each distinct placement is estimated once, at its first evaluation
+        value = functools.cache(lambda slots: estimate_w(instance, slots, plan, rng)[0])
 
-    exact = True
-    ev = evaluator
-    if ev is None:
-        try:
-            ev = WEvaluator(instance)
-        except EnumerationUnsupportedError:
-            exact = False
-            if plan is None:
-                raise ValueError(
-                    "sampler-only browsing needs an estimation plan"
-                ) from None
-    estimates: dict[tuple[int, ...], float] = {}
-
-    def value(slots: tuple[int, ...]) -> float:
-        if exact:
-            return ev.value(slots)
-        if slots not in estimates:
-            estimates[slots], _ = estimate_w(instance, slots, plan, rng)
-        return estimates[slots]
-
-    best = None
-    for k in range(1, m + 1):
+    def replicas(k, members):
         # padding ids are filled before the draws: drawing a filled member
         # is filling a drawn one
-        members = np.array(fill_empty(instance, sorted(oracle.best_assortment(k))))
+        members = np.array(fill_empty(instance, sorted(members)))
         draws = rng.integers(0, len(members), size=(repetitions, m))
         # a repeated draw cannot beat its first occurrence, so each distinct
         # placement is evaluated once, in draw order
         for slots in dict.fromkeys(map(tuple, members[draws].tolist())):
-            w = value(slots)
-            if best is None or w > best[0]:
-                best = (w, k, slots)
-    w, k, slots = best
-    return _report("randomized", start, seed, slots, w, k, None if exact else plan)
+            yield value(slots), slots
+
+    best = _best_over_k(instance, oracle, replicas)
+    return _report("randomized", start, seed, best, plan)
 
 
 def _partition_greedy(
@@ -324,9 +323,7 @@ def _partition_greedy(
     return tuple(slots), ev.value(slots)
 
 
-def uniform_price_matroid_greedy(
-    instance: Instance, seed: int = 0, evaluator: WEvaluator | None = None
-) -> SolveReport:
+def uniform_price_matroid_greedy(instance: Instance, seed: int = 0) -> SolveReport:
     """Greedy placement for identically priced products.
 
     With one common price the placement objective is monotone submodular
@@ -336,9 +333,8 @@ def uniform_price_matroid_greedy(
     if np.ptp(instance.prices) != 0.0:
         raise ValueError("uniform_price_matroid_greedy requires identical prices")
     start = time.perf_counter()
-    ev = evaluator or WEvaluator(instance)
-    slots, w = _partition_greedy(instance, range(instance.n), ev)
-    return _report("uniform-greedy", start, seed, slots, w)
+    slots, w = _partition_greedy(instance, range(instance.n), WEvaluator(instance))
+    return _report("uniform-greedy", start, seed, (w, None, slots))
 
 
 def pair_objective_values(instance: Instance, guard: int = 18) -> np.ndarray:
@@ -433,10 +429,7 @@ def check_restricted_revenue_properties(
 
 
 def markov_deterministic_placement(
-    instance: Instance,
-    oracle: AssortmentOracle,
-    seed: int = 0,
-    evaluator: WEvaluator | None = None,
+    instance: Instance, oracle: AssortmentOracle, seed: int = 0
 ) -> SolveReport:
     """Deterministic placement for Markov-style choice.
 
@@ -451,17 +444,15 @@ def markov_deterministic_placement(
             "markov_deterministic_placement needs a Markov (or MNL) choice model"
         )
     start = time.perf_counter()
-    ev = evaluator or WEvaluator(instance)
-    n, m = instance.n, instance.m
-    best = None
+    ev = WEvaluator(instance)
     greedied = set()
-    for k in range(1, m + 1):
-        members = tuple(sorted(i for i in oracle.best_assortment(k) if i < n))
-        if members in greedied:
-            continue
-        greedied.add(members)
-        slots, w = _partition_greedy(instance, members, ev)
-        if best is None or w > best[0]:
-            best = (w, k, slots)
-    w, k, slots = best
-    return _report("markov-greedy", start, seed, slots, w, k)
+
+    def greedy(k, members):
+        members = tuple(sorted(i for i in members if i < instance.n))
+        if members not in greedied:
+            greedied.add(members)
+            slots, w = _partition_greedy(instance, members, ev)
+            yield w, slots
+
+    best = _best_over_k(instance, oracle, greedy)
+    return _report("markov-greedy", start, seed, best)

@@ -235,6 +235,26 @@ def reference_brute_oracle(instance: Instance, k: int) -> frozenset[int]:
     return _pad_to_size(best, k, instance)
 
 
+def reference_best_of_many(instance: Instance, oracle):
+    """(w, k, slots) of the best-of-many loop, one prefix placement per k.
+
+    Each k's sorted oracle assortment fills the first k slots, the rest are
+    filled with the priciest product, and the first strictly better w wins.
+    """
+    from placement_opt import fill_empty
+
+    ev = WEvaluator(instance)
+    m = instance.m
+    best = None
+    for k in range(1, m + 1):
+        members = sorted(oracle.best_assortment(k))
+        slots = fill_empty(instance, tuple(members) + (EMPTY_SLOT,) * (m - k))
+        w = ev.value(slots)
+        if best is None or w > best[0]:
+            best = (w, k, slots)
+    return best
+
+
 def reference_randomized(instance: Instance, oracle, repetitions: int, rng, value):
     """(w, k, slots) of the randomized solver's loop, one value per draw.
 

@@ -122,12 +122,9 @@ def test_acceptance_3_approximation_bounds_on_random_instances():
         log_m = max(1.0, math.log2(m))
         opt = brute_force_placement(inst).w_exact
 
-        shared = WEvaluator(inst)
         values = np.array(
             [
-                randomized_placement(
-                    inst, oracle, repetitions=64, seed=s, evaluator=shared
-                ).w_exact
+                randomized_placement(inst, oracle, repetitions=64, seed=s).w_exact
                 for s in range(reruns)
             ]
         )

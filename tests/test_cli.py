@@ -399,3 +399,20 @@ def test_non_finite_price_range_exits_2(tmp_path, capsys, bound, value):
     assert run("gen", "--family", "random", bound, value, "-o", str(out)) == 2
     assert "price range must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sets", ["[1]", "[null]", "[[0.5]]", '[["1"]]', "[[true]]", "5"])
+def test_malformed_cover_sets_exit_2(tmp_path, capsys, sets):
+    out = tmp_path / "inst.json"
+    argv = ["gen", "--family", "coverage-mmnl", "--sets", sets, "--universe", "2"]
+    assert run(*argv, "-o", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_explicit_random_browsing_beyond_62_locations_exits_2(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    argv = ["gen", "--family", "random", "--browsing", "explicit", "--m", "63"]
+    assert run(*argv, "-o", str(out)) == 2
+    assert "m <= 62" in capsys.readouterr().err
+    assert not out.exists()

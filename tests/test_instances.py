@@ -207,6 +207,21 @@ def test_coverage_validation():
         gen_coverage_mmnl([[5]], universe=2, cardinality=1, epsilon=0.5)
 
 
+@pytest.mark.parametrize(
+    "sets", [[1], [None], [[0.5]], [["1"]], [[True]], [[0, None]], 3, "[[0]]"]
+)
+def test_coverage_rejects_malformed_sets(sets):
+    with pytest.raises(ValueError, match="set"):
+        gen_coverage_mmnl(sets, universe=2, cardinality=1, epsilon=0.5)
+
+
+def test_coverage_accepts_integral_elements_in_any_container():
+    want = gen_coverage_mmnl([[0, 1], [1]], universe=2, cardinality=1, epsilon=0.5)
+    for sets in ([(0, 1), {1}], [frozenset({0, 1}), [1.0]], ([0, 1], [np.int64(1)])):
+        got = gen_coverage_mmnl(sets, universe=2, cardinality=1, epsilon=0.5)
+        assert to_json(got) == to_json(want)
+
+
 # ---------------------------------------------------------------------------
 # random instances and serialization
 
@@ -243,6 +258,13 @@ def test_gen_random_validation():
         gen_random(2, 2, model="mystery")
     with pytest.raises(ValueError):
         gen_random(2, 2, browsing="mystery")
+
+
+def test_gen_random_explicit_browsing_caps_location_count():
+    with pytest.raises(ValueError, match="m <= 62"):
+        gen_random(2, 63, browsing="explicit")
+    inst = gen_random(2, 62, browsing="explicit", seed=5)
+    assert all(max(s) < 62 for s, _ in inst.browsing.support() if s)
 
 
 def test_json_round_trip_all_families():
