@@ -7,6 +7,7 @@ their support exactly; sampler-backed ones only draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -53,19 +54,48 @@ class BrowsingDistribution:
 
 class _CategoricalBrowsing(BrowsingDistribution):
     """Finitely many visited sets ``_sets`` drawn by the cumulative vector
-    ``_cum``; a block is one ``searchsorted`` over one ``rng.random(size)``.
+    ``_cum``: a uniform ``u`` draws category ``searchsorted(_cum, u, "right")``.
 
-    The sets are built once, so a block returns ``_sets`` itself with the
-    category index of every draw; sets never drawn are listed too.
+    A block looks each draw up in a guide table (Chen & Asau 1974; Devroye
+    1986, III.2.4) over ``bins`` equal bins of [0, 1), which returns that same
+    category for the same uniform. The sets are built once, so a block returns
+    ``_sets`` itself with the category index of every draw; sets never drawn
+    are listed too.
     """
 
     _sets: list[frozenset[int]]
     _cum: np.ndarray
 
+    @functools.cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(scaled, first, split)`` over ``bins = len(first)`` bins.
+
+        ``bins`` is the smallest power of two >= 16 times the category count,
+        clamped to [2**12, 2**16], so below the clamp at most one bin in 16 is
+        split. ``scaled`` is ``_cum * bins``, exact as ``bins`` is a power of
+        two; bin ``b`` holds the scaled uniforms in [b, b + 1). ``first[b]`` is
+        the category of the bin's lower edge, and ``split[b]`` marks a bin with
+        a scaled cumulative value strictly inside it, where the category
+        changes within the bin.
+        """
+        bins = min(max(1 << (16 * len(self._cum) - 1).bit_length(), 1 << 12), 1 << 16)
+        scaled = self._cum * bins
+        edges = np.arange(bins + 1.0)
+        first = np.searchsorted(scaled, edges[:-1], side="right")
+        split = first != np.searchsorted(scaled, edges[1:], side="left")
+        return scaled, first, split
+
     def sample(self, rng, size=None):
-        index = np.searchsorted(self._cum, rng.random(size), side="right")
         if size is None:
-            return self._sets[index]
+            return self._sets[np.searchsorted(self._cum, rng.random(), side="right")]
+        scaled, first, split = self._guide
+        u = rng.random(size)
+        u *= first.size  # exact, so the bin of each draw is exact too
+        index = u.astype(np.intp)
+        hit = np.flatnonzero(split[index])
+        u = u[hit]  # only split-bin draws need their value again
+        first.take(index, out=index, mode="clip")  # "raise" would buffer a copy
+        index[hit] = np.searchsorted(scaled, u, side="right")
         return self._sets, index
 
 

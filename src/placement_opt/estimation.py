@@ -91,17 +91,13 @@ def estimate_w(
     bad = [i for i in slots if not 0 <= i < instance.n]
     if bad:
         raise ValueError(f"placement ids {bad} lie outside [0, {instance.n})")
-    # running[0] carries the total into a block and running[1:] its revenues
-    running = np.empty(min(_BLOCK, plan.samples) + 1)
     total = 0.0
     for start in range(0, plan.samples, _BLOCK):
         size = min(_BLOCK, plan.samples - start)
         sets, index = instance.browsing.sample(rng, size)
-        revs = _set_revenues(instance, slots, sets, index)
-        block = running[: size + 1]
-        block[0] = total
-        np.take(revs, index, out=block[1:])
-        total = float(np.add.accumulate(block, out=block)[-1])
+        revs = _set_revenues(instance, slots, sets, index)[index]
+        revs[0] += total  # the running sum's first addition, total + revs[0]
+        total = float(np.add.accumulate(revs, out=revs)[-1])
     return total / plan.samples, plan.samples
 
 

@@ -224,5 +224,64 @@ def test_empty_block_draws_nothing():
 
 def test_line_block_returns_the_prebuilt_prefix_sets():
     browsing = LineBrowsing([0.2, 0.3, 0.4])
+    browsing.sample(np.random.default_rng(0))
+    browsing.support()
+    assert "_guide" not in vars(browsing)  # only a block draw builds the table
     sets, _ = browsing.sample(np.random.default_rng(0), 200)
     assert sets is browsing._sets
+
+
+# ---------------------------------------------------------------------------
+# guide-table block draws == searchsorted on the same uniforms, at every edge
+
+
+class _Uniforms:
+    """Stand-in generator whose ``random(size)`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+def _edge_uniforms(cum):
+    """0, the largest uniform below 1, every cumulative value with both of
+    its neighbours, and every edge of a 2**16-bin grid (which holds the edges
+    of every coarser power-of-two grid) with the double just below it."""
+    edges = np.arange(1 << 16) / (1 << 16)
+    u = np.concatenate((
+        [0.0, 1.0 - 2.0**-53],
+        cum, np.nextafter(cum, -1.0), np.nextafter(cum, 2.0),
+        edges, np.nextafter(edges, -1.0),
+    ))
+    return np.unique(u[(0.0 <= u) & (u < 1.0)])
+
+
+def _random_explicit(sets, seed):
+    probs = np.random.default_rng(seed).dirichlet(np.ones(sets))
+    return ExplicitBrowsing([([j], float(p)) for j, p in enumerate(probs)])
+
+
+@pytest.mark.parametrize("browsing", [
+    # zero residual and zero entries: repeated cumulative values on bin edges
+    LineBrowsing([0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0]),
+    # cumulative values one double below a bin edge, then a zero entry
+    LineBrowsing([np.nextafter(0.25, 0.0), 0.0, 0.125, np.nextafter(0.625, 1.0), 0.0]),
+    _random_explicit(300, 0),  # more than 4096 / 16 sets: more bins than the least
+    _random_explicit(5000, 1),  # more than 65536 / 16 sets: bins at the clamp
+], ids=["line-dyadic", "line-below-edges", "explicit-300", "explicit-5000"])
+def test_block_lookup_equals_searchsorted_at_every_edge(browsing):
+    u = _edge_uniforms(browsing._cum)
+    sets, index = browsing.sample(_Uniforms(u), len(u))
+    assert sets is browsing._sets and index.dtype == np.intp
+    np.testing.assert_array_equal(index, np.searchsorted(browsing._cum, u, side="right"))
+    # the table flags exactly the bins that a scaled cumulative value splits
+    scaled, first, split = browsing._guide
+    bins = first.size
+    assert bins & (bins - 1) == 0 and min(max(16 * len(scaled), 4096), 65536) <= bins <= 65536
+    inside = scaled[(scaled < bins) & (scaled != np.floor(scaled))]
+    expected = np.zeros(bins, dtype=bool)
+    expected[np.floor(inside).astype(np.intp)] = True
+    np.testing.assert_array_equal(split, expected)

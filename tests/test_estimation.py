@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from placement_opt import (
     EstimationPlan,
+    ExplicitBrowsing,
     Instance,
     SamplerBrowsing,
     brute_force_placement,
@@ -243,6 +244,22 @@ def _estimation_cases():
         yield f"{model}-{browsing}", inst, slots, seed
 
 
+def _large_support_instance():
+    """MMNL instance whose explicit browsing has 3,000 visited sets, so block
+    draws look up 2**16 guide-table bins, about 4.5% of them split."""
+    base = gen_random(6, 12, model="mmnl", seed=60)
+    rng = np.random.default_rng(61)
+    masks = rng.choice(2**12, size=3000, replace=False)
+    probs = rng.dirichlet(np.ones(3000))
+    browsing = ExplicitBrowsing(
+        [([j for j in range(12) if mask >> j & 1], float(p)) for mask, p in zip(masks, probs)]
+    )
+    return Instance(base.products, base.choice_model, 12, browsing)
+
+
+_LARGE_SLOTS = (0, 3, 5, 3, 1, 2, 4, 0, 5, 1, 2, 3)
+
+
 def _assert_estimates_match_reference(inst, slots, counts, seed):
     for samples in counts:
         plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=samples)
@@ -257,6 +274,9 @@ def test_estimate_matches_per_draw_loop_across_block_edges(monkeypatch):
     monkeypatch.setattr(estimation, "_BLOCK", 7)
     for _, inst, slots, seed in _estimation_cases():
         _assert_estimates_match_reference(inst, slots, (1, 6, 7, 8, 15), seed)
+    _assert_estimates_match_reference(
+        _large_support_instance(), _LARGE_SLOTS, (1, 6, 7, 8, 15, 700), seed=62
+    )
 
 
 def test_estimate_matches_per_draw_loop_at_the_real_block_size():
@@ -266,6 +286,9 @@ def test_estimate_matches_per_draw_loop_at_the_real_block_size():
         _assert_estimates_match_reference(
             inst, (0, 3, 5, 3, 1), (1, block - 1, block, block + 1), seed=42
         )
+    _assert_estimates_match_reference(
+        _large_support_instance(), _LARGE_SLOTS, (1, block - 1, block, block + 1), seed=63
+    )
 
 
 @st.composite

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placement_opt import (
     BruteForceOracle,
@@ -240,6 +242,16 @@ def test_gen_random_families_are_rational():
         assert check_weak_rationality(inst.choice_model, 4) == []
 
 
+_MODELS = st.sampled_from(("mnl", "mmnl", "markov", "ranked"))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(model=_MODELS, n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_gen_random_families_are_rational_property(model, n, seed):
+    inst = gen_random(n, 2, model=model, seed=seed)
+    assert check_weak_rationality(inst.choice_model, n) == []
+
+
 def test_gen_random_uniform_prices_feed_uniform_solvers():
     inst = gen_random(4, 2, model="mnl", price_range=(1.0, 1.0), seed=61)
     GreedyUniformOracle(inst)  # accepts without complaint
@@ -282,6 +294,19 @@ def test_json_round_trip_all_families():
     for inst in cases:
         text = to_json(inst)
         assert to_json(from_json(text)) == text
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    model=_MODELS,
+    browsing=st.sampled_from(("line", "explicit", "singleton", "full")),
+    n=st.integers(1, 8),
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_json_round_trip_property(model, browsing, n, m, seed):
+    text = to_json(gen_random(n, m, model=model, browsing=browsing, seed=seed))
+    assert to_json(from_json(text)) == text
 
 
 # every float field of the JSON format, with the name its errors give it
