@@ -108,13 +108,20 @@ def gen_heavy_tail_line(m: int, epsilon: float) -> Instance:
         raise ValueError("m must be at least 2")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    bad = f"epsilon {epsilon!r} gives a zero or non-finite weight or price"
     power = -1.0 / (1.0 + epsilon)
     weights: list[float] = []
-    for j in range(1, m + 1):
-        weights.extend([epsilon / j] * j)
-    for j in range(2, m + 1):
-        weights.append(1.0 / (j * math.log(j) ** (1.0 + epsilon)))
-    products = [Product(i, w**power) for i, w in enumerate(weights)]
+    try:
+        for j in range(1, m + 1):
+            weights.extend([epsilon / j] * j)
+        for j in range(2, m + 1):
+            weights.append(1.0 / (j * math.log(j) ** (1.0 + epsilon)))
+        prices = [w**power for w in weights]
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(bad) from None
+    if not all(0.0 < x < math.inf for x in weights + prices):  # also false for NaN
+        raise ValueError(bad)
+    products = [Product(i, r) for i, r in enumerate(prices)]
     raw = np.array([j ** -(1.0 + 1.0 / (1.0 + epsilon)) for j in range(1, m + 1)])
     theta = raw / raw.sum()
     return Instance(products, MnlModel(weights), m, LineBrowsing(theta))

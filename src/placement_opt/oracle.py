@@ -46,27 +46,34 @@ def _pad_to_size(ids: frozenset[int], k: int, instance: Instance) -> frozenset[i
 class AssortmentOracle:
     """Interface: ``best_assortment(k)`` with guaranteed factor ``alpha``.
 
-    Answers are memoized per k, so solvers sharing one oracle pay for each
-    k once.
+    Each oracle keeps one table, ``_answers``: size -> (unpadded set,
+    revenue the pass reached). A miss runs the subclass's ``_pass``, which
+    may settle other sizes too, so solvers sharing one oracle pay for each
+    size once. The table is replaced whole, never mutated, so a concurrent
+    caller sees an old table or a new one and at worst repeats a pass.
     """
 
     alpha: float
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self._answers: dict[int, frozenset[int]] = {}
+        self._answers: dict[int, tuple[frozenset[int], float]] = {}
 
     def best_assortment(self, k: int) -> frozenset[int]:
         """Size-k assortment with revenue >= alpha * optimum over <= k sets."""
-        found = self._answers.get(k)
-        if found is None:
-            if not 1 <= k <= self.instance.m:
-                raise ValueError(f"cardinality {k} outside [1, {self.instance.m}]")
-            found = _pad_to_size(self._solve(min(k, self.instance.n)), k, self.instance)
-            self._answers[k] = found
-        return found
+        if not 1 <= k <= self.instance.m:
+            raise ValueError(f"cardinality {k} outside [1, {self.instance.m}]")
+        return _pad_to_size(self._solve(min(k, self.instance.n)), k, self.instance)
 
-    def _solve(self, k: int) -> frozenset[int]:
+    def _solve(self, size: int) -> frozenset[int]:
+        """Unpadded answer for one size, from the table or a fresh pass."""
+        answers = self._answers
+        if size not in answers:
+            answers = self._answers = {**answers, **self._pass(size, answers)}
+        return answers[size][0]
+
+    def _pass(self, size, answers) -> dict[int, tuple[frozenset[int], float]]:
+        """Entries for ``size`` and any other sizes the same work settles."""
         raise NotImplementedError
 
 
@@ -76,40 +83,32 @@ class BruteForceOracle(AssortmentOracle):
     One pass visits sizes 1, 2, ... in ``combinations`` order and keeps a
     new record whenever a revenue beats the best so far by more than 1e-15.
     The pass for k is a prefix of the pass for k + 1, so the best after
-    size s answers k = s, and the pass runs only as far as the largest k
-    asked. Each size is scored in batches by ``ChoiceModel.revenues``, in
-    all ``sum_{s <= min(m, n)} C(n, s)`` subsets.
+    size s answers k = s, and a miss resumes after the largest size solved.
+    Each size is scored in batches by ``ChoiceModel.revenues``, in all
+    ``sum_{s <= min(m, n)} C(n, s)`` subsets.
     """
 
     alpha = 1.0
 
-    def __init__(self, instance: Instance, max_n: int = BRUTE_FORCE_MAX_N):
+    def __init__(self, instance: Instance):
         super().__init__(instance)
-        if instance.n > max_n:
+        if instance.n > BRUTE_FORCE_MAX_N:
             raise SizeGuardError(
-                f"brute-force assortment search capped at n <= {max_n}, got {instance.n}"
+                f"brute-force assortment search capped at n <= {BRUTE_FORCE_MAX_N}, "
+                f"got {instance.n}"
             )
-        # (record set, record revenue) after sizes 1..s, at index s. Replaced
-        # whole, never mutated, so a concurrent caller sees an old table or a
-        # new one and at worst repeats the extension.
-        self._records: tuple[tuple[frozenset[int], float], ...] = ((frozenset(), 0.0),)
 
-    def _solve(self, k):
-        records = self._records
-        if k >= len(records):
-            records = self._records = self._extend(records, k)
-        return records[k][0]
-
-    def _extend(self, records, k):
+    def _pass(self, size, answers):
         model = self.instance.choice_model
         prices = self.instance.prices
-        out = list(records)
-        best, best_rev = out[-1]
-        for size in range(len(out), k + 1):
-            subsets = combinations(range(self.instance.n), size)
+        done = max(answers, default=0)
+        best, best_rev = answers.get(done, (frozenset(), 0.0))
+        out = {}
+        for s in range(done + 1, size + 1):
+            subsets = combinations(range(self.instance.n), s)
             while True:
                 flat = chain.from_iterable(islice(subsets, _BATCH))
-                ids = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
+                ids = np.fromiter(flat, dtype=np.intp).reshape(-1, s)
                 if not len(ids):
                     break
                 revs = model.revenues(prices, ids)
@@ -119,8 +118,8 @@ class BruteForceOracle(AssortmentOracle):
                     rev = float(revs[b])
                     if rev > best_rev + 1e-15:
                         best, best_rev = frozenset(ids[b].tolist()), rev
-            out.append((best, best_rev))
-        return tuple(out)
+            out[s] = (best, best_rev)
+        return out
 
 
 class MnlExactOracle(AssortmentOracle):
@@ -144,18 +143,13 @@ class MnlExactOracle(AssortmentOracle):
         super().__init__(instance)
         if not isinstance(instance.choice_model, MnlModel):
             raise ValueError("MnlExactOracle requires an MNL choice model")
-        self._sets: dict[int, frozenset[int]] = {}
 
-    def _solve(self, k):
-        found = self._sets.get(k)
-        if found is None:
-            n = self.instance.n
-            rest = range(1, min(self.instance.m, n) + 1)
-            rest = [s for s in rest if s != k and s not in self._sets]
-            sizes = [k] + rest[: max(1, _MNL_CELLS // n) - 1]
-            self._sets.update(zip(sizes, self._bisect(sizes)))
-            found = self._sets[k]
-        return found
+    def _pass(self, size, answers):
+        n = self.instance.n
+        rest = range(1, min(self.instance.m, n) + 1)
+        rest = [s for s in rest if s != size and s not in answers]
+        sizes = [size] + rest[: max(1, _MNL_CELLS // n) - 1]
+        return dict(zip(sizes, self._bisect(sizes)))
 
     def _ranked(self, t: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Each row's ``width`` best ids (lower id first on ties) and scores
@@ -165,7 +159,7 @@ class MnlExactOracle(AssortmentOracle):
         order = np.argsort(-scores, axis=1, kind="stable")[:, :width]
         return order, scores
 
-    def _bisect(self, sizes: list[int]) -> list[frozenset[int]]:
+    def _bisect(self, sizes: list[int]) -> list[tuple[frozenset[int], float]]:
         # A row stops once an update would leave its lo or hi unchanged: its
         # next step would then repeat this one forever. The iteration cap
         # still binds when the optimum is 0 and hi only halves.
@@ -189,7 +183,7 @@ class MnlExactOracle(AssortmentOracle):
                 break
         order, scores = self._ranked(lo, width)
         return [
-            frozenset(int(i) for i in order[r, :k] if scores[r, i] > 0.0)
+            (frozenset(int(i) for i in order[r, :k] if scores[r, i] > 0.0), float(lo[r]))
             for r, k in enumerate(sizes)
         ]
 
@@ -200,15 +194,16 @@ class GreedyUniformOracle(AssortmentOracle):
     With one common price the revenue function is monotone submodular, so
     iteratively adding the best marginal product is (1 - 1/e)-approximate.
     Each round scores all its candidates in one ``ChoiceModel.revenues``
-    batch and keeps the first strict improvement in id order.
+    batch and keeps the first strict improvement in id order. The size-k
+    set is the first k rounds of the size-(k + 1) set, so a miss resumes
+    from the largest size solved and its running revenue.
     """
 
     alpha = 1.0 - 1.0 / np.e
 
     def __init__(self, instance: Instance):
         super().__init__(instance)
-        prices = instance.prices
-        if np.ptp(prices) != 0.0:
+        if np.ptp(instance.prices) != 0.0:
             raise ValueError("GreedyUniformOracle requires identical prices")
 
     def greedy_assortment(self, k: int) -> frozenset[int]:
@@ -217,12 +212,13 @@ class GreedyUniformOracle(AssortmentOracle):
             raise ValueError(f"cardinality {k} outside [0, {self.instance.n}]")
         return frozenset() if k == 0 else self._solve(k)
 
-    def _solve(self, k):
+    def _pass(self, size, answers):
         model = self.instance.choice_model
         prices = self.instance.prices
-        chosen: set[int] = set()
-        current = 0.0
-        for _ in range(k):
+        done = max(answers, default=0)
+        chosen, current = answers.get(done, (frozenset(), 0.0))
+        out = {}
+        for s in range(done + 1, size + 1):
             cands = [i for i in range(self.instance.n) if i not in chosen]
             ids = np.array([sorted(chosen | {i}) for i in cands])
             best_gain, best_i = -np.inf, None
@@ -230,9 +226,10 @@ class GreedyUniformOracle(AssortmentOracle):
                 gain = rev - current
                 if gain > best_gain + 1e-15:
                     best_gain, best_i = gain, i
-            chosen.add(best_i)
+            chosen = chosen | {best_i}
             current += best_gain
-        return frozenset(chosen)
+            out[s] = (chosen, current)
+        return out
 
 
 def exact_oracle(instance: Instance) -> AssortmentOracle:

@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from placement_opt import cli, evaluate_exact, from_json, gen_random, to_json
 from placement_opt.cli import ALGORITHMS, GENERATORS, ORACLES, main
@@ -401,6 +403,15 @@ def test_non_finite_price_range_exits_2(tmp_path, capsys, bound, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epsilon", ["inf", "1e300", "1e-320", "nan"])
+def test_degenerate_heavy_tail_epsilon_exits_2(tmp_path, capsys, epsilon):
+    out = tmp_path / "inst.json"
+    argv = ["gen", "--family", "heavy-tail-line", "--m", "3", "--epsilon", epsilon]
+    assert run(*argv, "-o", str(out)) == 2
+    assert "zero or non-finite weight or price" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sets", ["[1]", "[null]", "[[0.5]]", '[["1"]]', "[[true]]", "5"])
 def test_malformed_cover_sets_exit_2(tmp_path, capsys, sets):
     out = tmp_path / "inst.json"
@@ -416,3 +427,48 @@ def test_explicit_random_browsing_beyond_62_locations_exits_2(tmp_path, capsys):
     assert run(*argv, "-o", str(out)) == 2
     assert "m <= 62" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _field_paths(node, path=()):
+    """Path to every value below the document root, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, path + (key,))
+
+
+_DELETE = object()
+
+
+# no explain phase: on a failing example it ran for minutes and grew past 600 MB
+@settings(
+    max_examples=300, deadline=None, derandomize=True, phases=[Phase.generate, Phase.shrink]
+)
+@given(
+    model=st.sampled_from(("mnl", "mmnl", "markov", "ranked")),
+    browsing=st.sampled_from(("line", "explicit")),
+    n=st.integers(2, 4),
+    m=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_mutated_instance_json_exits_cleanly_property(
+    tmp_path_factory, model, browsing, n, m, seed, data
+):
+    doc = json.loads(to_json(gen_random(n, m, model=model, browsing=browsing, seed=seed)))
+    path = data.draw(st.sampled_from(list(_field_paths(doc))))
+    value = data.draw(st.sampled_from([None, [], {}, "x", -1, 2.5, 1e308, True, _DELETE]))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    if value is _DELETE:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    folder = tmp_path_factory.mktemp("mutated")
+    inst_path = folder / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    # brute is size-guarded, so a huge m exits 3 instead of running for ever
+    argv = ["solve", "--instance", str(inst_path), "--algorithm", "brute"]
+    assert run(*argv, "-o", str(folder / "report.json")) in (0, 2, 3)

@@ -139,6 +139,10 @@ def test_heavy_tail_validation():
         gen_heavy_tail_line(1, 1.0)
     with pytest.raises(ValueError):
         gen_heavy_tail_line(4, 0.0)
+    # a weight or price would overflow, divide by zero or come out NaN
+    for epsilon in (math.inf, 1e300, 1e-320, math.nan):
+        with pytest.raises(ValueError, match="zero or non-finite weight or price"):
+            gen_heavy_tail_line(3, epsilon)
     with pytest.raises(ValueError):
         heavy_tail_single_id(4, 1)
 

@@ -261,9 +261,9 @@ def test_shared_brute_oracle_under_threads():
         sys.setswitchinterval(interval)
     assert all(result == expected for result in results)
     # a racing thread may publish a shorter table, never a torn one
-    records = oracle._records
-    for size in range(1, len(records)):
-        padded = oracle_module._pad_to_size(records[size][0], size, inst)
+    answers = oracle._answers
+    for size in range(1, len(answers) + 1):
+        padded = oracle_module._pad_to_size(answers[size][0], size, inst)
         assert padded == expected[size], size
     assert {k: oracle.best_assortment(k) for k in expected} == expected
 
@@ -272,12 +272,42 @@ def test_best_assortment_memoizes_every_oracle(monkeypatch):
     inst = gen_random(6, 3, model="mnl", price_range=(2.0, 2.0), seed=4)
     for cls in (BruteForceOracle, MnlExactOracle, GreedyUniformOracle):
         oracle = cls(inst)
-        calls = []
-        real = oracle._solve
-        monkeypatch.setattr(oracle, "_solve", lambda k: calls.append(k) or real(k))
+        settled = []
+        real = oracle._pass
+
+        def spy(size, answers):
+            out = real(size, answers)
+            settled.extend(out)
+            return out
+
+        monkeypatch.setattr(oracle, "_pass", spy)
         answers = [oracle.best_assortment(k) for k in (2, 1, 2, 3, 1)]
-        assert calls == [2, 1, 3], cls.__name__
-        assert answers[0] is answers[2] and answers[1] is answers[4]
+        # each size is settled by exactly one pass, whether asked or alongside
+        assert sorted(settled) == [1, 2, 3], cls.__name__
+        assert answers[0] == answers[2] and answers[1] == answers[4]
+
+
+@pytest.mark.parametrize("family", ["mnl", "mmnl", "markov", "ranked"])
+@pytest.mark.parametrize("n, m", [(9, 6), (4, 7)])
+def test_greedy_uniform_resumes_instead_of_restarting(monkeypatch, family, n, m):
+    inst = gen_random(n, m, model=family, price_range=(2.0, 2.0), seed=n + m)
+    expected = {
+        k: oracle_module._pad_to_size(reference_greedy_uniform(inst, min(k, n)), k, inst)
+        for k in range(1, m + 1)
+    }
+    model = inst.choice_model
+    real = model.revenues
+    calls = []
+    monkeypatch.setattr(model, "revenues", lambda *args: calls.append(1) or real(*args))
+    shuffled = list(range(1, m + 1))
+    np.random.default_rng(m).shuffle(shuffled)
+    for order in (range(1, m + 1), range(m, 0, -1), shuffled):
+        calls.clear()
+        oracle = GreedyUniformOracle(inst)
+        got = {k: oracle.best_assortment(k) for k in order}
+        # one round per size: min(m, n) batches, not m (m + 1) / 2
+        assert len(calls) == min(m, n), list(order)
+        assert got == expected, list(order)
 
 
 def test_brute_force_dominates_other_strategies():
