@@ -23,6 +23,11 @@ from .estimation import EstimationPlan, estimate_w
 from .oracle import AssortmentOracle
 
 PLACEMENT_BRUTE_GUARD = 2_000_000
+# Trial cells (support x candidates x empty locations) per stacked gains fold
+# of the lockstep partition greedy. It bounds the round's arrays: folding
+# every greedy of a round at once was a little faster on n = 100, m = 20
+# line instances but took about 5% more peak memory.
+_GREEDY_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -180,20 +185,23 @@ def brute_force_placement(
 def _best_over_k(
     instance: Instance,
     oracle: AssortmentOracle,
-    candidates: Callable[[int, frozenset[int]], Iterable[tuple[float, tuple[int, ...]]]],
+    candidates: Callable[
+        [list[frozenset[int]]], Iterable[tuple[int, float, tuple[int, ...]]]
+    ],
 ) -> tuple[float, int, tuple[int, ...]]:
     """(w, k, slots) of the best candidate placement over k = 1..m.
 
-    ``candidates(k, members)`` yields the ``(w, slots)`` pairs a solver
-    builds from the oracle's best size-k assortment ``members``. The first
-    strictly better value wins, so ties go to the smaller k and, within a
-    k, to the earlier pair.
+    Asks the oracle for its best size-k assortment once per k, in order, and
+    hands the list of them (size k at index k - 1) to ``candidates``, which
+    yields the ``(k, w, slots)`` candidates a solver builds from them, in k
+    order. The first strictly better value wins, so ties go to the smaller
+    k and, within a k, to the earlier candidate.
     """
+    assortments = [oracle.best_assortment(k) for k in range(1, instance.m + 1)]
     best = None
-    for k in range(1, instance.m + 1):
-        for w, slots in candidates(k, oracle.best_assortment(k)):
-            if best is None or w > best[0]:
-                best = (w, k, slots)
+    for k, w, slots in candidates(assortments):
+        if best is None or w > best[0]:
+            best = (w, k, slots)
     return best
 
 
@@ -212,9 +220,12 @@ def best_of_many_line(
     value = WEvaluator(instance).value
     m = instance.m
 
-    def prefix(k, members):
-        slots = fill_empty(instance, tuple(sorted(members)) + (EMPTY_SLOT,) * (m - k))
-        yield value(slots), slots
+    def prefix(assortments):
+        for k, members in enumerate(assortments, 1):
+            slots = fill_empty(
+                instance, tuple(sorted(members)) + (EMPTY_SLOT,) * (m - k)
+            )
+            yield k, value(slots), slots
 
     return _report("best-of-many", start, seed, _best_over_k(instance, oracle, prefix))
 
@@ -250,15 +261,16 @@ def randomized_placement(
         # each distinct placement is estimated once, at its first evaluation
         value = functools.cache(lambda slots: estimate_w(instance, slots, plan, rng)[0])
 
-    def replicas(k, members):
-        # padding ids are filled before the draws: drawing a filled member
-        # is filling a drawn one
-        members = np.array(fill_empty(instance, sorted(members)))
-        draws = rng.integers(0, len(members), size=(repetitions, m))
-        # a repeated draw cannot beat its first occurrence, so each distinct
-        # placement is evaluated once, in draw order
-        for slots in dict.fromkeys(map(tuple, members[draws].tolist())):
-            yield value(slots), slots
+    def replicas(assortments):
+        for k, members in enumerate(assortments, 1):
+            # padding ids are filled before the draws: drawing a filled
+            # member is filling a drawn one
+            members = np.array(fill_empty(instance, sorted(members)))
+            draws = rng.integers(0, len(members), size=(repetitions, m))
+            # a repeated draw cannot beat its first occurrence, so each
+            # distinct placement is evaluated once, in draw order
+            for slots in dict.fromkeys(map(tuple, members[draws].tolist())):
+                yield k, value(slots), slots
 
     best = _best_over_k(instance, oracle, replicas)
     return _report("randomized", start, seed, best, plan)
@@ -266,61 +278,98 @@ def randomized_placement(
 
 def _partition_greedy(
     instance: Instance,
-    candidates: Sequence[int],
+    candidate_lists: Sequence[Sequence[int]],
     ev: WEvaluator,
-) -> tuple[tuple[int, ...], float]:
-    """Fill locations one product at a time, always taking the largest gain.
+) -> list[tuple[tuple[int, ...], float]]:
+    """One greedy per candidate list, run in lockstep: ``[(slots, w), ...]``.
 
-    One product per location (a partition constraint over product-location
-    pairs); candidates may repeat across locations. Ties break toward the
-    lower product id, then the lower location id.
+    Each greedy fills locations one product at a time, always taking the
+    largest gain, one product per location (a partition constraint over
+    product-location pairs); candidates may repeat across locations. Ties
+    break toward the earlier candidate, then the lower location id.
 
-    Each visited set keeps the revenue row ``[R(X(L)), R(X(L) + c) for c in
-    candidates]`` of its offered products; a pick refreshes only the sets
+    Greedy ``g`` keeps, for every visited set, the revenue row ``[R(X(L)),
+    R(X(L) + c) for c in candidates]`` of its offered products, in its own
+    contiguous columns of one shared table; a pick refreshes only the sets
     that contain the filled location. A trial value W(X + (c, j)) adds
     ``P(L) * R(X(L) + c)`` for sets containing j and ``P(L) * R(X(L))`` for
     the rest, left to right in support order, which is exactly the sum
-    ``ev.value`` forms, so gains and tie-breaks match it bit for bit.
+    ``ev.value`` forms, so gains and tie-breaks match it bit for bit. Every
+    round folds the trials of consecutive greedies in one array of at most
+    ``_GREEDY_CELLS`` cells (at least one greedy); batching only stacks
+    columns, so each greedy's gains are those it would reach alone.
     """
     m = instance.m
-    cands = list(candidates)
     support = ev.support
-    probs = np.array([p for _, p in support])[:, None, None]
-    visits = np.zeros((len(support), 1, m), dtype=bool)
+    cands = [list(c) for c in candidate_lists]
+    widths = [len(c) for c in cands]
+    # greedy g's table columns are starts[g] (R(X(L))) and its candidates'
+    # starts[g] + 1 .. starts[g + 1] - 1; candidate column t has its
+    # greedy's R(X(L)) in base_cols[t], and col_greedy[t] is that greedy
+    starts = np.cumsum([0] + [1 + w for w in widths])
+    cand_cols = np.delete(np.arange(starts[-1]), starts[:-1])
+    base_cols = np.repeat(starts[:-1], widths)
+    col_greedy = np.repeat(np.arange(len(cands)), widths)
+    col_starts = np.cumsum([0] + widths)
+    cell_counts = [len(support) * w for w in widths]  # per empty location
+    probs = np.array([p for _, p in support])[:, None]
+    visits = np.zeros((len(support), m), dtype=bool)
     for s, (locations, _) in enumerate(support):
-        visits[s, 0, list(locations)] = True
-    rows: dict[frozenset[int], np.ndarray] = {}
+        visits[s, list(locations)] = True
+    containing = [np.flatnonzero(visits[:, j]).tolist() for j in range(m)]
+    rows: list[dict[frozenset[int], np.ndarray]] = [{} for _ in cands]
 
-    def row(offered: frozenset[int]) -> np.ndarray:
-        r = rows.get(offered)
+    def row(g: int, offered: frozenset[int]) -> np.ndarray:
+        r = rows[g].get(offered)
         if r is None:
-            r = [ev.revenue(offered)] + [ev.revenue(offered | {c}) for c in cands]
-            r = rows[offered] = np.array(r)
+            r = [ev.revenue(offered)] + [ev.revenue(offered | {c}) for c in cands[g]]
+            r = rows[g][offered] = np.array(r)
         return r
 
-    offered = [frozenset()] * len(support)
-    table = np.stack([row(o) for o in offered])  # support x (1 + candidates)
-    slots = [EMPTY_SLOT] * m
-    current = 0.0
-    for _ in range(m):
-        empty = [j for j in range(m) if slots[j] == EMPTY_SLOT]
-        trial = np.where(visits[:, :, empty], table[:, 1:, None], table[:, :1, None])
-        # accumulate adds strictly left to right; sum may add pairwise
-        gains = np.add.accumulate(probs * trial, axis=0)[-1] - current
-        best_gain, best_pair = -np.inf, None
-        for c, cand_gains in enumerate(gains.tolist()):
-            for j, gain in zip(empty, cand_gains):
-                if gain > best_gain + 1e-15:
-                    best_gain, best_pair = gain, (c, j)
-        c, j = best_pair
-        i = cands[c]
-        slots[j] = i
-        current += best_gain
-        for s in np.flatnonzero(visits[:, 0, j]):
-            if i not in offered[s]:
-                offered[s] = offered[s] | {i}
-                table[s] = row(offered[s])
-    return tuple(slots), ev.value(slots)
+    table = np.concatenate([row(g, frozenset()) for g in range(len(cands))])
+    table = np.tile(table, (len(support), 1))  # support x sum of (1 + candidates)
+    offered = [[frozenset()] * len(support) for _ in cands]
+    slots = [[EMPTY_SLOT] * m for _ in cands]
+    free = np.ones((len(cands), m), dtype=bool)
+    current = [0.0] * len(cands)
+    for size in range(m, 0, -1):
+        # every greedy has ``size`` empty locations left
+        empty = np.nonzero(free)[1].reshape(len(cands), size)
+        empty_lists = empty.tolist()
+        weighted = probs * table
+        trials = weighted[:, cand_cols, None]
+        base = weighted[:, base_cols, None]
+        g_end = 0
+        while g_end < len(cands):
+            g_start, cells = g_end, 0
+            while g_end < len(cands) and (
+                g_end == g_start or cells + cell_counts[g_end] * size <= _GREEDY_CELLS
+            ):
+                cells += cell_counts[g_end] * size
+                g_end += 1
+            cols = slice(col_starts[g_start], col_starts[g_end])
+            mask = visits[:, empty[col_greedy[cols]]]
+            trial = np.where(mask, trials[:, cols], base[:, cols])
+            # accumulate adds strictly left to right; sum may add pairwise
+            np.add.accumulate(trial, axis=0, out=trial)
+            gains = (trial[-1] - np.array(current)[col_greedy[cols], None]).tolist()
+            for g in range(g_start, g_end):
+                first = col_starts[g] - cols.start
+                best_gain, best_pair = -np.inf, None
+                for c, cand_gains in enumerate(gains[first : first + widths[g]]):
+                    for j, gain in zip(empty_lists[g], cand_gains):
+                        if gain > best_gain + 1e-15:
+                            best_gain, best_pair = gain, (c, j)
+                c, j = best_pair
+                i = cands[g][c]
+                slots[g][j] = i
+                free[g, j] = False
+                current[g] += best_gain
+                for s in containing[j]:
+                    if i not in offered[g][s]:
+                        offered[g][s] = offered[g][s] | {i}
+                        table[s, starts[g] : starts[g + 1]] = row(g, offered[g][s])
+    return [(placed, ev.value(placed)) for placed in map(tuple, slots)]
 
 
 def uniform_price_matroid_greedy(instance: Instance, seed: int = 0) -> SolveReport:
@@ -333,7 +382,7 @@ def uniform_price_matroid_greedy(instance: Instance, seed: int = 0) -> SolveRepo
     if np.ptp(instance.prices) != 0.0:
         raise ValueError("uniform_price_matroid_greedy requires identical prices")
     start = time.perf_counter()
-    slots, w = _partition_greedy(instance, range(instance.n), WEvaluator(instance))
+    [(slots, w)] = _partition_greedy(instance, [range(instance.n)], WEvaluator(instance))
     return _report("uniform-greedy", start, seed, (w, None, slots))
 
 
@@ -437,22 +486,22 @@ def markov_deterministic_placement(
     assortment is monotone submodular, so a greedy one-product-per-location
     pass over just those products is provably good; the best k wins.
     The greedy depends on the products alone, so an assortment that an
-    earlier k already returned is skipped: it would only tie that k.
+    earlier k already returned is skipped: it would only tie that k. The
+    greedies of the distinct assortments run in one lockstep pass.
     """
     if not isinstance(instance.choice_model, (MnlModel, MarkovModel)):
         raise ValueError(
             "markov_deterministic_placement needs a Markov (or MNL) choice model"
         )
     start = time.perf_counter()
-    ev = WEvaluator(instance)
-    greedied = set()
 
-    def greedy(k, members):
-        members = tuple(sorted(i for i in members if i < instance.n))
-        if members not in greedied:
-            greedied.add(members)
-            slots, w = _partition_greedy(instance, members, ev)
-            yield w, slots
+    def greedies(assortments):
+        first_k: dict[tuple[int, ...], int] = {}  # real members -> first k
+        for k, members in enumerate(assortments, 1):
+            first_k.setdefault(tuple(sorted(i for i in members if i < instance.n)), k)
+        placed = _partition_greedy(instance, list(first_k), WEvaluator(instance))
+        for k, (slots, w) in zip(first_k.values(), placed):
+            yield k, w, slots
 
-    best = _best_over_k(instance, oracle, greedy)
+    best = _best_over_k(instance, oracle, greedies)
     return _report("markov-greedy", start, seed, best)

@@ -321,7 +321,7 @@ def reference_markov_greedy(instance: Instance, oracle):
     best = None
     for k in range(1, instance.m + 1):
         members = sorted(i for i in oracle.best_assortment(k) if i < instance.n)
-        slots, w = _partition_greedy(instance, members, ev)
+        [(slots, w)] = _partition_greedy(instance, [members], ev)
         slots = fill_empty(instance, slots)
         if best is None or w > best[0]:
             best = (w, k, slots)

@@ -146,12 +146,6 @@ def _compare(path, algorithms, out):
     return run(*argv, "--oracle", "brute", "--repetitions", "8", "-o", str(out))
 
 
-def _untimed(doc):
-    for row in doc["results"]:
-        del row["report"]["ms"]
-    return doc
-
-
 def test_compare_builds_one_shared_oracle(tmp_path, monkeypatch):
     path = _markov_instance(tmp_path)
     built, real = [], ORACLES["brute"]
@@ -162,15 +156,9 @@ def test_compare_builds_one_shared_oracle(tmp_path, monkeypatch):
         return oracle
 
     monkeypatch.setitem(cli.ORACLES, "brute", counting)
-    docs = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("PLACEMENT_OPT_THREADS", threads)
-        out = tmp_path / f"cmp-{threads}.json"
-        assert _compare(path, "markov-greedy,randomized", out) == 0
-        assert len(built) == 1, threads
-        assert sorted(built.pop()._answers) == [1, 2, 3]
-        docs[threads] = _untimed(json.loads(out.read_text()))
-    assert docs["1"] == docs["2"]
+    assert _compare(path, "markov-greedy,randomized", tmp_path / "cmp.json") == 0
+    assert len(built) == 1
+    assert sorted(built.pop()._answers) == [1, 2, 3]
 
     uniform = _markov_instance(tmp_path, prices=(2.0, 2.0))
     assert _compare(uniform, "brute,uniform-greedy", tmp_path / "none.json") == 0

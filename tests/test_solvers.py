@@ -498,9 +498,9 @@ def test_markov_greedy_runs_one_greedy_per_distinct_set(monkeypatch):
     calls = []
     real = solvers._partition_greedy
 
-    def counted(instance, candidates, ev):
-        calls.append(tuple(candidates))
-        return real(instance, candidates, ev)
+    def counted(instance, candidate_lists, ev):
+        calls.append([tuple(c) for c in candidate_lists])
+        return real(instance, candidate_lists, ev)
 
     monkeypatch.setattr(solvers, "_partition_greedy", counted)
     repeats = 0
@@ -512,8 +512,9 @@ def test_markov_greedy_runs_one_greedy_per_distinct_set(monkeypatch):
             tuple(sorted(i for i in oracle.best_assortment(k) if i < inst.n))
             for k in range(1, inst.m + 1)
         ]
-        assert calls == list(dict.fromkeys(sets))
-        repeats += len(sets) - len(calls)
+        # one lockstep call over the distinct sets, in first-seen order
+        assert calls == [list(dict.fromkeys(sets))]
+        repeats += len(sets) - len(calls[0])
     assert repeats > 0  # the cases do repeat sets
 
 
@@ -550,15 +551,68 @@ def test_greedy_solvers_match_reference_loop(monkeypatch):
             reports.append(markov_deterministic_placement(inst, exact_oracle(inst)))
         return [(r.placement, r.w_exact, r.k) for r in reports]
 
+    ran = []
+
+    def reference(instance, candidate_lists, ev):
+        ran.append(instance)
+        return [reference_partition_greedy(instance, c, ev) for c in candidate_lists]
+
     cases = _greedy_cases()
     fast = [run_both(inst) for _, inst in cases]
-    monkeypatch.setattr(solvers, "_partition_greedy", reference_partition_greedy)
-    slow = [run_both(inst) for _, inst in cases]
+    monkeypatch.setattr(solvers, "_partition_greedy", reference)
     compared = 0
-    for (name, _), got, want in zip(cases, fast, slow):
+    for (name, inst), got in zip(cases, fast):
+        ran.clear()
+        want = run_both(inst)
+        # every greedy run, markov-greedy's too, went through the reference
+        assert ran == [inst] * len(want), name
         assert got == want, name
         compared += len(got)
     assert compared == 126  # 63 runs of each greedy solver
+
+
+def _lockstep_lists(n, data):
+    """Candidate lists of different lengths, in drawn order, plus a repeated
+    list and a one-candidate list."""
+    ids = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    lists = data.draw(st.lists(ids, min_size=1, max_size=4))
+    return lists + [lists[0], [data.draw(st.integers(0, n - 1))]]
+
+
+@pytest.mark.parametrize("browsing", ["line", "explicit", "singleton", "full"])
+@pytest.mark.parametrize("model", ["mnl", "mmnl", "markov", "ranked"])
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+    equal_prices=st.booleans(),
+    data=st.data(),
+)
+def test_lockstep_greedy_matches_one_call_per_list(
+    model, browsing, n, m, seed, equal_prices, data
+):
+    prices = (2.0, 2.0) if equal_prices else (1.0, 10.0)
+    inst = gen_random(n, m, model=model, price_range=prices, browsing=browsing, seed=seed)
+    lists = _lockstep_lists(n, data)
+    together = solvers._partition_greedy(inst, lists, WEvaluator(inst))
+    alone = [solvers._partition_greedy(inst, [c], WEvaluator(inst))[0] for c in lists]
+    assert together == alone
+
+
+def test_lockstep_greedy_splits_rounds_at_the_cell_cap(monkeypatch):
+    inst = gen_random(14, 8, model="mnl", browsing="line", seed=0)
+    lists = [range(14), [0, 3, 5], [2], [1, 2, 3, 4, 5, 6], [0, 3, 5]]
+    ev = WEvaluator(inst)
+    want = [reference_partition_greedy(inst, c, ev) for c in lists]
+    # first-round cells of each greedy: support x candidates x m empty slots
+    cells = [len(ev.support) * len(c) * inst.m for c in lists]
+    split = cells[0] + cells[1]  # round one folds greedies 0-1, then 2-4
+    assert cells[0] < split < sum(cells) <= solvers._GREEDY_CELLS
+    assert solvers._partition_greedy(inst, lists, WEvaluator(inst)) == want
+    for cap in (1, split):
+        monkeypatch.setattr(solvers, "_GREEDY_CELLS", cap)
+        assert solvers._partition_greedy(inst, lists, WEvaluator(inst)) == want, cap
 
 
 def test_greedy_tie_rule_lower_product_then_lower_location():
