@@ -151,13 +151,9 @@ class MnlExactOracle(AssortmentOracle):
         sizes = [size] + rest[: max(1, _MNL_CELLS // n) - 1]
         return dict(zip(sizes, self._bisect(sizes)))
 
-    def _ranked(self, t: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's ``width`` best ids (lower id first on ties) and scores
-        v_i (r_i - t) at that row's threshold t."""
-        v = self.instance.choice_model.weights
-        scores = v * (self.instance.prices - t[:, None])
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :width]
-        return order, scores
+    def _scores(self, t: np.ndarray) -> np.ndarray:
+        """Scores v_i (r_i - t), one row per threshold t."""
+        return self.instance.choice_model.weights * (self.instance.prices - t[:, None])
 
     def _bisect(self, sizes: list[int]) -> list[tuple[frozenset[int], float]]:
         # A row stops once an update would leave its lo or hi unchanged: its
@@ -169,8 +165,9 @@ class MnlExactOracle(AssortmentOracle):
         live = np.arange(len(sizes))
         for _ in range(_MNL_BISECT_ITERS):
             mid = 0.5 * (lo[live] + hi[live])
-            order, scores = self._ranked(mid, width)
-            top = np.maximum(np.take_along_axis(scores, order, axis=1), 0.0)
+            # equal scores are interchangeable in a sum, so the values
+            # alone give the gain; no ids need ranking
+            top = np.maximum(-np.sort(-self._scores(mid), axis=1)[:, :width], 0.0)
             # one contiguous row slice per size: the same pairwise sum as a
             # bisection of that size alone
             gain = [row[: sizes[i]].sum() for row, i in zip(top, live.tolist())]
@@ -181,7 +178,9 @@ class MnlExactOracle(AssortmentOracle):
             live = live[~stuck]
             if not live.size:
                 break
-        order, scores = self._ranked(lo, width)
+        scores = self._scores(lo)
+        # lower id first on ties
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :width]
         return [
             (frozenset(int(i) for i in order[r, :k] if scores[r, i] > 0.0), float(lo[r]))
             for r, k in enumerate(sizes)

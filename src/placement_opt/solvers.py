@@ -288,88 +288,119 @@ def _partition_greedy(
     product-location pairs); candidates may repeat across locations. Ties
     break toward the earlier candidate, then the lower location id.
 
-    Greedy ``g`` keeps, for every visited set, the revenue row ``[R(X(L)),
-    R(X(L) + c) for c in candidates]`` of its offered products, in its own
-    contiguous columns of one shared table; a pick refreshes only the sets
-    that contain the filled location. A trial value W(X + (c, j)) adds
-    ``P(L) * R(X(L) + c)`` for sets containing j and ``P(L) * R(X(L))`` for
-    the rest, left to right in support order, which is exactly the sum
-    ``ev.value`` forms, so gains and tie-breaks match it bit for bit. Every
-    round folds the trials of consecutive greedies in one array of at most
-    ``_GREEDY_CELLS`` cells (at least one greedy); batching only stacks
-    columns, so each greedy's gains are those it would reach alone.
+    Greedies whose picks so far agree share one state: slots, offered sets,
+    current value and a table holding, for every visited set, the revenue
+    row ``[R(X(L)), R(X(L) + c) for c in union]`` over the union of all
+    lists' candidates. Rows are kept per offered set for the whole call, and
+    a pick refreshes only the sets that contain the filled location. A
+    trial value W(X + (c, j)) adds ``P(L) * R(X(L) + c)`` for sets
+    containing j and ``P(L) * R(X(L))`` for the rest, left to right in
+    support order, which is exactly the sum ``ev.value`` forms, so gains and
+    tie-breaks match it bit for bit. Every round folds the trials of
+    consecutive states, each over its greedies' candidates, in one array of
+    at most ``_GREEDY_CELLS`` cells (at least one state). Each greedy then
+    scans its own candidates' gains in its own order, and a state splits
+    when its greedies pick differently.
     """
     m = instance.m
     support = ev.support
     cands = [list(c) for c in candidate_lists]
-    widths = [len(c) for c in cands]
-    # greedy g's table columns are starts[g] (R(X(L))) and its candidates'
-    # starts[g] + 1 .. starts[g + 1] - 1; candidate column t has its
-    # greedy's R(X(L)) in base_cols[t], and col_greedy[t] is that greedy
-    starts = np.cumsum([0] + [1 + w for w in widths])
-    cand_cols = np.delete(np.arange(starts[-1]), starts[:-1])
-    base_cols = np.repeat(starts[:-1], widths)
-    col_greedy = np.repeat(np.arange(len(cands)), widths)
-    col_starts = np.cumsum([0] + widths)
-    cell_counts = [len(support) * w for w in widths]  # per empty location
-    probs = np.array([p for _, p in support])[:, None]
+    union = list(dict.fromkeys(i for c in cands for i in c))
+    column = {i: q for q, i in enumerate(union, 1)}  # column 0 holds R(X(L))
+    width = 1 + len(union)
+    probs = np.array([p for _, p in support])[:, None, None]
     visits = np.zeros((len(support), m), dtype=bool)
     for s, (locations, _) in enumerate(support):
         visits[s, list(locations)] = True
     containing = [np.flatnonzero(visits[:, j]).tolist() for j in range(m)]
-    rows: list[dict[frozenset[int], np.ndarray]] = [{} for _ in cands]
+    rows: dict[frozenset[int], np.ndarray] = {}
 
-    def row(g: int, offered: frozenset[int]) -> np.ndarray:
-        r = rows[g].get(offered)
+    def row(offered: frozenset[int]) -> np.ndarray:
+        r = rows.get(offered)
         if r is None:
-            r = [ev.revenue(offered)] + [ev.revenue(offered | {c}) for c in cands[g]]
-            r = rows[g][offered] = np.array(r)
+            r = [ev.revenue(offered)] + [ev.revenue(offered | {c}) for c in union]
+            r = rows[offered] = np.array(r)
         return r
 
-    table = np.concatenate([row(g, frozenset()) for g in range(len(cands))])
-    table = np.tile(table, (len(support), 1))  # support x sum of (1 + candidates)
+    def state(greedies: list[int]):
+        """(greedies, their candidates' columns, and each greedy's candidates
+        as positions among those columns, in its own order)."""
+        cols = sorted({column[i] for g in greedies for i in cands[g]})
+        at = {q: t for t, q in enumerate(cols)}
+        scans = [[at[column[i]] for i in cands[g]] for g in greedies]
+        return greedies, np.array(cols), scans
+
+    # a state lives in the entries of its first greedy: table[:, g] is the
+    # support x (1 + union) table of the state greedy g leads
+    table = np.tile(row(frozenset()), (len(support), len(cands), 1))
     offered = [[frozenset()] * len(support) for _ in cands]
     slots = [[EMPTY_SLOT] * m for _ in cands]
     free = np.ones((len(cands), m), dtype=bool)
-    current = [0.0] * len(cands)
+    current = np.zeros(len(cands))
+    states = [state(list(range(len(cands))))]
     for size in range(m, 0, -1):
-        # every greedy has ``size`` empty locations left
-        empty = np.nonzero(free)[1].reshape(len(cands), size)
-        empty_lists = empty.tolist()
+        # every state has ``size`` empty locations left
         weighted = probs * table
-        trials = weighted[:, cand_cols, None]
-        base = weighted[:, base_cols, None]
-        g_end = 0
-        while g_end < len(cands):
-            g_start, cells = g_end, 0
-            while g_end < len(cands) and (
-                g_end == g_start or cells + cell_counts[g_end] * size <= _GREEDY_CELLS
-            ):
-                cells += cell_counts[g_end] * size
-                g_end += 1
-            cols = slice(col_starts[g_start], col_starts[g_end])
-            mask = visits[:, empty[col_greedy[cols]]]
-            trial = np.where(mask, trials[:, cols], base[:, cols])
+        split, done = [], 0
+        while done < len(states):
+            fold, cells = [], 0
+            for st in states[done:]:
+                st_cells = len(support) * len(st[1]) * size
+                if fold and cells + st_cells > _GREEDY_CELLS:
+                    break
+                fold.append(st)
+                cells += st_cells
+            done += len(fold)
+            leads = [greedies[0] for greedies, _, _ in fold]
+            widths = [len(cols) for _, cols, _ in fold]
+            owner = np.repeat(leads, widths)
+            cols = np.concatenate([cols for _, cols, _ in fold])
+            empty = np.nonzero(free[leads])[1].reshape(len(fold), size)
+            mask = visits[:, np.repeat(empty, widths, axis=0)]
+            trial = np.where(
+                mask, weighted[:, owner, cols, None], weighted[:, owner, :1]
+            )
             # accumulate adds strictly left to right; sum may add pairwise
             np.add.accumulate(trial, axis=0, out=trial)
-            gains = (trial[-1] - np.array(current)[col_greedy[cols], None]).tolist()
-            for g in range(g_start, g_end):
-                first = col_starts[g] - cols.start
-                best_gain, best_pair = -np.inf, None
-                for c, cand_gains in enumerate(gains[first : first + widths[g]]):
-                    for j, gain in zip(empty_lists[g], cand_gains):
-                        if gain > best_gain + 1e-15:
-                            best_gain, best_pair = gain, (c, j)
-                c, j = best_pair
-                i = cands[g][c]
-                slots[g][j] = i
-                free[g, j] = False
-                current[g] += best_gain
-                for s in containing[j]:
-                    if i not in offered[g][s]:
-                        offered[g][s] = offered[g][s] | {i}
-                        table[s, starts[g] : starts[g + 1]] = row(g, offered[g][s])
-    return [(placed, ev.value(placed)) for placed in map(tuple, slots)]
+            gains = (trial[-1] - current[owner, None]).tolist()
+            for (greedies, st_cols, scans), empty_lists in zip(fold, empty.tolist()):
+                st_gains, gains = gains[: len(st_cols)], gains[len(st_cols) :]
+                picks: dict[tuple[int, int], tuple[float, list[int]]] = {}
+                for g, scan in zip(greedies, scans):
+                    best_gain, best_pair = -np.inf, None
+                    for t in scan:
+                        for j, gain in zip(empty_lists, st_gains[t]):
+                            if gain > best_gain + 1e-15:
+                                best_gain, best_pair = gain, (t, j)
+                    picks.setdefault(best_pair, (best_gain, []))[1].append(g)
+                # each group of greedies that picked alike continues as one
+                # state; the first group keeps the shared one, so it goes last
+                lead = greedies[0]
+                for (t, j), (gain, group) in reversed(picks.items()):
+                    g, i = group[0], union[st_cols[t] - 1]
+                    if g != lead:
+                        table[:, g] = table[:, lead]
+                        offered[g], slots[g] = list(offered[lead]), list(slots[lead])
+                        free[g], current[g] = free[lead], current[lead]
+                    slots[g][j] = i
+                    free[g, j] = False
+                    current[g] += gain
+                    for s in containing[j]:
+                        if i not in offered[g][s]:
+                            offered[g][s] = offered[g][s] | {i}
+                            table[s, g] = row(offered[g][s])
+                if len(picks) == 1:
+                    split.append((greedies, st_cols, scans))
+                else:
+                    split += [state(group) for _, group in picks.values()]
+        states = split
+    out = [None] * len(cands)
+    for greedies, _, _ in states:
+        placed = tuple(slots[greedies[0]])
+        w = ev.value(placed)
+        for g in greedies:
+            out[g] = (placed, w)
+    return out
 
 
 def uniform_price_matroid_greedy(instance: Instance, seed: int = 0) -> SolveReport:

@@ -144,6 +144,18 @@ def test_mnl_lockstep_matches_scalar_bisection():
     # pairwise sum is 1.0, which leaves the last one out; a running sum is not
     products = [Product(i, 2.0) for i in range(10)] + [Product(10, 1.0)]
     insts.append(Instance(products, MnlModel([0.1] * 10 + [1.0]), 11, full_support(11)))
+    # the bisection ranks score values, not ids: zero weights score -0.0
+    # below the threshold and 0.0 above it, and repeated (weight, price)
+    # pairs tie exactly above it
+    weights = [1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 2.0, 0.3]
+    prices = [5.0, 5.0, 5.0, 8.0, 8.0, 8.0, 0.5, 9.0, 3.0, 7.0, 1.5, 2.0]
+    products = [Product(i, r) for i, r in enumerate(prices)]
+    insts.append(Instance(products, MnlModel(weights), 12, full_support(12)))
+    base = gen_random(50, 20, model="mnl", seed=4)
+    weights = np.repeat(base.choice_model.weights, 2)
+    weights[::7] = 0.0
+    products = [Product(i, r) for i, r in enumerate(np.repeat(base.prices, 2).tolist())]
+    insts.append(Instance(products, MnlModel(weights), 20, full_support(20)))
     for inst in insts:
         ks = list(range(1, inst.n + 1))
         # each size a solver can ask (k <= m) also asked first, alone

@@ -573,10 +573,15 @@ def test_greedy_solvers_match_reference_loop(monkeypatch):
 
 def _lockstep_lists(n, data):
     """Candidate lists of different lengths, in drawn order, plus a repeated
-    list and a one-candidate list."""
+    list, a one-candidate list, the nested prefixes of the first list (the
+    shape of markov-greedy's nearly nested oracle sets) and the last list
+    reversed: the same set in another tie order, so a state it shares with
+    that list must split on a tie."""
     ids = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
     lists = data.draw(st.lists(ids, min_size=1, max_size=4))
-    return lists + [lists[0], [data.draw(st.integers(0, n - 1))]]
+    prefixes = [lists[0][:k] for k in range(1, len(lists[0]))]
+    extra = [lists[0], [data.draw(st.integers(0, n - 1))], *prefixes, lists[-1][::-1]]
+    return lists + extra
 
 
 @pytest.mark.parametrize("browsing", ["line", "explicit", "singleton", "full"])
@@ -602,17 +607,42 @@ def test_lockstep_greedy_matches_one_call_per_list(
 
 def test_lockstep_greedy_splits_rounds_at_the_cell_cap(monkeypatch):
     inst = gen_random(14, 8, model="mnl", browsing="line", seed=0)
-    lists = [range(14), [0, 3, 5], [2], [1, 2, 3, 4, 5, 6], [0, 3, 5]]
+    # disjoint lists: round one holds one state over all 13 candidates, and
+    # no two greedies can pick alike, so round two holds one state per list
+    lists = [[0, 3, 5], [2], [1, 4, 6, 7], [8, 9, 10, 11, 12]]
     ev = WEvaluator(inst)
     want = [reference_partition_greedy(inst, c, ev) for c in lists]
-    # first-round cells of each greedy: support x candidates x m empty slots
-    cells = [len(ev.support) * len(c) * inst.m for c in lists]
-    split = cells[0] + cells[1]  # round one folds greedies 0-1, then 2-4
-    assert cells[0] < split < sum(cells) <= solvers._GREEDY_CELLS
+    # each state's cells: support x its candidates x empty locations
+    first = len(ev.support) * 13 * inst.m
+    second = [len(ev.support) * len(c) * (inst.m - 1) for c in lists]
+    split = second[0] + second[1]  # round two folds states 0-1, then 2-3
+    assert second[0] < split < sum(second) < first <= solvers._GREEDY_CELLS
     assert solvers._partition_greedy(inst, lists, WEvaluator(inst)) == want
     for cap in (1, split):
         monkeypatch.setattr(solvers, "_GREEDY_CELLS", cap)
         assert solvers._partition_greedy(inst, lists, WEvaluator(inst)) == want, cap
+
+
+def test_lockstep_greedy_subtracts_each_states_own_current():
+    # Greedy 0 offers only product 0, worth R({0}) = 1300/101, about 12.9.
+    # Greedies 1-3 all put product 1 first, worth R({1}) = 3.0, and share a
+    # state; in round two it folds next to greedy 0's. There product 2,
+    # priced 9 ulps above 3.0, gains R({1, 2}) - R({1}) = 3 ulps of 3.0,
+    # just above the 1e-15 tie margin, over product 1's exact 0. Measured
+    # from greedy 0's current instead, both gains sit near -9.9, where an
+    # ulp is 1.8e-15, and the margin would swallow product 2's lead.
+    products = [Product(0, 13.0), Product(1, 6.0), Product(2, 3.000000000000004)]
+    inst = Instance(products, MnlModel([100.0, 1.0, 1.0]), 2, full_support(2))
+    ev = WEvaluator(inst)
+    assert 1e-15 < ev.revenue({1, 2}) - ev.revenue({1}) < 2e-15
+    far = ev.revenue({0})
+    assert not ev.revenue({1, 2}) - far > ev.revenue({1}) - far + 1e-15
+    # greedy 2 scans the same set in the other order, and greedy 3 offers a
+    # prefix of it: it shares the first pick, then splits off
+    lists = [[0], [1, 2], [2, 1], [1]]
+    got = solvers._partition_greedy(inst, lists, WEvaluator(inst))
+    assert got == [reference_partition_greedy(inst, c, ev) for c in lists]
+    assert [slots for slots, _ in got] == [(0, 0), (1, 2), (1, 2), (1, 1)]
 
 
 def test_greedy_tie_rule_lower_product_then_lower_location():
