@@ -243,6 +243,7 @@ def cmd_verify(args) -> int:
 # parser
 
 
+@functools.cache  # built on first use, not at import; about 2 ms a build
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="placement-opt",

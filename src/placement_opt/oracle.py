@@ -23,6 +23,10 @@ _BATCH = 256
 # Scores (sizes x products) per lockstep pass of the MNL bisection. It bounds
 # the pass's arrays: more than half this many products bisect one size a pass.
 _MNL_CELLS = 1 << 14
+# Summing s nonnegative terms in any order lands within (s - 1) u S of their
+# sum S (Higham, Accuracy and Stability, 4.2): a running and a pairwise sum
+# differ by under (s - 1) eps S, so outside 8 times that both decide alike.
+_SLACK = 8 * np.finfo(float).eps
 
 
 def _pad_to_size(ids: frozenset[int], k: int, instance: Instance) -> frozenset[int]:
@@ -41,6 +45,20 @@ def _pad_to_size(ids: frozenset[int], k: int, instance: Instance) -> frozenset[i
     if len(out) != k:
         raise ValueError(f"assortment has {len(out)} > {k} members")
     return frozenset(out)
+
+
+def _reaches(top: np.ndarray, size: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per row r, ``top[r, :size[r]].sum() >= t[r]`` for nonnegative ``top``:
+    one running sum decides each row, ``_exact_reaches`` those in the band."""
+    approx = np.cumsum(top, axis=1)[np.arange(len(size)), size - 1]
+    up = approx >= t
+    for r in np.flatnonzero(np.abs(approx - t) <= _SLACK * size * approx).tolist():
+        up[r] = _exact_reaches(top[r, : size[r]], t[r])
+    return up
+
+
+def _exact_reaches(values: np.ndarray, t: float) -> bool:
+    return values.sum() >= t  # numpy's pairwise sum, as a lone bisection has it
 
 
 class AssortmentOracle:
@@ -161,23 +179,23 @@ class MnlExactOracle(AssortmentOracle):
         # still binds when the optimum is 0 and hi only halves.
         width = max(sizes)
         lo = np.zeros(len(sizes))
-        hi = np.full(len(sizes), float(self.instance.prices.max()))
-        live = np.arange(len(sizes))
+        # live rows' ids, sizes and bounds; a stopping row's lo goes to ``lo``
+        live, size = np.arange(len(sizes)), np.array(sizes)
+        low, high = lo.copy(), np.full(len(sizes), float(self.instance.prices.max()))
         for _ in range(_MNL_BISECT_ITERS):
-            mid = 0.5 * (lo[live] + hi[live])
+            mid = 0.5 * (low + high)
             # equal scores are interchangeable in a sum, so the values
             # alone give the gain; no ids need ranking
             top = np.maximum(-np.sort(-self._scores(mid), axis=1)[:, :width], 0.0)
-            # one contiguous row slice per size: the same pairwise sum as a
-            # bisection of that size alone
-            gain = [row[: sizes[i]].sum() for row, i in zip(top, live.tolist())]
-            up = np.array(gain) >= mid
-            stuck = np.where(up, mid == lo[live], mid == hi[live])
-            lo[live] = np.where(up, mid, lo[live])
-            hi[live] = np.where(up, hi[live], mid)
-            live = live[~stuck]
-            if not live.size:
-                break
+            up = _reaches(top, size, mid)
+            stuck = np.where(up, mid == low, mid == high)
+            low, high = np.where(up, mid, low), np.where(up, high, mid)
+            if stuck.any():
+                lo[live[stuck]] = low[stuck]
+                live, size, low, high = (a[~stuck] for a in (live, size, low, high))
+                if not live.size:
+                    break
+        lo[live] = low
         scores = self._scores(lo)
         # lower id first on ties
         order = np.argsort(-scores, axis=1, kind="stable")[:, :width]

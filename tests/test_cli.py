@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -163,6 +167,30 @@ def test_compare_builds_one_shared_oracle(tmp_path, monkeypatch):
     uniform = _markov_instance(tmp_path, prices=(2.0, 2.0))
     assert _compare(uniform, "brute,uniform-greedy", tmp_path / "none.json") == 0
     assert built == [], "brute and uniform-greedy use no oracle"
+
+
+def _without_ms(out):
+    doc = json.loads(out.read_text())
+    for row in doc["results"]:
+        row["report"].pop("ms")
+    return doc
+
+
+def test_parser_reused_after_a_bad_flag_matches_a_fresh_process(tmp_path):
+    # main builds its parser once per process: a parse error must leave it
+    # as fresh for the next call
+    path = _markov_instance(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run("solve", "--instance", str(path), "--algorithm", "bogus")
+    assert err.value.code == 2
+    argv = ["compare", "--instance", str(path), "--algorithms", "markov-greedy,randomized",
+            "--seed", "5", "-o"]
+    here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+    assert run(*argv, str(here)) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    cmd = [sys.executable, "-m", "placement_opt.cli", *argv, str(fresh)]
+    assert subprocess.run(cmd, env=env, timeout=120).returncode == 0
+    assert _without_ms(here) == _without_ms(fresh)
 
 
 def test_solve_randomized_is_reproducible(tmp_path):

@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placement_opt import oracle as oracle_module
 from placement_opt import (
@@ -178,6 +180,74 @@ def test_mnl_lockstep_splits_sizes_at_the_cell_cap(monkeypatch):
     _assert_lockstep_matches_reference(inst, ks, [1, rows, inst.m])
     assert passes[:3] == [ks[:rows], ks[rows : 2 * rows], ks[2 * rows :]]
     assert max(len(sizes) for sizes in passes) == rows
+
+
+# exact ties, signed zeros, subnormals, the extremes of the double range
+_ROW_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.0, 3.0, np.inf]),
+    st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+)
+
+
+@st.composite
+def _reaches_cases(draw):
+    """Rows of nonnegative values, their sizes, and per row a threshold at,
+    or one ulp either side of, the pairwise or the running sum of the row.
+    Some cases are built so that the two sums drift apart."""
+    # numpy's pairwise sum is sequential below 8 terms, unrolled by 8 up to
+    # 128 and splits in halves above
+    sizes = draw(st.lists(
+        st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)),
+        min_size=1, max_size=4,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(sizes), max(sizes))
+    pool = np.array(draw(st.lists(_ROW_VALUES, min_size=1, max_size=6)))
+    spread = 10.0 ** rng.uniform(-323.0, 300.0, shape)
+    tied = rng.random(shape) < draw(st.floats(0.0, 1.0))
+    top = np.where(tied, rng.choice(pool, shape), spread)
+    if draw(st.booleans()):
+        # a head, then terms of at most half its ulp: the running sum rounds
+        # each one away, the pairwise sum adds them up first
+        top[:, 0] = 10.0 ** rng.uniform(-290.0, 290.0, len(sizes))
+        top[:, 1:] = top[:, :1] * 2.0**-53
+    t = []
+    for r, s in enumerate(sizes):
+        sums = [top[r, :s].sum(), np.cumsum(top[r, :s])[-1]]
+        mid = draw(st.sampled_from(sums))
+        t.append(draw(st.sampled_from([mid, np.nextafter(mid, -1.0), np.nextafter(mid, np.inf)])))
+    return top, np.array(sizes), np.array(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reaches_cases())
+def test_batched_reach_decision_matches_pairwise_sum(case):
+    top, size, t = case
+    expected = [top[r, :s].sum() >= t[r] for r, s in enumerate(size.tolist())]
+    with np.errstate(invalid="ignore"):  # inf - inf where a row and t are inf
+        assert oracle_module._reaches(top, size, t).tolist() == expected
+
+
+def test_exact_sums_stay_a_minority_of_bisection_decisions(monkeypatch):
+    # every row re-summed exactly would still bisect bitwise, only slower
+    counts = {"rows": 0, "exact": 0}
+    reaches, exact = oracle_module._reaches, oracle_module._exact_reaches
+
+    def counted_reaches(top, size, t):
+        counts["rows"] += len(size)
+        return reaches(top, size, t)
+
+    def counted_exact(values, t):
+        counts["exact"] += 1
+        return exact(values, t)
+
+    monkeypatch.setattr(oracle_module, "_reaches", counted_reaches)
+    monkeypatch.setattr(oracle_module, "_exact_reaches", counted_exact)
+    oracle = MnlExactOracle(gen_random(100, 20, model="mnl", seed=0))
+    for k in range(1, 21):
+        oracle.best_assortment(k)
+    assert counts["rows"] > 1000
+    assert counts["exact"] < 0.25 * counts["rows"], counts
 
 
 def _brute_reference_instances():
