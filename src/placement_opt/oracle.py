@@ -27,6 +27,8 @@ _MNL_CELLS = 1 << 14
 # sum S (Higham, Accuracy and Stability, 4.2): a running and a pairwise sum
 # differ by under (s - 1) eps S, so outside 8 times that both decide alike.
 _SLACK = 8 * np.finfo(float).eps
+# The one tie rule: a record beats the best so far by more than this margin.
+_TIE = 1e-15
 
 
 def _pad_to_size(ids: frozenset[int], k: int, instance: Instance) -> frozenset[int]:
@@ -59,6 +61,16 @@ def _reaches(top: np.ndarray, size: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _exact_reaches(values: np.ndarray, t: float) -> bool:
     return values.sum() >= t  # numpy's pairwise sum, as a lone bisection has it
+
+
+def last_record(values, best: float = -np.inf) -> tuple[int | None, float]:
+    """(index of the last record in ``values`` or None, the best after it),
+    a record beating the best so far, from ``best``, by more than ``_TIE``."""
+    at = None
+    for i, v in enumerate(values):
+        if v > best + _TIE:
+            at, best = i, v
+    return at, best
 
 
 class AssortmentOracle:
@@ -98,8 +110,8 @@ class AssortmentOracle:
 class BruteForceOracle(AssortmentOracle):
     """Exact oracle by enumerating every subset of size at most k.
 
-    One pass visits sizes 1, 2, ... in ``combinations`` order and keeps a
-    new record whenever a revenue beats the best so far by more than 1e-15.
+    One pass visits sizes 1, 2, ... in ``combinations`` order and keeps the
+    last record ``last_record`` finds among the revenues, from 0.
     The pass for k is a prefix of the pass for k + 1, so the best after
     size s answers k = s, and a miss resumes after the largest size solved.
     Each size is scored in batches by ``ChoiceModel.revenues``, in all
@@ -132,10 +144,9 @@ class BruteForceOracle(AssortmentOracle):
                 revs = model.revenues(prices, ids)
                 # The record threshold only rises within a batch, so rows
                 # below the opening threshold can never become records.
-                for b in np.flatnonzero(revs > best_rev + 1e-15).tolist():
-                    rev = float(revs[b])
-                    if rev > best_rev + 1e-15:
-                        best, best_rev = frozenset(ids[b].tolist()), rev
+                rows = np.flatnonzero(revs > best_rev + _TIE)
+                at, best_rev = last_record(revs[rows].tolist(), best_rev)
+                best = best if at is None else frozenset(ids[rows[at]].tolist())
             out[s] = (best, best_rev)
         return out
 
@@ -211,9 +222,9 @@ class GreedyUniformOracle(AssortmentOracle):
     With one common price the revenue function is monotone submodular, so
     iteratively adding the best marginal product is (1 - 1/e)-approximate.
     Each round scores all its candidates in one ``ChoiceModel.revenues``
-    batch and keeps the first strict improvement in id order. The size-k
-    set is the first k rounds of the size-(k + 1) set, so a miss resumes
-    from the largest size solved and its running revenue.
+    batch and adds the candidate ``last_record`` picks from their gains in
+    id order. The size-k set is the first k rounds of the size-(k + 1) set,
+    so a miss resumes from the largest size solved and its running revenue.
     """
 
     alpha = 1.0 - 1.0 / np.e
@@ -238,13 +249,9 @@ class GreedyUniformOracle(AssortmentOracle):
         for s in range(done + 1, size + 1):
             cands = [i for i in range(self.instance.n) if i not in chosen]
             ids = np.array([sorted(chosen | {i}) for i in cands])
-            best_gain, best_i = -np.inf, None
-            for i, rev in zip(cands, model.revenues(prices, ids).tolist()):
-                gain = rev - current
-                if gain > best_gain + 1e-15:
-                    best_gain, best_i = gain, i
-            chosen = chosen | {best_i}
-            current += best_gain
+            at, gain = last_record((model.revenues(prices, ids) - current).tolist())
+            chosen = chosen | {cands[at]}
+            current += gain
             out[s] = (chosen, current)
         return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import asdict, dataclass
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ from .browsing import LineBrowsing
 from .choice import MarkovModel, MnlModel, expected_revenue
 from .core import EMPTY_SLOT, EnumerationUnsupportedError, Instance, SizeGuardError, canon
 from .estimation import EstimationPlan, estimate_w
-from .oracle import AssortmentOracle
+from .oracle import AssortmentOracle, last_record
 
 PLACEMENT_BRUTE_GUARD = 2_000_000
 # Trial cells (support x candidates x empty locations) per stacked gains fold
@@ -285,8 +285,9 @@ def _partition_greedy(
 
     Each greedy fills locations one product at a time, always taking the
     largest gain, one product per location (a partition constraint over
-    product-location pairs); candidates may repeat across locations. Ties
-    break toward the earlier candidate, then the lower location id.
+    product-location pairs); candidates may repeat across locations. Each
+    pick is the ``last_record`` of the gains in candidate-major order, so
+    ties break toward the earlier candidate, then the lower location id.
 
     Greedies whose picks so far agree share one state: slots, offered sets,
     current value and a table holding, for every visited set, the revenue
@@ -367,12 +368,9 @@ def _partition_greedy(
                 st_gains, gains = gains[: len(st_cols)], gains[len(st_cols) :]
                 picks: dict[tuple[int, int], tuple[float, list[int]]] = {}
                 for g, scan in zip(greedies, scans):
-                    best_gain, best_pair = -np.inf, None
-                    for t in scan:
-                        for j, gain in zip(empty_lists, st_gains[t]):
-                            if gain > best_gain + 1e-15:
-                                best_gain, best_pair = gain, (t, j)
-                    picks.setdefault(best_pair, (best_gain, []))[1].append(g)
+                    at, gain = last_record(chain.from_iterable(st_gains[t] for t in scan))
+                    pair = scan[at // size], empty_lists[at % size]
+                    picks.setdefault(pair, (gain, []))[1].append(g)
                 # each group of greedies that picked alike continues as one
                 # state; the first group keeps the shared one, so it goes last
                 lead = greedies[0]

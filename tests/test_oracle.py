@@ -1,6 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from math import comb
+from math import comb, nextafter
 
 import numpy as np
 import pytest
@@ -226,6 +226,59 @@ def test_batched_reach_decision_matches_pairwise_sum(case):
     expected = [top[r, :s].sum() >= t[r] for r, s in enumerate(size.tolist())]
     with np.errstate(invalid="ignore"):  # inf - inf where a row and t are inf
         assert oracle_module._reaches(top, size, t).tolist() == expected
+
+
+def _plain_records(values, best):
+    """The tie rule written out: index and value of the last record."""
+    at = None
+    for i, v in enumerate(values):
+        if v > best + 1e-15:
+            at, best = i, v
+    return at, best
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-15, nextafter(1e-15, 1.0)]
+_STEPS = [0.0, 5e-16, 1e-15, 2e-15, "up", "down"]  # "up" / "down": one ulp
+
+
+@st.composite
+def _record_values(draw):
+    """Ladders of near ties (steps of 0, one ulp, inside and just past 1e-15)
+    from signed zeros, infinities, NaN or any float, among arbitrary floats."""
+    values = []
+    for _ in range(draw(st.integers(0, 4))):
+        x = draw(st.one_of(st.sampled_from(_SPECIAL), st.floats(-4.0, 4.0)))
+        values.append(x)
+        for step in draw(st.lists(st.sampled_from(_STEPS), max_size=6)):
+            if isinstance(step, str):
+                x = nextafter(x, np.inf if step == "up" else -np.inf)
+            else:
+                x += step
+            values.append(x)
+        values += draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=2))
+    return values
+
+
+@settings(max_examples=400, deadline=None)
+@given(_record_values(), st.one_of(st.sampled_from(_SPECIAL), st.floats()))
+def test_last_record_matches_plain_loop(values, best):
+    # no best given starts from -inf; every source, generators too, alike
+    for carried, start in (((), -np.inf), ((best,), best)):
+        at, top = _plain_records(values, start)
+        for source in (values, iter(values), (v for v in values)):
+            got, got_top = oracle_module.last_record(source, *carried)
+            assert (got, got_top.hex()) == (at, top.hex())
+
+
+def test_last_record_edges():
+    assert oracle_module.last_record([]) == (None, -np.inf)
+    assert oracle_module.last_record(iter([]), 2.0) == (None, 2.0)
+    # within the margin the earlier value stays the record; past it, the later
+    assert oracle_module.last_record([1.0, nextafter(1.0, 2.0), 1.0 + 1e-15]) == (0, 1.0)
+    assert oracle_module.last_record([1.0, 1.0 + 2e-15]) == (1, 1.0 + 2e-15)
+    assert oracle_module.last_record([np.nan, -np.inf, 0.0, -0.0]) == (2, 0.0)
+    at, best = oracle_module.last_record([-0.0, 0.0])
+    assert (at, best.hex()) == (0, (-0.0).hex())
 
 
 def test_exact_sums_stay_a_minority_of_bisection_decisions(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 from itertools import product as iter_product
+from math import nextafter
 
 import numpy as np
 import pytest
@@ -643,6 +644,20 @@ def test_lockstep_greedy_subtracts_each_states_own_current():
     got = solvers._partition_greedy(inst, lists, WEvaluator(inst))
     assert got == [reference_partition_greedy(inst, c, ev) for c in lists]
     assert [slots for slots, _ in got] == [(0, 0), (1, 2), (1, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("browsing", [LineBrowsing([0.5, 0.5]), full_support(2)])
+def test_partition_greedy_keeps_the_earlier_of_near_tied_candidates(browsing):
+    # prices one ulp apart under equal weights: product 1 leads product 0 by
+    # under the 1e-15 tie margin, so whichever a list names first goes first
+    products = [Product(0, 2.0), Product(1, nextafter(2.0, 3.0))]
+    inst = Instance(products, MnlModel([1.0, 1.0]), 2, browsing)
+    ev = WEvaluator(inst)
+    assert 0.0 < ev.revenue({1}) - ev.revenue({0}) < 1e-15
+    lists = [[0, 1], [1, 0], [1]]
+    got = solvers._partition_greedy(inst, lists, WEvaluator(inst))
+    assert got == [reference_partition_greedy(inst, c, ev) for c in lists]
+    assert [slots for slots, _ in got] == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_greedy_tie_rule_lower_product_then_lower_location():
