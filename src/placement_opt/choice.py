@@ -17,16 +17,27 @@ import numpy as np
 from .core import _reals, as_int, canon
 
 _PROB_TOL = 1e-9
+_EPS = np.finfo(float).eps
+
+
+def _revenue_rows(prices: np.ndarray, ids: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Row sums of ``r_i p_i``, a column at a time in id order as ``expected_revenue``."""
+    rev = np.zeros(len(ids))
+    for col in range(ids.shape[1]):
+        rev = rev + prices[ids[:, col]] * probs[:, col]
+    return rev
 
 
 class ChoiceModel:
     """Base class. Subclasses implement ``_batch_probs`` over rows of sorted ids.
 
     Models are immutable values: nothing is stored per assortment, so
-    concurrent readers need no lock.
+    concurrent readers need no lock. ``prob_error`` bounds the absolute error
+    of each ``_batch_probs`` entry (u = eps / 2); ``inf`` makes brute force score all.
     """
 
     n: int
+    prob_error: float = np.inf
 
     def choice_probs(self, assortment: Iterable[int]) -> dict[int, float]:
         """Purchase probability for every product in the assortment."""
@@ -60,12 +71,7 @@ class ChoiceModel:
             return np.zeros(len(ids))
         if ids.min() < 0 or ids.max() >= self.n:
             raise ValueError("unknown product id in assortment batch")
-        prices = np.asarray(prices, dtype=float)
-        probs = self._batch_probs(ids)
-        rev = np.zeros(len(ids))
-        for col in range(ids.shape[1]):
-            rev = rev + prices[ids[:, col]] * probs[:, col]
-        return rev
+        return _revenue_rows(np.asarray(prices, dtype=float), ids, self._batch_probs(ids))
 
     def _batch_probs(self, ids: np.ndarray) -> np.ndarray:
         """``(B, s)`` purchase probabilities for ``(B, s)`` sorted valid ids."""
@@ -90,6 +96,7 @@ class MnlModel(ChoiceModel):
             raise ValueError("weights must be finite and nonnegative")
         self.weights = w
         self.n = int(w.size)
+        self.prob_error = (self.n + 2) * _EPS  # sum, 1 +, divide; p <= 1
 
     def _batch_probs(self, ids):
         w = self.weights[ids]
@@ -120,6 +127,7 @@ class MmnlModel(ChoiceModel):
         self.thetas = thetas
         self.weight_matrix = matrix
         self.n = int(n)
+        self.prob_error = (self.n + len(thetas) + 2) * _EPS  # MNLs, times theta, summed
 
     def _batch_probs(self, ids):
         cols = self.weight_matrix[:, ids]  # segment x row x column
@@ -177,6 +185,18 @@ class MarkovModel(ChoiceModel):
         self.arrival = lam
         self.transitions = rho
         self.n = int(lam.size) - 1
+        # t0 = ||(I - Q)^-1||_inf unoffered, the longest expected walk; offering
+        # shortens walks, so every ``_batch_probs`` system has kappa_inf <= 2 t0.
+        # I - Q is row diagonally dominant (pivot growth <= 2), so LU's hit
+        # probabilities are off by <= 2 x, x = 24 n^3 u t0 (Higham, 9.3), while
+        # x <= 1/2; past that the bound exceeds 2 and every subset is solved.
+        # 48 = 2 * 24 covers the rounding of t0 itself, n + 1 the final sum. A t0
+        # below 1 (every walk visits a state) is rounding garbage: inf.
+        try:
+            t0 = np.linalg.solve(np.eye(self.n) - rho[1:, 1:], np.ones(self.n)).max()
+        except np.linalg.LinAlgError:
+            t0 = np.inf
+        self.prob_error = (48 * self.n**3 * (t0 if t0 >= 1.0 else np.inf) + self.n + 1) * _EPS
 
     def _batch_probs(self, ids):
         # States {quit} | offered are made absorbing, and each row solves the
@@ -240,6 +260,7 @@ class RankedListModel(ChoiceModel):
         for row, order in zip(self._ranks, orders):
             row[list(order)] = np.arange(len(order))
         self._list_probs = probs
+        self.prob_error = (n + len(orders)) * _EPS  # a sum of one probability per list
 
     def _batch_probs(self, ids):
         ranks = self._ranks[:, ids]  # list x row x column

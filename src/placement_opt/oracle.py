@@ -10,15 +10,16 @@ topped up first with the highest-price product and then with padding ids
 from __future__ import annotations
 
 from itertools import chain, combinations, islice
+from math import comb
 
 import numpy as np
 
-from .choice import MnlModel
+from .choice import _EPS, MnlModel, _revenue_rows
 from .core import Instance, SizeGuardError
 
 BRUTE_FORCE_MAX_N = 22
 _MNL_BISECT_ITERS = 200
-# Subsets per ``revenues`` call in the brute-force pass; bounds the id array.
+# Subsets per block of the brute-force pass; bounds its temporaries.
 _BATCH = 256
 # Scores (sizes x products) per lockstep pass of the MNL bisection. It bounds
 # the pass's arrays: more than half this many products bisect one size a pass.
@@ -26,7 +27,7 @@ _MNL_CELLS = 1 << 14
 # Summing s nonnegative terms in any order lands within (s - 1) u S of their
 # sum S (Higham, Accuracy and Stability, 4.2): a running and a pairwise sum
 # differ by under (s - 1) eps S, so outside 8 times that both decide alike.
-_SLACK = 8 * np.finfo(float).eps
+_SLACK = 8 * _EPS
 # The one tie rule: a record beats the best so far by more than this margin.
 _TIE = 1e-15
 
@@ -61,6 +62,22 @@ def _reaches(top: np.ndarray, size: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _exact_reaches(values: np.ndarray, t: float) -> bool:
     return values.sum() >= t  # numpy's pairwise sum, as a lone bisection has it
+
+
+def _sub_bounds(prev: np.ndarray, ids: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Per row of ``ids`` and member, the least bound ``prev`` holds for that
+    member over the row's subsets without one other member (inf if none).
+    ``prev`` has one row per subset of size s - 1 in ``combinations`` order,
+    where c_0 < c_1 < ... has rank C(n, k) - 1 - sum_q C(n - 1 - c_q, k - q)."""
+    s = ids.shape[1]
+    p, r = np.arange(s), np.arange(s - 1)[:, None]
+    rest = len(binom) - 1 - ids
+    # rank without member i: later members move down one (exact: ranks < 2^53)
+    ranks = len(prev) - 1 - binom[rest, s - 1 - p] @ (p[:, None] < p)
+    ranks -= binom[rest, s - p] @ (p[:, None] > p)
+    # [row, r, member j]: the r-th dropped member i != j, where j sits at j - (i < j)
+    src = ranks[:, r + (r >= p)] * (s - 1) + p - (r < p)
+    return prev.ravel()[src.astype(np.intp)].min(axis=1, initial=np.inf)
 
 
 def last_record(values, best: float = -np.inf) -> tuple[int | None, float]:
@@ -108,14 +125,16 @@ class AssortmentOracle:
 
 
 class BruteForceOracle(AssortmentOracle):
-    """Exact oracle by enumerating every subset of size at most k.
+    """Exact oracle over the subsets of size at most k.
 
-    One pass visits sizes 1, 2, ... in ``combinations`` order and keeps the
-    last record ``last_record`` finds among the revenues, from 0.
-    The pass for k is a prefix of the pass for k + 1, so the best after
-    size s answers k = s, and a miss resumes after the largest size solved.
-    Each size is scored in batches by ``ChoiceModel.revenues``, in all
-    ``sum_{s <= min(m, n)} C(n, s)`` subsets.
+    One pass settles every size up to min(m, n) in ``combinations`` order,
+    keeping the last record ``last_record`` finds, from 0: the best after
+    size s answers k = s. Substitutability, ``P_j(S) <= P_j(S - {i})``,
+    bounds ``R(S) <= sum_j r_j min_{i != j} P_j(S - {i})``, read from a
+    per-size table of probability bounds (a solved subset's probabilities,
+    a skipped one's propagated minima). In ``_BATCH``-row blocks, only
+    subsets whose bound plus a rounding margin beats the best so far are
+    solved, so the answers are those of scoring every subset.
     """
 
     alpha = 1.0
@@ -129,24 +148,33 @@ class BruteForceOracle(AssortmentOracle):
             )
 
     def _pass(self, size, answers):
-        model = self.instance.choice_model
-        prices = self.instance.prices
-        done = max(answers, default=0)
-        best, best_rev = answers.get(done, (frozenset(), 0.0))
-        out = {}
-        for s in range(done + 1, size + 1):
-            subsets = combinations(range(self.instance.n), s)
-            while True:
-                flat = chain.from_iterable(islice(subsets, _BATCH))
-                ids = np.fromiter(flat, dtype=np.intp).reshape(-1, s)
-                if not len(ids):
-                    break
-                revs = model.revenues(prices, ids)
+        model, prices, n = self.instance.choice_model, self.instance.prices, self.instance.n
+        binom = np.array([[comb(a, k) for k in range(n + 1)] for a in range(n)], dtype=float)
+        best, best_rev, out, bounds = frozenset(), 0.0, {}, np.zeros((1, 0))  # size 0: {}
+        for s in range(1, min(self.instance.m, n) + 1):
+            prev, bounds = bounds, np.empty((comb(n, s), s))
+            subsets = combinations(range(n), s)
+            for start in range(0, len(bounds), _BATCH):
+                ids = np.fromiter(chain.from_iterable(islice(subsets, _BATCH)), dtype=np.intp)
+                ids = ids.reshape(-1, s)
+                block = bounds[start : start + _BATCH]
+                block[:] = _sub_bounds(prev, ids, binom)
+                # By induction a stored bound is >= P_j - err (err =
+                # ``prob_error``), so a computed P_j is <= its bound + 2 err,
+                # and each of the two s-term sums rounds by < s^2 u r_max: a
+                # skipped subset's revenue is <= the best, never a record.
+                with np.errstate(invalid="ignore"):  # 0 * inf is nan: solved
+                    margin = 2 * s * prices.max() * (model.prob_error + s * _EPS)
+                    rows = np.flatnonzero(~(_revenue_rows(prices, ids, block) + margin <= best_rev))
+                if not rows.size:
+                    continue
+                probs = block[rows] = model._batch_probs(ids[rows])
+                revs = _revenue_rows(prices, ids[rows], probs)
                 # The record threshold only rises within a batch, so rows
                 # below the opening threshold can never become records.
-                rows = np.flatnonzero(revs > best_rev + _TIE)
-                at, best_rev = last_record(revs[rows].tolist(), best_rev)
-                best = best if at is None else frozenset(ids[rows[at]].tolist())
+                keep = np.flatnonzero(revs > best_rev + _TIE)
+                at, best_rev = last_record(revs[keep].tolist(), best_rev)
+                best = best if at is None else frozenset(ids[rows[keep[at]]].tolist())
             out[s] = (best, best_rev)
         return out
 

@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
 from math import comb, nextafter
 
 import numpy as np
@@ -13,9 +14,12 @@ from placement_opt import (
     GreedyUniformOracle,
     Instance,
     LineBrowsing,
+    MarkovModel,
+    MmnlModel,
     MnlExactOracle,
     MnlModel,
     Product,
+    RankedListModel,
     SizeGuardError,
     exact_oracle,
     expected_revenue,
@@ -343,27 +347,133 @@ def test_brute_force_matches_per_k_reference(monkeypatch, batch):
             assert got == expected, (inst.n, m, type(inst.choice_model).__name__)
 
 
+def _spy_scored(monkeypatch, model):
+    """List that collects every subset the model's ``_batch_probs`` scores."""
+    scored = []
+    real = model._batch_probs
+
+    def spy(ids):
+        scored.extend(map(tuple, ids.tolist()))
+        return real(ids)
+
+    monkeypatch.setattr(model, "_batch_probs", spy)
+    return scored
+
+
 def test_brute_force_scores_each_size_once_and_memoizes(monkeypatch):
     inst = gen_random(7, 5, model="markov", seed=3)
-    model = inst.choice_model
-    real = model.revenues
-    sizes = []
-
-    def spy(prices, ids):
-        sizes.extend([ids.shape[1]] * len(ids))
-        return real(prices, ids)
-
-    monkeypatch.setattr(model, "revenues", spy)
+    expected = {k: reference_brute_oracle(inst, k) for k in range(1, 6)}
+    scored = _spy_scored(monkeypatch, inst.choice_model)
     oracle = BruteForceOracle(inst)
     first = oracle.best_assortment(3)
-    assert sorted(sizes) == sorted(s for s in range(1, 4) for _ in range(comb(7, s)))
-    sizes.clear()
-    assert oracle.best_assortment(3) == first
-    assert oracle.best_assortment(1) == reference_brute_oracle(inst, 1)
-    assert sizes == []
-    assert oracle.best_assortment(5) == reference_brute_oracle(inst, 5)
-    assert sorted(set(sizes)) == [4, 5]
-    assert len(sizes) == comb(7, 4) + comb(7, 5)
+    # the first call settles every size up to min(m, n), scoring no subset
+    # twice; every single product is scored, larger subsets only as needed
+    assert sorted(oracle._answers) == [1, 2, 3, 4, 5]
+    assert len(set(scored)) == len(scored) < sum(comb(7, s) for s in range(1, 6))
+    assert {len(ids) for ids in scored} <= {1, 2, 3, 4, 5}
+    assert sorted(ids for ids in scored if len(ids) == 1) == [(i,) for i in range(7)]
+    scored.clear()
+    assert first == expected[3]
+    assert {k: oracle.best_assortment(k) for k in (3, 1, 5, 4, 2)} == expected
+    assert scored == []
+
+
+def _reference_answers(instance):
+    """size -> (set, revenue) of the per-subset record loop, unpadded."""
+    model, prices = instance.choice_model, instance.prices
+    best, best_rev, out = frozenset(), 0.0, {}
+    for size in range(1, min(instance.m, instance.n) + 1):
+        for subset in combinations(range(instance.n), size):
+            rev = expected_revenue(model, prices, subset)
+            if rev > best_rev + 1e-15:
+                best, best_rev = frozenset(subset), rev
+        out[size] = (best, best_rev)
+    return out
+
+
+def _line_instance(prices, model, m):
+    products = [Product(i, float(p)) for i, p in enumerate(prices)]
+    return Instance(products, model, m, LineBrowsing([1.0] + [0.0] * (m - 1)))
+
+
+def _quit_now(n):
+    """Transitions where every product goes straight to quit: P_j(S) = arrival[j + 1]."""
+    rho = np.zeros((n + 1, n + 1))
+    rho[:, 0] = 1.0
+    return rho
+
+
+def _leaking(n, leak=1e-12):
+    """Transitions among the products that reach quit only with probability ``leak``."""
+    rho = np.zeros((n + 1, n + 1))
+    rho[1:, 1:] = (1.0 - leak) / (n - 1) * (1.0 - np.eye(n))
+    rho[0, 0] = 1.0
+    rho[1:, 0] = leak
+    return rho
+
+
+def _bound_instances():
+    """Random instances of every family with m < n, m = n and m > n, and
+    cases where the revenue bound is tight or the Markov error bound huge."""
+    insts = [
+        gen_random(n, m, model=family, seed=n + m)
+        for family in ("mnl", "mmnl", "markov", "ranked")
+        for n, m in ((8, 4), (7, 7), (5, 7))
+    ]
+    rng = np.random.default_rng(20)
+    for n in (4, 7):
+        for step in (0.0, np.spacing(2.0), 1e-15, 1e-13):
+            prices = 2.0 + step * np.arange(n)
+            arrival = rng.dirichlet(np.ones(n + 1))
+            for model in (
+                MarkovModel(arrival, _quit_now(n)),  # UB(S) = R(S)
+                MarkovModel(np.full(n + 1, 1.0 / (n + 1)), _quit_now(n)),
+                MarkovModel(arrival, _leaking(n)),
+                MnlModel(np.ones(n)),
+                MmnlModel([(0.5, np.ones(n)), (0.5, rng.uniform(0.5, 2.0, n))]),
+                RankedListModel([(0.5, list(range(n))), (0.5, list(range(n))[::-1])], n),
+            ):
+                insts.append(_line_instance(prices, model, n - 1))
+    # A zero-weight product leaves every other probability as it is, so a set
+    # with one ties the set without it and its bound is tight. From 8 members
+    # numpy's sum groups the weights by position, so the zero regroups them,
+    # and at revenues near 1000 the ulps that moves clear the 1e-15 record
+    # margin: without the rounding margin the pass skips those records.
+    for seed in (0, 3):
+        rng = np.random.default_rng(seed)
+        weights = np.where(rng.random(12) < 0.3, 0.0, rng.uniform(0.5, 3.0, 12))
+        insts.append(_line_instance(rng.uniform(1000.0, 1001.0, 12), MnlModel(weights), 12))
+    return insts
+
+
+@pytest.mark.parametrize("batch", [oracle_module._BATCH, 3])
+def test_bounded_brute_force_answers_equal_the_full_enumeration(monkeypatch, batch):
+    monkeypatch.setattr(oracle_module, "_BATCH", batch)
+    for inst in _bound_instances():
+        oracle = BruteForceOracle(inst)
+        oracle.best_assortment(1)
+        expected = _reference_answers(inst)
+        assert sorted(oracle._answers) == sorted(expected)
+        for size, (got, rev) in oracle._answers.items():
+            # the reference's revenue is expected_revenue of its set
+            want, want_rev = expected[size]
+            assert (got, rev.hex()) == (want, want_rev.hex()), size
+
+
+def test_markov_error_bound_grows_with_the_longest_walk():
+    arrival = np.full(6, 1.0 / 6)
+    short = MarkovModel(arrival, _quit_now(5)).prob_error  # every walk one step
+    assert 0.0 < short < 1e-10
+    # walks of about 1e12 steps: the bound is useless, so everything is solved
+    assert MarkovModel(arrival, _leaking(5)).prob_error > 1.0
+
+
+def test_bounded_brute_force_solves_a_minority_of_subsets(monkeypatch):
+    inst = gen_random(13, 6, model="markov", browsing="explicit", seed=0)
+    scored = _spy_scored(monkeypatch, inst.choice_model)
+    BruteForceOracle(inst).best_assortment(6)
+    total = sum(comb(13, s) for s in range(1, 7))  # 4,095
+    assert len(set(scored)) == len(scored) < 0.3 * total, len(scored)
 
 
 @pytest.mark.parametrize("family", ["mnl", "mmnl", "markov", "ranked"])
