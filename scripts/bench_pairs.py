@@ -18,6 +18,10 @@ change won, plus failed ops, the run settings and host provenance. Each
 side is named by its short commit hash (a working tree that differs from
 its HEAD as ``<hash>+dirty``) and by ``src_sha256``, the ``tree_digest``
 of the ``src/`` it ran, which can be recomputed on any later checkout.
+
+If a run exits nonzero, the pairs completed so far are still summarized
+and written, with a ``failed_run`` entry (workload, side, pair, exit code
+and the tail of its stderr), and the script exits 1.
 """
 
 from __future__ import annotations
@@ -92,8 +96,7 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: 
     if argv[0] in ("python", "python3"):
         argv[0] = sys.executable
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RuntimeError(f"{workload} in {tree} exited {done.returncode}:\n{done.stderr}")
+    done.check_returncode()
     return last_json(done.stdout)
 
 
@@ -170,18 +173,30 @@ def main(argv=None) -> int:
         shutil.rmtree(trees["base"] / "bench", ignore_errors=True)
         shutil.copytree(trees["change"] / "bench", trees["base"] / "bench")
         runs: dict[str, list[dict]] = {w: [] for w in workloads}
-        for i in range(args.pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for workload in workloads:
-                pair = {
-                    side: run_once(trees[side], spec["command"], workload, args.seed, args.seconds)
-                    for side in order
-                }
-                runs[workload].append(pair)
-                print(f"pair {i + 1}/{args.pairs} {workload}: " + ", ".join(
-                    f"{side} op_p50_s {pair[side]['metrics']['op_p50_s']['value']:.4g}"
-                    for side in SIDES
-                ), file=sys.stderr)
+        failed_run = None
+        try:
+            for i in range(args.pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                for workload in workloads:
+                    pair = {}
+                    for side in order:
+                        pair[side] = run_once(
+                            trees[side], spec["command"], workload, args.seed, args.seconds
+                        )
+                    runs[workload].append(pair)
+                    print(f"pair {i + 1}/{args.pairs} {workload}: " + ", ".join(
+                        f"{side} op_p50_s {pair[side]['metrics']['op_p50_s']['value']:.4g}"
+                        for side in SIDES
+                    ), file=sys.stderr)
+        except subprocess.CalledProcessError as err:
+            failed_run = {
+                "workload": workload,
+                "side": side,
+                "pair": i + 1,
+                "exit": err.returncode,
+                "stderr_tail": err.stderr.splitlines()[-20:],
+            }
+            print(f"pair {i + 1} {workload}: {side} exited {err.returncode}", file=sys.stderr)
     result = {
         "base": labels["base"],
         "change": labels["change"],
@@ -190,10 +205,12 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "host": {"at_start": started, "at_end": host()},
-        "workloads": {w: summarize(spec["end_to_end"], runs[w]) for w in workloads},
+        "workloads": {w: summarize(spec["end_to_end"], runs[w]) for w in workloads if runs[w]},
     }
+    if failed_run:
+        result["failed_run"] = failed_run
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    return 0
+    return 1 if failed_run else 0
 
 
 if __name__ == "__main__":

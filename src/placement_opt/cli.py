@@ -225,8 +225,13 @@ def cmd_verify(args) -> int:
         truth = evaluate_exact(instance, slots)
         plan = EstimationPlan.for_instance(instance, 0.2, 0.1)
         rng = substream(args.seed, "estimation")
+        # The plan pins each estimate of this placement within 0.2 R({i*}) / m
+        # and opt >= p R({i*}), p the chance of visiting any location: the
+        # tolerance is 0.2 opt / min(1, m p).
+        p = sum(prob for locations, prob in instance.browsing.support() if locations)
         hits = sum(
-            abs(estimate_w(instance, slots, plan, rng)[0] - truth) <= 0.2 * opt
+            abs(estimate_w(instance, slots, plan, rng)[0] - truth) * min(1.0, instance.m * p)
+            <= 0.2 * opt
             for _ in range(50)
         )
         if opt > 0 and hits < 40:  # plan guarantees >= 1 - 2*delta = 80%

@@ -3,9 +3,12 @@
 Each sample is a visited location set; its value is the exact conditional
 expected revenue of the products placed there (not a simulated purchase),
 which keeps the estimator unbiased while shrinking variance. Sample counts
-follow the Hoeffding bound m^2 ln(1/delta) / (2 eps^2), which pins the
-estimate within eps * OPT of the truth with probability at least
-1 - 2*delta.
+follow the Hoeffding bound m^2 ln(1/delta) / (2 eps^2): with sample values
+in [0, R], the estimate lies within eps * R / m of the truth with
+probability at least 1 - 2*delta. For the top-price product i* in every
+slot, R = R({i*}) and OPT >= p R({i*}), p the probability of visiting at
+least one location, so the tolerance is eps * OPT / min(1, m p): it is
+eps * OPT only when m p >= 1.
 """
 
 from __future__ import annotations
@@ -144,12 +147,9 @@ def select_best(
         raise ValueError("need at least one candidate placement")
     per_candidate = plan
     if union_bound and len(placements) > 1:
-        shared_delta = plan.delta / len(placements)
+        shared = sample_size(instance.m, plan.epsilon, plan.delta / len(placements))
         per_candidate = EstimationPlan(
-            plan.epsilon,
-            plan.delta,
-            sample_size(instance.m, plan.epsilon, shared_delta),
-            plan.r_star_bound,
+            plan.epsilon, plan.delta, max(plan.samples, shared), plan.r_star_bound
         )
     values = [
         estimate_w(instance, slots, per_candidate, rng)[0] for slots in placements

@@ -21,8 +21,8 @@ BRUTE_FORCE_MAX_N = 22
 _MNL_BISECT_ITERS = 200
 # Subsets per block of the brute-force pass; bounds its temporaries.
 _BATCH = 256
-# Scores (sizes x products) per lockstep pass of the MNL bisection. It bounds
-# the pass's arrays: more than half this many products bisect one size a pass.
+# Scores (sizes x products) per lockstep chunk of the MNL bisection. It bounds
+# a chunk's arrays: more than half this many products bisect one size a chunk.
 _MNL_CELLS = 1 << 14
 # Summing s nonnegative terms in any order lands within (s - 1) u S of their
 # sum S (Higham, Accuracy and Stability, 4.2): a running and a pairwise sum
@@ -94,10 +94,10 @@ class AssortmentOracle:
     """Interface: ``best_assortment(k)`` with guaranteed factor ``alpha``.
 
     Each oracle keeps one table, ``_answers``: size -> (unpadded set,
-    revenue the pass reached). A miss runs the subclass's ``_pass``, which
-    may settle other sizes too, so solvers sharing one oracle pay for each
-    size once. The table is replaced whole, never mutated, so a concurrent
-    caller sees an old table or a new one and at worst repeats a pass.
+    revenue the pass reached) for every size 1..min(m, n), built by one
+    call of the subclass's ``_pass`` on the first ``best_assortment``.
+    Threads racing on that call may each build a table; the tables are
+    equal, and each assignment publishes a complete one.
     """
 
     alpha: float
@@ -110,17 +110,12 @@ class AssortmentOracle:
         """Size-k assortment with revenue >= alpha * optimum over <= k sets."""
         if not 1 <= k <= self.instance.m:
             raise ValueError(f"cardinality {k} outside [1, {self.instance.m}]")
-        return _pad_to_size(self._solve(min(k, self.instance.n)), k, self.instance)
+        if not self._answers:
+            self._answers = self._pass(min(self.instance.m, self.instance.n))
+        return _pad_to_size(self._answers[min(k, self.instance.n)][0], k, self.instance)
 
-    def _solve(self, size: int) -> frozenset[int]:
-        """Unpadded answer for one size, from the table or a fresh pass."""
-        answers = self._answers
-        if size not in answers:
-            answers = self._answers = {**answers, **self._pass(size, answers)}
-        return answers[size][0]
-
-    def _pass(self, size, answers) -> dict[int, tuple[frozenset[int], float]]:
-        """Entries for ``size`` and any other sizes the same work settles."""
+    def _pass(self, top: int) -> dict[int, tuple[frozenset[int], float]]:
+        """Entries for every size 1..top."""
         raise NotImplementedError
 
 
@@ -147,11 +142,11 @@ class BruteForceOracle(AssortmentOracle):
                 f"got {instance.n}"
             )
 
-    def _pass(self, size, answers):
+    def _pass(self, top):
         model, prices, n = self.instance.choice_model, self.instance.prices, self.instance.n
         binom = np.array([[comb(a, k) for k in range(n + 1)] for a in range(n)], dtype=float)
         best, best_rev, out, bounds = frozenset(), 0.0, {}, np.zeros((1, 0))  # size 0: {}
-        for s in range(1, min(self.instance.m, n) + 1):
+        for s in range(1, top + 1):
             prev, bounds = bounds, np.empty((comb(n, s), s))
             subsets = combinations(range(n), s)
             for start in range(0, len(bounds), _BATCH):
@@ -187,10 +182,9 @@ class MnlExactOracle(AssortmentOracle):
     monotone in t, so bisection pins the optimum and the final threshold
     reconstructs the set. Ties in v_i (r_i - t) go to the lower id.
 
-    A miss for k bisects k together with the other unsolved sizes up to
-    min(m, n), one row per size and at most ``_MNL_CELLS // n`` rows at a
-    time, so one pass usually answers every k a solver asks. Every row
-    takes the steps a bisection of its size alone would: the same
+    The pass bisects every size up to min(m, n) in lockstep, one row per
+    size, in ascending chunks of at most ``_MNL_CELLS // n`` rows. Every
+    row takes the steps a bisection of its size alone would: the same
     midpoints, the same test and the same early exit.
     """
 
@@ -201,12 +195,10 @@ class MnlExactOracle(AssortmentOracle):
         if not isinstance(instance.choice_model, MnlModel):
             raise ValueError("MnlExactOracle requires an MNL choice model")
 
-    def _pass(self, size, answers):
-        n = self.instance.n
-        rest = range(1, min(self.instance.m, n) + 1)
-        rest = [s for s in rest if s != size and s not in answers]
-        sizes = [size] + rest[: max(1, _MNL_CELLS // n) - 1]
-        return dict(zip(sizes, self._bisect(sizes)))
+    def _pass(self, top):
+        sizes, rows = list(range(1, top + 1)), max(1, _MNL_CELLS // self.instance.n)
+        chunks = [sizes[i : i + rows] for i in range(0, top, rows)]
+        return {s: answer for c in chunks for s, answer in zip(c, self._bisect(c))}
 
     def _scores(self, t: np.ndarray) -> np.ndarray:
         """Scores v_i (r_i - t), one row per threshold t."""
@@ -251,8 +243,8 @@ class GreedyUniformOracle(AssortmentOracle):
     iteratively adding the best marginal product is (1 - 1/e)-approximate.
     Each round scores all its candidates in one ``ChoiceModel.revenues``
     batch and adds the candidate ``last_record`` picks from their gains in
-    id order. The size-k set is the first k rounds of the size-(k + 1) set,
-    so a miss resumes from the largest size solved and its running revenue.
+    id order. The size-k set is the first k rounds, so one pass of
+    min(m, n) rounds from the empty set answers every k.
     """
 
     alpha = 1.0 - 1.0 / np.e
@@ -262,19 +254,11 @@ class GreedyUniformOracle(AssortmentOracle):
         if np.ptp(instance.prices) != 0.0:
             raise ValueError("GreedyUniformOracle requires identical prices")
 
-    def greedy_assortment(self, k: int) -> frozenset[int]:
-        """Unpadded greedy set of exactly k real products (0 <= k <= n)."""
-        if not 0 <= k <= self.instance.n:
-            raise ValueError(f"cardinality {k} outside [0, {self.instance.n}]")
-        return frozenset() if k == 0 else self._solve(k)
-
-    def _pass(self, size, answers):
+    def _pass(self, top):
         model = self.instance.choice_model
         prices = self.instance.prices
-        done = max(answers, default=0)
-        chosen, current = answers.get(done, (frozenset(), 0.0))
-        out = {}
-        for s in range(done + 1, size + 1):
+        chosen, current, out = frozenset(), 0.0, {}
+        for s in range(1, top + 1):
             cands = [i for i in range(self.instance.n) if i not in chosen]
             ids = np.array([sorted(chosen | {i}) for i in cands])
             at, gain = last_record((model.revenues(prices, ids) - current).tolist())

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,35 @@ def test_tree_digest_covers_names_and_bytes(tmp_path):
     (tmp_path / "pkg" / "a.py").write_text("x = 1\n")
     (tmp_path / "b.py").rename(tmp_path / "c.py")
     assert bench_pairs.tree_digest(tmp_path) != first
+
+
+def test_failed_run_keeps_the_completed_pairs(tmp_path, monkeypatch):
+    def extract(rev, dest):
+        (dest / "src").mkdir(parents=True)
+        (dest / "bench").mkdir()
+        return "rev"
+
+    spec = json.loads((_SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+    calls = []
+
+    def run_once(tree, command, workload, seed, seconds):
+        calls.append((workload, tree.name))
+        if len(calls) == 9:  # pair 2, second workload, change side first
+            raise subprocess.CalledProcessError(3, command, "", "log\n" * 30 + "Boom\n")
+        return {"attempted": 4, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "out.json"
+    argv = ["--pairs", "3", "--seconds", "1", "--workdir", str(tmp_path), "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    doc = json.loads(out.read_text())
+    first, second, third = (w["name"] for w in spec["workloads"])
+    assert calls[-1] == (second, "change")
+    failed = doc["failed_run"]
+    assert failed["stderr_tail"][-1] == "Boom" and len(failed["stderr_tail"]) == 20
+    del failed["stderr_tail"]
+    assert failed == {"workload": second, "side": "change", "pair": 2, "exit": 3}
+    done = {name: w["base"]["attempted"] // 4 for name, w in doc["workloads"].items()}
+    assert done == {first: 2, second: 1, third: 1}

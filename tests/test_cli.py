@@ -255,6 +255,17 @@ def test_verify_passes_on_valid_instance(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
 
 
+def test_verify_coverage_allows_for_customers_who_visit_nothing(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    run("gen", "--family", "random", "--n", "1", "--m", "1", "--model", "mnl",
+        "--browsing", "line", "--seed", "8", "-o", str(inst_path))
+    # 86% of customers visit nothing, so m p < 1 and the tolerance is 0.2 OPT / (m p)
+    support = from_json(inst_path.read_text()).browsing.support()
+    assert sum(prob for locations, prob in support if locations) < 0.2
+    assert run("verify", "--instance", str(inst_path)) == 0
+    assert "OK all checks passed" in capsys.readouterr().out
+
+
 def test_missing_instance_file_exits_2(tmp_path):
     assert run("solve", "--instance", str(tmp_path / "nope.json"), "--algorithm", "brute") == 2
 

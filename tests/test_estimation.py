@@ -187,16 +187,27 @@ def test_select_best_separates_clearly_better_candidate():
     assert wins >= 80
 
 
-def test_select_best_union_bound_uses_more_samples():
+def test_select_best_union_bound_uses_more_samples(monkeypatch):
     inst = gen_random(3, 2, model="mnl", browsing="line", seed=15)
     plan = EstimationPlan.for_instance(inst, 0.3, 0.2)
     inflated = sample_size(inst.m, 0.3, 0.2 / 3)
     assert inflated > plan.samples
+    used = []
+    real = estimation.estimate_w
+    monkeypatch.setattr(
+        estimation, "estimate_w", lambda i, s, p, r: used.append(p.samples) or real(i, s, p, r)
+    )
     rng = np.random.default_rng(16)
     idx, values = select_best(
         inst, [(0, 0), (1, 1), (2, 2)], plan, rng, union_bound=True
     )
     assert 0 <= idx < 3 and len(values) == 3
+    assert used == [inflated] * 3
+    # an explicit count above the split-delta one is kept, never shrunk
+    used.clear()
+    big = EstimationPlan.for_instance(inst, 0.3, 0.2, samples_override=5 * inflated)
+    select_best(inst, [(0, 0), (1, 1)], big, rng, union_bound=True)
+    assert used == [5 * inflated] * 2
 
 
 def test_select_best_empty_candidates():

@@ -120,32 +120,38 @@ def _tie_heavy_mnl_instances():
     return insts
 
 
+def _m_equals_n(inst):
+    """The instance with one location per product, so every size is asked."""
+    return Instance(inst.products, inst.choice_model, inst.n, full_support(inst.n))
+
+
+def _table(oracle):
+    """size -> unpadded set, from the table the first call builds."""
+    oracle.best_assortment(1)
+    return {size: ids for size, (ids, _) in oracle._answers.items()}
+
+
+def _sizes(inst):
+    return range(1, min(inst.m, inst.n) + 1)
+
+
 def test_mnl_early_exit_matches_full_bisection():
-    for inst in _tie_heavy_mnl_instances():
-        oracle = MnlExactOracle(inst)
-        for k in range(1, inst.n + 1):
-            assert oracle._solve(k) == _full_bisection(inst, k), (inst.n, k)
+    for inst in map(_m_equals_n, _tie_heavy_mnl_instances()):
+        expected = {k: _full_bisection(inst, k) for k in _sizes(inst)}
+        assert _table(MnlExactOracle(inst)) == expected, inst.n
 
 
-def _assert_lockstep_matches_reference(inst, ks, alone):
-    """Sizes ``ks`` asked in ascending and descending order, and each of
-    ``alone`` asked first, against one scalar bisection per size."""
-    expected = {k: reference_mnl_bisection(inst, k) for k in ks}
-    for order in (ks, ks[::-1]):
-        oracle = MnlExactOracle(inst)
-        assert {k: oracle._solve(k) for k in order} == expected, (inst.n, inst.m)
-    for k in alone:
-        assert MnlExactOracle(inst)._solve(k) == expected[k], (inst.n, inst.m, k)
+def _assert_lockstep_matches_reference(inst):
+    """Every size of the table against one scalar bisection per size."""
+    expected = {k: reference_mnl_bisection(inst, k) for k in _sizes(inst)}
+    assert _table(MnlExactOracle(inst)) == expected, (inst.n, inst.m)
 
 
 def test_mnl_lockstep_matches_scalar_bisection():
     # m = n, so every size is bisected in lockstep
-    insts = [
-        Instance(inst.products, inst.choice_model, inst.n, full_support(inst.n))
-        for inst in _tie_heavy_mnl_instances()
-    ]
-    insts.append(gen_random(100, 20, model="mnl", seed=0))
-    insts.append(gen_random(100, 20, model="mnl", price_range=(3.0, 3.0), seed=3))
+    insts = list(map(_m_equals_n, _tie_heavy_mnl_instances()))
+    insts.append(_m_equals_n(gen_random(100, 20, model="mnl", seed=0)))
+    insts.append(_m_equals_n(gen_random(100, 20, model="mnl", price_range=(3.0, 3.0), seed=3)))
     # at t = 1.0, the last product's price, the other ten score 0.1 each: their
     # pairwise sum is 1.0, which leaves the last one out; a running sum is not
     products = [Product(i, 2.0) for i in range(10)] + [Product(10, 1.0)]
@@ -163,9 +169,7 @@ def test_mnl_lockstep_matches_scalar_bisection():
     products = [Product(i, r) for i, r in enumerate(np.repeat(base.prices, 2).tolist())]
     insts.append(Instance(products, MnlModel(weights), 20, full_support(20)))
     for inst in insts:
-        ks = list(range(1, inst.n + 1))
-        # each size a solver can ask (k <= m) also asked first, alone
-        _assert_lockstep_matches_reference(inst, ks, ks[: inst.m])
+        _assert_lockstep_matches_reference(inst)
 
 
 def test_mnl_lockstep_splits_sizes_at_the_cell_cap(monkeypatch):
@@ -180,10 +184,9 @@ def test_mnl_lockstep_splits_sizes_at_the_cell_cap(monkeypatch):
         return real(self, sizes)
 
     monkeypatch.setattr(MnlExactOracle, "_bisect", recorded)
+    _assert_lockstep_matches_reference(inst)
     ks = list(range(1, inst.m + 1))
-    _assert_lockstep_matches_reference(inst, ks, [1, rows, inst.m])
-    assert passes[:3] == [ks[:rows], ks[rows : 2 * rows], ks[2 * rows :]]
-    assert max(len(sizes) for sizes in passes) == rows
+    assert passes == [ks[:rows], ks[rows : 2 * rows], ks[2 * rows :]]
 
 
 # exact ties, signed zeros, subnormals, the extremes of the double range
@@ -480,12 +483,11 @@ def test_bounded_brute_force_solves_a_minority_of_subsets(monkeypatch):
 def test_batched_oracles_equal_the_per_assortment_references(family):
     inst = gen_random(12, 6, model=family, seed=8)
     brute = BruteForceOracle(inst).best_assortment(6)
-    uniform = gen_random(12, 6, model=family, price_range=(1.0, 1.0), seed=8)
-    greedy = GreedyUniformOracle(uniform)
-    sets = [greedy.greedy_assortment(k) for k in range(13)]
+    uniform = _m_equals_n(gen_random(12, 6, model=family, price_range=(1.0, 1.0), seed=8))
+    sets = _table(GreedyUniformOracle(uniform))
     # the references score one expected_revenue at a time
     assert brute == reference_brute_oracle(inst, 6)
-    assert sets == [reference_greedy_uniform(uniform, k) for k in range(13)]
+    assert sets == {k: reference_greedy_uniform(uniform, k) for k in range(1, 13)}
 
 
 def test_shared_brute_oracle_under_threads():
@@ -505,9 +507,10 @@ def test_shared_brute_oracle_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert all(result == expected for result in results)
-    # a racing thread may publish a shorter table, never a torn one
+    # racing threads may each build a table, and each publishes a whole one
     answers = oracle._answers
-    for size in range(1, len(answers) + 1):
+    assert sorted(answers) == [1, 2, 3, 4, 5]
+    for size in answers:
         padded = oracle_module._pad_to_size(answers[size][0], size, inst)
         assert padded == expected[size], size
     assert {k: oracle.best_assortment(k) for k in expected} == expected
@@ -517,19 +520,30 @@ def test_best_assortment_memoizes_every_oracle(monkeypatch):
     inst = gen_random(6, 3, model="mnl", price_range=(2.0, 2.0), seed=4)
     for cls in (BruteForceOracle, MnlExactOracle, GreedyUniformOracle):
         oracle = cls(inst)
-        settled = []
+        tops = []
         real = oracle._pass
-
-        def spy(size, answers):
-            out = real(size, answers)
-            settled.extend(out)
-            return out
-
-        monkeypatch.setattr(oracle, "_pass", spy)
+        monkeypatch.setattr(oracle, "_pass", lambda top: tops.append(top) or real(top))
         answers = [oracle.best_assortment(k) for k in (2, 1, 2, 3, 1)]
-        # each size is settled by exactly one pass, whether asked or alongside
-        assert sorted(settled) == [1, 2, 3], cls.__name__
+        # one pass settles every size, whichever is asked first
+        assert tops == [3], cls.__name__
         assert answers[0] == answers[2] and answers[1] == answers[4]
+
+
+@pytest.mark.parametrize("n, m", [(6, 3), (3, 5)])
+def test_first_call_builds_the_whole_table_in_one_pass(monkeypatch, n, m):
+    inst = gen_random(n, m, model="mnl", price_range=(2.0, 2.0), seed=n + m)
+    for cls in (BruteForceOracle, MnlExactOracle, GreedyUniformOracle):
+        for first in (1, (1 + m) // 2, m):
+            oracle = cls(inst)
+            passes = []
+            real = oracle._pass
+            monkeypatch.setattr(oracle, "_pass", lambda *a: passes.append(a) or real(*a))
+            oracle.best_assortment(first)
+            assert len(passes) == 1, (cls.__name__, first)
+            assert sorted(oracle._answers) == list(range(1, min(m, n) + 1)), (cls.__name__, first)
+            for k in range(1, m + 1):
+                oracle.best_assortment(k)
+            assert len(passes) == 1, (cls.__name__, first)
 
 
 @pytest.mark.parametrize("family", ["mnl", "mmnl", "markov", "ranked"])
@@ -544,15 +558,11 @@ def test_greedy_uniform_resumes_instead_of_restarting(monkeypatch, family, n, m)
     real = model.revenues
     calls = []
     monkeypatch.setattr(model, "revenues", lambda *args: calls.append(1) or real(*args))
-    shuffled = list(range(1, m + 1))
-    np.random.default_rng(m).shuffle(shuffled)
-    for order in (range(1, m + 1), range(m, 0, -1), shuffled):
-        calls.clear()
-        oracle = GreedyUniformOracle(inst)
-        got = {k: oracle.best_assortment(k) for k in order}
-        # one round per size: min(m, n) batches, not m (m + 1) / 2
-        assert len(calls) == min(m, n), list(order)
-        assert got == expected, list(order)
+    oracle = GreedyUniformOracle(inst)
+    got = {k: oracle.best_assortment(k) for k in range(1, m + 1)}
+    # one pass of one round per size: min(m, n) batches, not m (m + 1) / 2
+    assert len(calls) == min(m, n)
+    assert got == expected
 
 
 def test_brute_force_dominates_other_strategies():
@@ -617,12 +627,12 @@ def test_greedy_uniform_requires_identical_prices():
 
 
 def test_greedy_uniform_assortment_edges():
-    inst = gen_uniform_line(5)
+    inst = gen_uniform_line(5)  # m = n = 5
     oracle = GreedyUniformOracle(inst)
-    assert oracle.greedy_assortment(0) == frozenset()
-    assert oracle.greedy_assortment(5) == frozenset(range(5))
-    with pytest.raises(ValueError):
-        oracle.greedy_assortment(6)
+    for k in (0, 6):
+        with pytest.raises(ValueError):
+            oracle.best_assortment(k)
+    assert oracle.best_assortment(5) == frozenset(range(5))
 
 
 def test_greedy_uniform_matches_brute_on_small_mnl():

@@ -412,7 +412,7 @@ def test_uniform_greedy_single_slot_is_optimal():
 def test_uniform_greedy_full_support_reduces_to_greedy_assortment():
     inst = gen_random(5, 3, model="mnl", price_range=(1.0, 1.0), browsing="full", seed=2)
     report = uniform_price_matroid_greedy(inst)
-    greedy_set = GreedyUniformOracle(inst).greedy_assortment(3)
+    greedy_set = GreedyUniformOracle(inst).best_assortment(3)
     assert frozenset(report.placement) == greedy_set
     assert report.w_exact == pytest.approx(
         expected_revenue(inst.choice_model, inst.prices, greedy_set), abs=1e-12
