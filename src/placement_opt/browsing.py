@@ -8,14 +8,11 @@ their support exactly; sampler-backed ones only draw.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import EnumerationUnsupportedError, _reals, as_int
-
-_PROB_TOL = 1e-9
+from .core import _PROB_TOL, EnumerationUnsupportedError, _reals, as_int
 
 
 class BrowsingDistribution:
@@ -110,8 +107,6 @@ class ExplicitBrowsing(_CategoricalBrowsing):
         merged: dict[frozenset[int], float] = {}
         for locations, prob in support:
             prob = float(_reals(prob, "support probabilities"))
-            if not math.isfinite(prob) or prob < 0:
-                raise ValueError("support probabilities must be finite and nonnegative")
             key = frozenset(as_int(j, "location") for j in locations)
             if any(j < 0 for j in key):
                 raise ValueError("location indices must be nonnegative")
@@ -153,8 +148,6 @@ class LineBrowsing(_CategoricalBrowsing):
         t = _reals(theta, "prefix probabilities")
         if t.ndim != 1 or t.size == 0:
             raise ValueError("theta must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(t)) or np.any(t < 0):
-            raise ValueError("prefix probabilities must be finite and nonnegative")
         total = float(t.sum())
         if total > 1.0 + _PROB_TOL:
             raise ValueError(f"prefix probabilities sum to {total} > 1")

@@ -14,9 +14,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import _reals, as_int, canon
+from .core import _PROB_TOL, SizeGuardError, _probabilities, _reals, as_int, canon
 
-_PROB_TOL = 1e-9
 _EPS = np.finfo(float).eps
 
 
@@ -92,8 +91,6 @@ class MnlModel(ChoiceModel):
         w = _reals(weights, "weights")
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and nonnegative")
         self.weights = w
         self.n = int(w.size)
         self.prob_error = (self.n + 2) * _EPS  # sum, 1 +, divide; p <= 1
@@ -112,18 +109,12 @@ class MmnlModel(ChoiceModel):
     def __init__(self, segments: Sequence[tuple[float, Sequence[float]]]):
         if not segments:
             raise ValueError("need at least one segment")
-        thetas = _reals([t for t, _ in segments], "segment probabilities")
-        if not np.all(np.isfinite(thetas)) or np.any(thetas < 0):
-            raise ValueError("segment probabilities must be finite and nonnegative")
-        if abs(thetas.sum() - 1.0) > _PROB_TOL:
-            raise ValueError("segment probabilities must sum to 1")
+        thetas = _probabilities([t for t, _ in segments], "segment probabilities")
         mats = [_reals(w, "segment weights") for _, w in segments]
         n = mats[0].size
         if any(w.ndim != 1 or w.size != n for w in mats):
             raise ValueError("all segments must weight the same product set")
         matrix = np.vstack(mats)  # segment x product
-        if not np.all(np.isfinite(matrix)) or np.any(matrix < 0):
-            raise ValueError("segment weights must be finite and nonnegative")
         self.thetas = thetas
         self.weight_matrix = matrix
         self.n = int(n)
@@ -155,18 +146,12 @@ class MarkovModel(ChoiceModel):
     """
 
     def __init__(self, arrival: Sequence[float], transitions: Sequence[Sequence[float]]):
-        lam = _reals(arrival, "arrival")
-        rho = _reals(transitions, "transitions")
+        lam = _probabilities(arrival, "arrival")
+        rho = _probabilities(transitions, "transitions")
         if lam.ndim != 1 or lam.size < 2:
             raise ValueError("arrival must cover the quit state plus >= 1 product")
         if rho.shape != (lam.size, lam.size):
             raise ValueError("transitions must be square over the same states")
-        if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(rho)):
-            raise ValueError("arrival and transitions must be finite")
-        if np.any(lam < 0) or abs(lam.sum() - 1.0) > _PROB_TOL:
-            raise ValueError("arrival must be a probability vector")
-        if np.any(rho < 0) or np.any(np.abs(rho.sum(axis=1) - 1.0) > _PROB_TOL):
-            raise ValueError("each transition row must be a probability vector")
         quit_row = np.zeros(lam.size)
         quit_row[0] = 1.0
         if not np.allclose(rho[0], quit_row, atol=_PROB_TOL):
@@ -240,11 +225,7 @@ class RankedListModel(ChoiceModel):
             raise ValueError("need at least one product")
         if not lists:
             raise ValueError("need at least one ranking")
-        probs = _reals([p for p, _ in lists], "ranking probabilities")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
-            raise ValueError("ranking probabilities must be finite and nonnegative")
-        if abs(probs.sum() - 1.0) > _PROB_TOL:
-            raise ValueError("ranking probabilities must sum to 1")
+        probs = _probabilities([p for p, _ in lists], "ranking probabilities")
         orders = []
         for _, order in lists:
             order = tuple(as_int(i, "ranked product id") for i in order)
@@ -297,6 +278,9 @@ def model_from_spec(spec: Mapping, n: int | None = None) -> ChoiceModel:
         count = spec.get("n", n)
         if count is None:
             raise ValueError("ranked model spec needs a product count")
+        count = as_int(count, "product count")
+        if n is not None and count != n:  # before the model allocates its ranks
+            raise ValueError(f"choice model covers {count} products, catalog has {n}")
         return RankedListModel(
             [(entry["prob"], entry["order"]) for entry in spec["lists"]], n=count
         )
@@ -357,8 +341,9 @@ def check_weak_rationality(
     """Check that adding a product never raises another's choice probability.
 
     Exhaustive over all (S, i, j) triples when ``trials`` is None (requires
-    n <= 12), otherwise over ``trials`` random triples. Violations are
-    returned as data, not raised.
+    n <= 12, else SizeGuardError; one ``choice_probs`` per subset), otherwise
+    over ``trials`` random triples. Violations are returned as data, not
+    raised.
     """
     violations: list[RationalityViolation] = []
     if n < 2:
@@ -370,15 +355,14 @@ def check_weak_rationality(
 
     if trials is None:
         if n > 12:
-            raise ValueError("exhaustive check is limited to n <= 12")
+            raise SizeGuardError("exhaustive check is limited to n <= 12")
+        subsets = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(2**n)]
+        probs = [model.choice_probs(subset) for subset in subsets]
         for mask in range(1, 2**n):
-            subset = tuple(i for i in range(n) if mask >> i & 1)
             rest = [j for j in range(n) if not mask >> j & 1]
-            before = model.choice_probs(subset)
-            after = {j: model.choice_probs(subset + (j,)) for j in rest}
-            for i in subset:
+            for i in subsets[mask]:
                 for j in rest:
-                    check(subset, i, j, before[i], after[j][i])
+                    check(subsets[mask], i, j, probs[mask][i], probs[mask | 1 << j][i])
     else:
         rng = np.random.default_rng(seed)
         for _ in range(trials):

@@ -21,6 +21,9 @@ if TYPE_CHECKING:  # browsing and choice import core; a runtime import would cyc
     from .browsing import BrowsingDistribution
     from .choice import ChoiceModel
 
+# Slack allowed in a probability sum.
+_PROB_TOL = 1e-9
+
 # Sentinel for an unfilled location. Allowed only inside solver
 # intermediates, never in a returned placement.
 EMPTY_SLOT = -1
@@ -52,8 +55,9 @@ def _reals(values, what: str) -> np.ndarray:
     """``values``, a number or nested sequence of numbers, as a float array.
 
     Raises ValueError naming ``what`` on an entry that is not a real number
-    or is a boolean: numpy alone reads ``"0.5"`` as 0.5 and ``True`` as 1.0,
-    so a quoted or boolean JSON number would load silently.
+    or is a boolean (numpy alone reads ``"0.5"`` as 0.5 and ``True`` as 1.0,
+    so a quoted or boolean JSON number would load silently), then on the
+    first NaN, infinite or negative entry.
     """
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         entries = np.asarray(values, dtype=object).ravel().tolist()
@@ -65,7 +69,21 @@ def _reals(values, what: str) -> np.ndarray:
         if wrong:
             bad = next(v for v in entries if type(v) in wrong)
             raise ValueError(f"{what}: expected a number, got {bad!r}")
-    return np.asarray(values, dtype=float)
+    out = np.asarray(values, dtype=float)
+    bad = out[~((out >= 0) & (out < np.inf))]  # NaN fails both
+    if bad.size:
+        raise ValueError(f"{what} must be finite and nonnegative, got {float(bad[0])!r}")
+    return out
+
+
+def _probabilities(values, what: str) -> np.ndarray:
+    """``_reals`` whose every last-axis row sums to 1 within ``_PROB_TOL``."""
+    p = _reals(values, what)
+    sums = np.atleast_1d(p).sum(axis=-1)
+    off = sums[np.abs(sums - 1.0) > _PROB_TOL]
+    if off.size:
+        raise ValueError(f"{what} must sum to 1, got a row summing to {float(off[0])!r}")
+    return p
 
 
 def canon(ids: Iterable[int]) -> tuple[int, ...]:

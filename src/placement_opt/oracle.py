@@ -165,11 +165,8 @@ class BruteForceOracle(AssortmentOracle):
                     continue
                 probs = block[rows] = model._batch_probs(ids[rows])
                 revs = _revenue_rows(prices, ids[rows], probs)
-                # The record threshold only rises within a batch, so rows
-                # below the opening threshold can never become records.
-                keep = np.flatnonzero(revs > best_rev + _TIE)
-                at, best_rev = last_record(revs[keep].tolist(), best_rev)
-                best = best if at is None else frozenset(ids[rows[keep[at]]].tolist())
+                at, best_rev = last_record(revs.tolist(), best_rev)
+                best = best if at is None else frozenset(ids[rows[at]].tolist())
             out[s] = (best, best_rev)
         return out
 

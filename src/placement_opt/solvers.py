@@ -308,7 +308,6 @@ def _partition_greedy(
     cands = [list(c) for c in candidate_lists]
     union = list(dict.fromkeys(i for c in cands for i in c))
     column = {i: q for q, i in enumerate(union, 1)}  # column 0 holds R(X(L))
-    width = 1 + len(union)
     probs = np.array([p for _, p in support])[:, None, None]
     visits = np.zeros((len(support), m), dtype=bool)
     for s, (locations, _) in enumerate(support):

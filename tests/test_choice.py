@@ -11,6 +11,7 @@ from placement_opt import (
     MmnlModel,
     MnlModel,
     RankedListModel,
+    SizeGuardError,
     check_restricted_revenue_properties,
     check_weak_rationality,
     expected_revenue,
@@ -209,6 +210,13 @@ class _CherryPicker:
 
     def choice_probs(self, assortment):
         return {i: self.choose_prob(i, assortment) for i in set(assortment)}
+
+
+def test_weak_rationality_caps_the_exhaustive_check():
+    model = gen_random(13, 2, model="mnl", seed=13).choice_model
+    with pytest.raises(SizeGuardError, match="n <= 12"):
+        check_weak_rationality(model, 13)
+    assert check_weak_rationality(model, 13, trials=50, seed=2) == []
 
 
 def test_weak_rationality_detects_violations():

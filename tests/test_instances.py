@@ -328,7 +328,7 @@ NUMERIC_FIELDS = [
 NUMERIC_FIELD_IDS = [".".join(map(str, path)) for _, _, path, _ in NUMERIC_FIELDS]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize(
     "model, browsing, path, field", NUMERIC_FIELDS, ids=NUMERIC_FIELD_IDS
 )
@@ -385,6 +385,14 @@ def test_from_json_rejects_non_integral_numbers(model, browsing, path):
         holder[path[-1]] = bad
         with pytest.raises(ValueError, match="must be an integer"):
             from_json(json.dumps(data))
+
+
+def test_from_json_checks_the_ranked_count_before_building_the_model():
+    data = json.loads(to_json(gen_random(3, 2, model="ranked", seed=84)))
+    # a rank table of 10**15 columns per list would not fit in memory
+    data["choice_model"]["n"] = 10**15
+    with pytest.raises(ValueError, match=f"covers {10**15} products, catalog has 3"):
+        from_json(json.dumps(data))
 
 
 def test_from_json_rejects_bad_payloads():
