@@ -104,9 +104,13 @@ class ExplicitBrowsing(_CategoricalBrowsing):
     """
 
     def __init__(self, support: Iterable[tuple[Iterable[int], float]]):
+        support = list(support)
+        probs = _reals([prob for _, prob in support], "support probabilities")
+        if probs.ndim != 1:  # every entry is a sequence of one length
+            bad = support[0][1]
+            raise ValueError(f"support probabilities: expected a number, got {bad!r}")
         merged: dict[frozenset[int], float] = {}
-        for locations, prob in support:
-            prob = float(_reals(prob, "support probabilities"))
+        for (locations, _), prob in zip(support, probs.tolist()):
             key = frozenset(as_int(j, "location") for j in locations)
             if any(j < 0 for j in key):
                 raise ValueError("location indices must be nonnegative")

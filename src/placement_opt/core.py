@@ -130,12 +130,7 @@ class Product:
 
 @dataclass
 class Instance:
-    """A placement problem: catalog, choice model, locations, browsing.
-
-    Product ids ``>= n`` act as padding that is never chosen and is priced
-    at the catalog maximum; they may appear in oracle output but never in a
-    returned placement.
-    """
+    """A placement problem: catalog, choice model, locations, browsing."""
 
     products: list[Product]
     choice_model: ChoiceModel

@@ -1,10 +1,9 @@
 """Cardinality-constrained assortment optimization behind one interface.
 
-Each oracle returns, for a size budget k, an assortment whose expected
-revenue is at least ``alpha`` times the best achievable with at most k
-products. Returned sets always have exactly k members: short optima are
-topped up first with the highest-price product and then with padding ids
-``>= n`` that are never chosen and never hurt revenue.
+Each oracle returns, for a size budget k, an assortment of at most k
+catalog ids whose expected revenue is at least ``alpha`` times the best
+achievable with at most k products. A set shorter than k also offers the
+highest-price product, which never lowers revenue under substitutability.
 """
 
 from __future__ import annotations
@@ -30,24 +29,6 @@ _MNL_CELLS = 1 << 14
 _SLACK = 8 * _EPS
 # The one tie rule: a record beats the best so far by more than this margin.
 _TIE = 1e-15
-
-
-def _pad_to_size(ids: frozenset[int], k: int, instance: Instance) -> frozenset[int]:
-    """Grow an assortment to exactly k members without losing revenue.
-
-    Adds the highest-price product first (never decreases revenue under
-    substitutability), then never-chosen padding ids n, n+1, ...
-    """
-    out = set(ids)
-    if len(out) < k and instance.i_star not in out:
-        out.add(instance.i_star)
-    pad = instance.n
-    while len(out) < k:
-        out.add(pad)
-        pad += 1
-    if len(out) != k:
-        raise ValueError(f"assortment has {len(out)} > {k} members")
-    return frozenset(out)
 
 
 def _reaches(top: np.ndarray, size: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -93,9 +74,9 @@ def last_record(values, best: float = -np.inf) -> tuple[int | None, float]:
 class AssortmentOracle:
     """Interface: ``best_assortment(k)`` with guaranteed factor ``alpha``.
 
-    Each oracle keeps one table, ``_answers``: size -> (unpadded set,
-    revenue the pass reached) for every size 1..min(m, n), built by one
-    call of the subclass's ``_pass`` on the first ``best_assortment``.
+    Each oracle keeps one table, ``_answers``: size -> (set the pass found,
+    revenue it reached) for every size 1..min(m, n), built by one call of
+    the subclass's ``_pass`` on the first ``best_assortment``.
     Threads racing on that call may each build a table; the tables are
     equal, and each assignment publishes a complete one.
     """
@@ -107,12 +88,16 @@ class AssortmentOracle:
         self._answers: dict[int, tuple[frozenset[int], float]] = {}
 
     def best_assortment(self, k: int) -> frozenset[int]:
-        """Size-k assortment with revenue >= alpha * optimum over <= k sets."""
+        """At most k catalog ids with revenue >= alpha * optimum over <= k sets.
+
+        A set the pass found with fewer than k members also gets ``i_star``.
+        """
         if not 1 <= k <= self.instance.m:
             raise ValueError(f"cardinality {k} outside [1, {self.instance.m}]")
         if not self._answers:
             self._answers = self._pass(min(self.instance.m, self.instance.n))
-        return _pad_to_size(self._answers[min(k, self.instance.n)][0], k, self.instance)
+        found = self._answers[min(k, self.instance.n)][0]
+        return found if len(found) >= k else found | {self.instance.i_star}
 
     def _pass(self, top: int) -> dict[int, tuple[frozenset[int], float]]:
         """Entries for every size 1..top."""

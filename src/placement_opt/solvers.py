@@ -71,11 +71,11 @@ class WEvaluator:
 
     Assortment revenues are cached by the frozenset of catalog ids offered
     (visited sets repeat assortments heavily); placement values are summed
-    afresh on every call. Empty-slot sentinels and padding ids contribute
-    nothing to revenue. Keys are frozensets, not integer bitmasks: a
-    frozenset costs time linear in the assortment, a bitmask time linear in
-    the catalog, and ``gen_heavy_tail_line(256)`` has about 33k products
-    (bitmask keys took acceptance check 7 from about 3 s to 336 s).
+    afresh on every call. Empty-slot sentinels contribute nothing to revenue.
+    Keys are frozensets, not integer bitmasks: a frozenset costs time linear
+    in the assortment, a bitmask time linear in the catalog, and
+    ``gen_heavy_tail_line(256)`` has about 33k products (bitmask keys took
+    acceptance check 7 from about 3 s to 336 s).
     """
 
     def __init__(self, instance: Instance):
@@ -91,11 +91,11 @@ class WEvaluator:
         return self._support
 
     def revenue(self, ids: Iterable[int]) -> float:
-        """Expected revenue of an assortment, ignoring sentinels and padding."""
-        n = self.instance.n
+        """Expected revenue of an assortment, ignoring empty-slot sentinels;
+        any other id outside the catalog raises ValueError."""
         key = frozenset(ids)
-        if key and (min(key) < 0 or max(key) >= n):
-            key = frozenset(i for i in key if 0 <= i < n)
+        if EMPTY_SLOT in key:
+            key = key - {EMPTY_SLOT}
         rev = self._revenues.get(key)
         if rev is None:
             rev = expected_revenue(
@@ -109,7 +109,7 @@ class WEvaluator:
         if len(slots) != self.instance.m:
             raise ValueError(f"placement must fill {self.instance.m} slots")
         # cached revenues are read directly; only a miss (or a key holding
-        # sentinels or padding, which is never cached) goes through revenue
+        # a sentinel, which is never cached) goes through revenue
         revenues = self._revenues
         total = 0.0
         for locations, prob in self._support:
@@ -127,14 +127,13 @@ def evaluate_exact(instance: Instance, slots: Sequence[int]) -> float:
 
 
 def fill_empty(instance: Instance, slots: Sequence[int]) -> tuple[int, ...]:
-    """Replace empty slots and padding ids with the highest-price product.
+    """Replace empty slots with the highest-price product.
 
     Never decreases expected revenue: revenue can only gain from offering
-    the priciest product, and padding ids were never chosen anyway.
+    the priciest product.
     """
     star = instance.i_star
-    n = instance.n
-    return tuple(star if (s == EMPTY_SLOT or s >= n) else s for s in slots)
+    return tuple(star if s == EMPTY_SLOT else s for s in slots)
 
 
 def _report(
@@ -191,11 +190,11 @@ def _best_over_k(
 ) -> tuple[float, int, tuple[int, ...]]:
     """(w, k, slots) of the best candidate placement over k = 1..m.
 
-    Asks the oracle for its best size-k assortment once per k, in order, and
-    hands the list of them (size k at index k - 1) to ``candidates``, which
-    yields the ``(k, w, slots)`` candidates a solver builds from them, in k
-    order. The first strictly better value wins, so ties go to the smaller
-    k and, within a k, to the earlier candidate.
+    Asks the oracle for its best assortment of at most k products once per
+    k, in order, and hands the list of them (budget k at index k - 1) to
+    ``candidates``, which yields the ``(k, w, slots)`` candidates a solver
+    builds from them, in k order. The first strictly better value wins, so
+    ties go to the smaller k and, within a k, to the earlier candidate.
     """
     assortments = [oracle.best_assortment(k) for k in range(1, instance.m + 1)]
     best = None
@@ -208,7 +207,7 @@ def _best_over_k(
 def best_of_many_line(
     instance: Instance, oracle: AssortmentOracle, seed: int = 0
 ) -> SolveReport:
-    """Try the best size-k assortment in the first k slots for every k.
+    """Try the oracle's set for budget k in the first slots, for every k.
 
     Only valid when customers scan a line: visited sets are prefixes, so
     concentrating a good assortment at the top is meaningful. Keeps the k
@@ -223,7 +222,7 @@ def best_of_many_line(
     def prefix(assortments):
         for k, members in enumerate(assortments, 1):
             slots = fill_empty(
-                instance, tuple(sorted(members)) + (EMPTY_SLOT,) * (m - k)
+                instance, tuple(sorted(members)) + (EMPTY_SLOT,) * (m - len(members))
             )
             yield k, value(slots), slots
 
@@ -240,12 +239,13 @@ def randomized_placement(
 ) -> SolveReport:
     """Uniform random replication of the best size-k assortment, best of all k.
 
-    For each k, every slot independently receives a uniform draw from the
-    size-k oracle assortment (products may repeat); the best evaluated draw
-    over all k and all repetitions wins. Randomizing the layout hedges
-    against unknown browsing patterns. Values come from exact evaluation
-    when the browsing support is enumerable, otherwise from Monte-Carlo
-    estimation under ``plan``.
+    For each k, every slot independently receives a uniform draw from k
+    entries, the oracle's set for budget k and, if it is short, copies of the
+    priciest product (products may repeat); the best evaluated draw over all
+    k and all repetitions wins. Randomizing the layout hedges against
+    unknown browsing patterns. Values come from exact evaluation when the
+    browsing support is enumerable, otherwise from Monte-Carlo estimation
+    under ``plan``.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
@@ -263,9 +263,10 @@ def randomized_placement(
 
     def replicas(assortments):
         for k, members in enumerate(assortments, 1):
-            # padding ids are filled before the draws: drawing a filled
-            # member is filling a drawn one
-            members = np.array(fill_empty(instance, sorted(members)))
+            # k entries: a short set's empty ones are filled before the
+            # draws, as drawing a filled entry is filling a drawn one
+            gaps = [EMPTY_SLOT] * (k - len(members))
+            members = np.array(fill_empty(instance, sorted(members) + gaps))
             draws = rng.integers(0, len(members), size=(repetitions, m))
             # a repeated draw cannot beat its first occurrence, so each
             # distinct placement is evaluated once, in draw order
@@ -494,7 +495,9 @@ def check_restricted_revenue_properties(
 
     Exhausts every A within B within ``members`` and every member outside B.
     """
-    ids = sorted(i for i in set(members) if 0 <= i < instance.n)
+    ids = sorted(set(members))
+    if ids and (ids[0] < 0 or ids[-1] >= instance.n):
+        raise ValueError(f"members must be catalog ids in [0, {instance.n}), got {ids}")
     if len(ids) > 16:
         raise SizeGuardError("restricted revenue check is capped at 16 members")
     model, prices = instance.choice_model, instance.prices
@@ -510,8 +513,8 @@ def markov_deterministic_placement(
 ) -> SolveReport:
     """Deterministic placement for Markov-style choice.
 
-    For each k, the placement objective restricted to the best size-k
-    assortment is monotone submodular, so a greedy one-product-per-location
+    For each k, the placement objective restricted to the oracle's set for
+    budget k is monotone submodular, so a greedy one-product-per-location
     pass over just those products is provably good; the best k wins.
     The greedy depends on the products alone, so an assortment that an
     earlier k already returned is skipped: it would only tie that k. The
@@ -524,9 +527,9 @@ def markov_deterministic_placement(
     start = time.perf_counter()
 
     def greedies(assortments):
-        first_k: dict[tuple[int, ...], int] = {}  # real members -> first k
+        first_k: dict[tuple[int, ...], int] = {}  # sorted set -> first k
         for k, members in enumerate(assortments, 1):
-            first_k.setdefault(tuple(sorted(i for i in members if i < instance.n)), k)
+            first_k.setdefault(tuple(sorted(members)), k)
         placed = _partition_greedy(instance, list(first_k), WEvaluator(instance))
         for k, (slots, w) in zip(first_k.values(), placed):
             yield k, w, slots

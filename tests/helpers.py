@@ -23,7 +23,6 @@ from placement_opt import (
     products_at,
 )
 from placement_opt.choice import RationalityViolation
-from placement_opt.oracle import _pad_to_size
 
 
 def direct_revenue(instance: Instance, ids) -> float:
@@ -217,13 +216,21 @@ def reference_estimate_w(instance: Instance, slots, plan, rng):
     return total / plan.samples, plan.samples
 
 
+def top_up(instance: Instance, found, k: int) -> frozenset[int]:
+    """An oracle's answer for budget k from the set its pass found: the set
+    itself, plus the highest-price product if it has fewer than k members."""
+    found = frozenset(found)
+    return found if len(found) >= k else found | {instance.i_star}
+
+
 def reference_brute_oracle(instance: Instance, k: int) -> frozenset[int]:
     """Brute-force oracle answer that re-enumerates sizes 1..k for this k.
 
     The straightforward per-k loop the library's one-pass oracle must match
     exactly: every subset of sizes 1..min(k, n) in ``combinations`` order,
     one ``expected_revenue`` each, a new record only when it beats the best
-    so far by more than 1e-15, then the library's padding to k members.
+    so far by more than 1e-15, then the highest-price product if the record
+    has fewer than k members.
     """
     model, prices = instance.choice_model, instance.prices
     best, best_rev = frozenset(), 0.0
@@ -232,13 +239,13 @@ def reference_brute_oracle(instance: Instance, k: int) -> frozenset[int]:
             rev = expected_revenue(model, prices, subset)
             if rev > best_rev + 1e-15:
                 best, best_rev = frozenset(subset), rev
-    return _pad_to_size(best, k, instance)
+    return top_up(instance, best, k)
 
 
 def reference_best_of_many(instance: Instance, oracle):
     """(w, k, slots) of the best-of-many loop, one prefix placement per k.
 
-    Each k's sorted oracle assortment fills the first k slots, the rest are
+    Each k's sorted oracle assortment fills the first slots, the rest are
     filled with the priciest product, and the first strictly better w wins.
     """
     from placement_opt import fill_empty
@@ -248,7 +255,7 @@ def reference_best_of_many(instance: Instance, oracle):
     best = None
     for k in range(1, m + 1):
         members = sorted(oracle.best_assortment(k))
-        slots = fill_empty(instance, tuple(members) + (EMPTY_SLOT,) * (m - k))
+        slots = fill_empty(instance, tuple(members) + (EMPTY_SLOT,) * (m - len(members)))
         w = ev.value(slots)
         if best is None or w > best[0]:
             best = (w, k, slots)
@@ -258,7 +265,8 @@ def reference_best_of_many(instance: Instance, oracle):
 def reference_randomized(instance: Instance, oracle, repetitions: int, rng, value):
     """(w, k, slots) of the randomized solver's loop, one value per draw.
 
-    Every drawn row is filled and evaluated in draw order, repeats included;
+    Each k draws from k entries, the sorted oracle set and empty slots;
+    every drawn row is filled and evaluated in draw order, repeats included;
     the first strictly better value wins. ``value`` maps a slot tuple to its
     value, as the library's exact or estimated evaluator does.
     """
@@ -266,7 +274,8 @@ def reference_randomized(instance: Instance, oracle, repetitions: int, rng, valu
 
     best = None
     for k in range(1, instance.m + 1):
-        members = np.array(sorted(oracle.best_assortment(k)))
+        members = sorted(oracle.best_assortment(k))
+        members = np.array(members + [EMPTY_SLOT] * (k - len(members)))
         draws = rng.integers(0, len(members), size=(repetitions, instance.m))
         for row in draws:
             slots = fill_empty(instance, tuple(int(i) for i in members[row]))
@@ -311,7 +320,7 @@ def reference_markov_greedy(instance: Instance, oracle):
     """(w, k, slots) of the markov-greedy loop, one greedy pass for every k.
 
     The per-k loop the library's one-pass-per-distinct-set solver must match
-    exactly: a partition greedy over each k's real members, even when an
+    exactly: a partition greedy over each k's members, even when an
     earlier k returned the same set, and the first strictly better w wins.
     """
     from placement_opt import fill_empty

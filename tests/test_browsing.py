@@ -144,6 +144,8 @@ def test_validation_errors():
         LineBrowsing([])
     with pytest.raises(ValueError, match="support probabilities"):
         ExplicitBrowsing([([0], "1.0")])
+    with pytest.raises(ValueError, match="support probabilities: expected a number"):
+        ExplicitBrowsing([([0], [0.5]), ([1], [0.5])])
 
 
 def test_browsing_spec_round_trip():

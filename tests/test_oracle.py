@@ -36,6 +36,7 @@ from helpers import (
     reference_brute_oracle,
     reference_greedy_uniform,
     reference_mnl_bisection,
+    top_up,
 )
 
 
@@ -126,7 +127,7 @@ def _m_equals_n(inst):
 
 
 def _table(oracle):
-    """size -> unpadded set, from the table the first call builds."""
+    """size -> the set the pass found, from the table the first call builds."""
     oracle.best_assortment(1)
     return {size: ids for size, (ids, _) in oracle._answers.items()}
 
@@ -382,7 +383,7 @@ def test_brute_force_scores_each_size_once_and_memoizes(monkeypatch):
 
 
 def _reference_answers(instance):
-    """size -> (set, revenue) of the per-subset record loop, unpadded."""
+    """size -> (set, revenue) of the per-subset record loop, as ``_answers`` holds."""
     model, prices = instance.choice_model, instance.prices
     best, best_rev, out = frozenset(), 0.0, {}
     for size in range(1, min(instance.m, instance.n) + 1):
@@ -511,8 +512,7 @@ def test_shared_brute_oracle_under_threads():
     answers = oracle._answers
     assert sorted(answers) == [1, 2, 3, 4, 5]
     for size in answers:
-        padded = oracle_module._pad_to_size(answers[size][0], size, inst)
-        assert padded == expected[size], size
+        assert top_up(inst, answers[size][0], size) == expected[size], size
     assert {k: oracle.best_assortment(k) for k in expected} == expected
 
 
@@ -551,7 +551,7 @@ def test_first_call_builds_the_whole_table_in_one_pass(monkeypatch, n, m):
 def test_greedy_uniform_resumes_instead_of_restarting(monkeypatch, family, n, m):
     inst = gen_random(n, m, model=family, price_range=(2.0, 2.0), seed=n + m)
     expected = {
-        k: oracle_module._pad_to_size(reference_greedy_uniform(inst, min(k, n)), k, inst)
+        k: top_up(inst, reference_greedy_uniform(inst, min(k, n)), k)
         for k in range(1, m + 1)
     }
     model = inst.choice_model
@@ -577,17 +577,19 @@ def test_brute_force_dominates_other_strategies():
             assert r_greedy >= greedy.alpha * r_brute - 1e-12
 
 
-def test_returned_assortments_have_exactly_k_members():
+def test_returned_assortments_hold_at_most_k_catalog_ids():
     for seed in range(5):
         inst = gen_random(5, 4, model="mmnl", seed=seed)
         oracle = BruteForceOracle(inst)
         for k in range(1, 5):
-            assert len(oracle.best_assortment(k)) == k
+            chosen = oracle.best_assortment(k)
+            assert len(chosen) <= k and chosen <= frozenset(range(inst.n))
+            assert chosen >= oracle._answers[k][0]
 
 
-def test_padding_keeps_revenue_and_uses_pricey_product_first():
+def test_short_answer_adds_only_the_pricey_product():
     # strong cheap products pull the optimum down to the single pricey one,
-    # so size-3 output needs the pricey product plus padding ids
+    # which is already i_star, so the size-3 answer is that one product
     inst = Instance(
         [Product(0, 10.0), Product(1, 1.0), Product(2, 1.0), Product(3, 1.0)],
         MnlModel([1.0, 5.0, 5.0, 5.0]),
@@ -595,14 +597,45 @@ def test_padding_keeps_revenue_and_uses_pricey_product_first():
         LineBrowsing([1.0, 0.0, 0.0]),
     )
     oracle = BruteForceOracle(inst)
-    unconstrained = oracle.best_assortment(1)
-    assert unconstrained == frozenset({0})
-    padded = oracle.best_assortment(3)
-    assert 0 in padded and len(padded) == 3
-    assert {i for i in padded if i >= inst.n} == {4, 5}
-    assert _real_revenue(inst, padded) == pytest.approx(
-        _real_revenue(inst, unconstrained), abs=1e-12
+    assert oracle.best_assortment(1) == oracle.best_assortment(3) == frozenset({0})
+    # a never-chosen pricey product stays out of the optimum, so a short
+    # answer gains it, and only it, at no cost in revenue
+    inst = Instance(
+        [Product(0, 10.0), Product(1, 1.0), Product(2, 1.0)],
+        MnlModel([0.0, 5.0, 5.0]),
+        3,
+        LineBrowsing([1.0, 0.0, 0.0]),
     )
+    oracle = BruteForceOracle(inst)
+    assert oracle.best_assortment(2) == oracle._answers[3][0] == frozenset({1, 2})
+    topped = oracle.best_assortment(3)
+    assert topped == frozenset({0, 1, 2})
+    assert _real_revenue(inst, topped) == pytest.approx(
+        _real_revenue(inst, {1, 2}), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("family", ["mnl", "mmnl", "markov", "ranked"])
+@pytest.mark.parametrize("prices", [(1.0, 10.0), (2.0, 2.0)], ids=["spread", "identical"])
+def test_more_locations_than_products_keeps_catalog_ids(family, prices):
+    # m > n: every budget past n reads the size-n entry, and no oracle
+    # answer holds an id outside the catalog or more than k ids
+    inst = gen_random(3, 6, model=family, price_range=prices, seed=17)
+    oracles = [BruteForceOracle(inst)]
+    if family == "mnl":
+        oracles.append(MnlExactOracle(inst))
+    if prices[0] == prices[1]:
+        oracles.append(GreedyUniformOracle(inst))
+    shorts = 0
+    for oracle in oracles:
+        for k in range(1, inst.m + 1):
+            chosen = oracle.best_assortment(k)
+            assert len(chosen) <= k and chosen <= frozenset(range(inst.n))
+            found = oracle._answers[min(k, inst.n)][0]
+            short = len(found) < k
+            assert chosen == (found | {inst.i_star} if short else found)
+            shorts += short
+    assert shorts > 0
 
 
 def test_cardinality_domain_errors():

@@ -82,10 +82,11 @@ def test_line_value_is_prefix_weighted_sum():
     assert evaluate_exact(inst, slots) == pytest.approx(manual, abs=1e-12)
 
 
-def test_value_with_sentinels_and_padding_caches_only_catalog_sets():
+def test_value_with_sentinels_caches_only_catalog_sets():
     inst = gen_random(4, 3, model="markov", browsing="explicit", seed=2)
     ev, other = WEvaluator(inst), WEvaluator(inst)
-    for slots in [(0, 1, 2), (EMPTY_SLOT, 1, 6), (0, 0, EMPTY_SLOT), (5, 6, 7), (1, 6, 2)]:
+    gap = EMPTY_SLOT
+    for slots in [(0, 1, 2), (gap, 1, 3), (0, 0, gap), (gap, gap, gap), (1, gap, 2)]:
         got = ev.value(slots)
         expected = 0.0
         for locations, prob in other.support:
@@ -100,6 +101,18 @@ def test_evaluator_rejects_wrong_length():
         evaluate_exact(inst, (0,))
 
 
+def test_evaluator_rejects_ids_outside_the_catalog():
+    inst = gen_random(3, 2, model="mnl", browsing="line", seed=0)
+    for bad in (inst.n, -2):
+        with pytest.raises(ValueError, match="unknown product id"):
+            evaluate_exact(inst, (bad,) * inst.m)
+        with pytest.raises(ValueError, match="unknown product id"):
+            evaluate_exact(inst, (0, bad))
+    # the empty-slot sentinel is the one non-catalog id a slot may hold
+    assert evaluate_exact(inst, (EMPTY_SLOT,) * inst.m) == 0.0
+    assert evaluate_exact(inst, (0, EMPTY_SLOT)) == evaluate_exact(inst, (0, 0))
+
+
 # ---------------------------------------------------------------------------
 # fill_empty
 
@@ -109,11 +122,6 @@ def test_fill_empty_all_and_none():
     star = inst.i_star
     assert fill_empty(inst, (EMPTY_SLOT,) * 3) == (star,) * 3
     assert fill_empty(inst, (1, 2, 0)) == (1, 2, 0)
-
-
-def test_fill_empty_replaces_padding_ids():
-    inst = gen_random(3, 2, model="mnl", seed=1)
-    assert fill_empty(inst, (5, 1)) == (inst.i_star, 1)
 
 
 def test_fill_empty_never_decreases_value():
@@ -131,7 +139,7 @@ def test_fill_empty_never_decreases_value():
 
 @st.composite
 def _placement_with_gaps(draw):
-    """(instance, slots): slots mix catalog ids, EMPTY_SLOT and padding ids."""
+    """(instance, slots): slots mix catalog ids and EMPTY_SLOT."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     model = draw(st.sampled_from(["mnl", "mmnl", "markov", "ranked"]))
     browsing = draw(st.sampled_from(["line", "explicit"]))
@@ -139,7 +147,7 @@ def _placement_with_gaps(draw):
     prices = (2.0, 2.0) if uniform else (1.0, 10.0)
     seed = draw(st.integers(0, 2**32 - 1))
     inst = gen_random(n, m, model=model, price_range=prices, browsing=browsing, seed=seed)
-    ids = st.integers(EMPTY_SLOT, n + 2)  # n.. are padding ids
+    ids = st.integers(EMPTY_SLOT, n - 1)
     return inst, tuple(draw(st.lists(ids, min_size=m, max_size=m)))
 
 
@@ -232,7 +240,7 @@ def test_best_of_many_dominates_each_prefix_candidate():
     report = best_of_many_line(inst, oracle)
     for k in range(1, 5):
         members = sorted(oracle.best_assortment(k))
-        slots = fill_empty(inst, tuple(members) + (EMPTY_SLOT,) * (4 - k))
+        slots = fill_empty(inst, tuple(members) + (EMPTY_SLOT,) * (4 - len(members)))
         assert report.w_exact >= evaluate_exact(inst, slots) - 1e-12
 
 
@@ -257,13 +265,11 @@ def test_best_of_many_matches_per_k_reference():
         report = best_of_many_line(inst, oracle)
         w, k, slots = reference_best_of_many(inst, oracle)
         assert (report.w_exact, report.k, report.placement) == (w, k, slots)
-        prefixes = [
-            tuple(sorted(oracle.best_assortment(j))) + (EMPTY_SLOT,) * (inst.m - j)
-            for j in range(1, inst.m + 1)
-        ]
+        members = [sorted(oracle.best_assortment(j)) for j in range(1, inst.m + 1)]
+        prefixes = [tuple(s) + (EMPTY_SLOT,) * (inst.m - len(s)) for s in members]
         values = [evaluate_exact(inst, fill_empty(inst, p)) for p in prefixes]
         tied += values.count(w) > 1
-    assert tied >= 4  # m > n pads repeated sets, so several k reach the best
+    assert tied >= 4  # m > n repeats sets, so several k reach the best
 
 
 def test_best_of_many_requires_line_browsing():
@@ -708,6 +714,13 @@ def test_pair_objective_checker_flags_nonuniform_counterexample():
     assert check_pair_objective_properties(inst) != []
 
 
+def test_restricted_revenue_checker_rejects_ids_outside_the_catalog():
+    inst = gen_random(3, 2, model="markov", seed=0)
+    for members in ([0, inst.n], [EMPTY_SLOT, 1]):
+        with pytest.raises(ValueError, match="catalog ids"):
+            check_restricted_revenue_properties(inst, members)
+
+
 def test_restricted_revenue_checker_flags_same_counterexample():
     inst = Instance(
         [Product(0, 10.0), Product(1, 1.0)],
@@ -812,10 +825,11 @@ def test_every_solver_reports_the_exact_value_of_its_placement(
 
 
 def test_more_locations_than_products():
-    # padding ids fill out oracle assortments but never reach a placement
+    # budgets past n get at most n catalog ids, and placements hold only those
     inst = gen_random(2, 4, model="mnl", browsing="line", seed=99)
     oracle = BruteForceOracle(inst)
-    assert sorted(i for i in oracle.best_assortment(4) if i >= inst.n) == [2, 3]
+    for k in range(1, inst.m + 1):
+        assert oracle.best_assortment(k) <= frozenset(range(inst.n)), k
     for report in [
         best_of_many_line(inst, oracle),
         randomized_placement(inst, oracle, repetitions=16, seed=1),
