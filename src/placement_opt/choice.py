@@ -39,15 +39,15 @@ class ChoiceModel:
     prob_error: float = np.inf
 
     def choice_probs(self, assortment: Iterable[int]) -> dict[int, float]:
-        """Purchase probability for every product in the assortment."""
+        """Purchase probability for every product in the assortment; an id
+        that is not an integer in [0, n), 2.0 or True say, raises ValueError."""
         key = canon(assortment)
         if not key:
             return {}
-        for i in key:
-            if not 0 <= i < self.n:
-                raise ValueError(f"unknown product id {i}")
-        row = self._batch_probs(np.array([key], dtype=np.intp))[0]
-        return dict(zip(key, row.tolist()))
+        ids = np.array([key])
+        if ids.dtype.kind not in "iu" or key[0] < 0 or key[-1] >= self.n:
+            raise ValueError(f"unknown product id in assortment {key}")
+        return dict(zip(key, self._batch_probs(ids)[0].tolist()))
 
     def choose_prob(self, i: int, assortment: Iterable[int]) -> float:
         """Probability of picking product ``i`` from the offered assortment."""
@@ -59,17 +59,18 @@ class ChoiceModel:
     def revenues(self, prices: Sequence[float], ids: np.ndarray) -> np.ndarray:
         """Revenues of many same-size assortments, one per row of sorted ids.
 
-        ``ids`` is a ``(B, s)`` integer array; entry b equals
+        ``ids`` is a ``(B, s)`` integer array (else ValueError); entry b equals
         ``expected_revenue(self, prices, ids[b])`` bitwise, because
         ``choice_probs`` is one row of the same ``_batch_probs`` and the
         revenue adds ``r_i p_i`` one column at a time in id order as that sum
         does. Its memory is linear in the rows, so callers bound them.
         """
-        ids = np.asarray(ids, dtype=np.intp)
+        ids = np.asarray(ids)
         if not ids.size:
             return np.zeros(len(ids))
-        if ids.min() < 0 or ids.max() >= self.n:
+        if ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= self.n:
             raise ValueError("unknown product id in assortment batch")
+        ids = ids.astype(np.intp, copy=False)
         return _revenue_rows(np.asarray(prices, dtype=float), ids, self._batch_probs(ids))
 
     def _batch_probs(self, ids: np.ndarray) -> np.ndarray:
@@ -305,20 +306,14 @@ def markov_from_mnl(mnl: MnlModel) -> MarkovModel:
     moves to each other option with its share renormalized to exclude i.
     """
     v = mnl.weights
-    n = v.size
     total = 1.0 + v.sum()
-    arrival = np.empty(n + 1)
-    arrival[0] = 1.0 / total
-    arrival[1:] = v / total
-    rho = np.zeros((n + 1, n + 1))
+    rest = (total - v)[:, None]  # row i: every option but product i
+    rho = np.zeros((v.size + 1, v.size + 1))
+    rho[1:, :1] = 1.0 / rest
+    rho[1:, 1:] = v / rest
+    np.fill_diagonal(rho, 0.0)  # no product moves to itself
     rho[0, 0] = 1.0
-    for i in range(n):
-        rest = total - v[i]
-        rho[i + 1, 0] = 1.0 / rest
-        for j in range(n):
-            if j != i:
-                rho[i + 1, j + 1] = v[j] / rest
-    return MarkovModel(arrival, rho)
+    return MarkovModel(np.concatenate(([1.0], v)) / total, rho)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .estimation import EstimationPlan, estimate_w
 from .oracle import AssortmentOracle, last_record
 
 PLACEMENT_BRUTE_GUARD = 2_000_000
+PAIR_LATTICE_GUARD = 18  # most product-location pairs the pair lattice enumerates
 # Trial cells (support x candidates x empty locations) per stacked gains fold
 # of the lockstep partition greedy. It bounds the round's arrays: folding
 # every greedy of a round at once was a little faster on n = 100, m = 20
@@ -185,18 +186,19 @@ def _best_over_k(
     instance: Instance,
     oracle: AssortmentOracle,
     candidates: Callable[
-        [list[frozenset[int]]], Iterable[tuple[int, float, tuple[int, ...]]]
+        [list[tuple[int, ...]]], Iterable[tuple[int, float, tuple[int, ...]]]
     ],
 ) -> tuple[float, int, tuple[int, ...]]:
     """(w, k, slots) of the best candidate placement over k = 1..m.
 
     Asks the oracle for its best assortment of at most k products once per
-    k, in order, and hands the list of them (budget k at index k - 1) to
-    ``candidates``, which yields the ``(k, w, slots)`` candidates a solver
-    builds from them, in k order. The first strictly better value wins, so
-    ties go to the smaller k and, within a k, to the earlier candidate.
+    k, in order, and hands the list of them, each a sorted tuple (budget k
+    at index k - 1), to ``candidates``, which yields the ``(k, w, slots)``
+    candidates a solver builds from them, in k order. The first strictly
+    better value wins, so ties go to the smaller k and, within a k, to the
+    earlier candidate.
     """
-    assortments = [oracle.best_assortment(k) for k in range(1, instance.m + 1)]
+    assortments = [canon(oracle.best_assortment(k)) for k in range(1, instance.m + 1)]
     best = None
     for k, w, slots in candidates(assortments):
         if best is None or w > best[0]:
@@ -210,20 +212,20 @@ def best_of_many_line(
     """Try the oracle's set for budget k in the first slots, for every k.
 
     Only valid when customers scan a line: visited sets are prefixes, so
-    concentrating a good assortment at the top is meaningful. Keeps the k
-    whose prefix placement earns the most.
+    concentrating a good assortment at the top is meaningful; the priciest
+    product fills the slots after it. Keeps the k whose prefix placement
+    earns the most. Every k >= n gets the size-n set, so the scan stops at
+    k = n: a larger k could only tie it.
     """
     if not isinstance(instance.browsing, LineBrowsing):
         raise ValueError("best_of_many_line requires line browsing")
     start = time.perf_counter()
     value = WEvaluator(instance).value
-    m = instance.m
+    i_star, m = instance.i_star, instance.m
 
     def prefix(assortments):
-        for k, members in enumerate(assortments, 1):
-            slots = fill_empty(
-                instance, tuple(sorted(members)) + (EMPTY_SLOT,) * (m - len(members))
-            )
+        for k, members in enumerate(assortments[: instance.n], 1):
+            slots = members + (i_star,) * (m - len(members))
             yield k, value(slots), slots
 
     return _report("best-of-many", start, seed, _best_over_k(instance, oracle, prefix))
@@ -251,7 +253,7 @@ def randomized_placement(
         raise ValueError("need at least one repetition")
     start = time.perf_counter()
     rng = np.random.default_rng(seed) if rng is None else rng
-    m = instance.m
+    i_star, m = instance.i_star, instance.m
     try:
         value = WEvaluator(instance).value
         plan = None  # the reported value is exact
@@ -263,10 +265,7 @@ def randomized_placement(
 
     def replicas(assortments):
         for k, members in enumerate(assortments, 1):
-            # k entries: a short set's empty ones are filled before the
-            # draws, as drawing a filled entry is filling a drawn one
-            gaps = [EMPTY_SLOT] * (k - len(members))
-            members = np.array(fill_empty(instance, sorted(members) + gaps))
+            members = np.array(members + (i_star,) * (k - len(members)))
             draws = rng.integers(0, len(members), size=(repetitions, m))
             # a repeated draw cannot beat its first occurrence, so each
             # distinct placement is evaluated once, in draw order
@@ -415,7 +414,7 @@ def uniform_price_matroid_greedy(instance: Instance, seed: int = 0) -> SolveRepo
     return _report("uniform-greedy", start, seed, (w, None, slots))
 
 
-def pair_objective_values(instance: Instance, guard: int = 18) -> np.ndarray:
+def pair_objective_values(instance: Instance) -> np.ndarray:
     """Objective value for every subset of product-location pairs.
 
     Pair (i, j) has bit index i*m + j; entry ``mask`` holds the expected
@@ -424,8 +423,8 @@ def pair_objective_values(instance: Instance, guard: int = 18) -> np.ndarray:
     makes the subset lattice meaningful).
     """
     n, m = instance.n, instance.m
-    if n * m > guard:
-        raise SizeGuardError(f"pair lattice has 2^{n * m} subsets, guard is 2^{guard}")
+    if n * m > PAIR_LATTICE_GUARD:
+        raise SizeGuardError(f"pair lattice has 2^{n * m} subsets, guard is 2^{PAIR_LATTICE_GUARD}")
     ev = WEvaluator(instance)
     support = ev.support
     values = np.empty(2 ** (n * m))
@@ -474,16 +473,14 @@ def _lattice_violations(
     return violations
 
 
-def check_pair_objective_properties(
-    instance: Instance, tol: float = 1e-9, guard: int = 18
-) -> list[str]:
+def check_pair_objective_properties(instance: Instance, tol: float = 1e-9) -> list[str]:
     """Exhaustive monotonicity and submodularity check of the pair objective.
 
     Covers every chain U subset-of V and every pair outside V. Returns
     human-readable violation descriptions (empty means both properties hold).
     """
     n, m = instance.n, instance.m
-    values = pair_objective_values(instance, guard=guard)
+    values = pair_objective_values(instance)
     names = [f"pair ({i}, {j})" for i in range(n) for j in range(m)]
     return _lattice_violations(values, names, tol)
 
@@ -529,7 +526,7 @@ def markov_deterministic_placement(
     def greedies(assortments):
         first_k: dict[tuple[int, ...], int] = {}  # sorted set -> first k
         for k, members in enumerate(assortments, 1):
-            first_k.setdefault(tuple(sorted(members)), k)
+            first_k.setdefault(members, k)
         placed = _partition_greedy(instance, list(first_k), WEvaluator(instance))
         for k, (slots, w) in zip(first_k.values(), placed):
             yield k, w, slots

@@ -27,7 +27,7 @@ from placement_opt.choice import RationalityViolation
 
 def direct_revenue(instance: Instance, ids) -> float:
     """Assortment revenue from one ``choice_probs`` call, summed in id order."""
-    ids = sorted(set(i for i in ids if 0 <= i < instance.n))
+    ids = sorted(set(ids))
     probs = instance.choice_model.choice_probs(ids)
     return sum(instance.products[i].price * probs[i] for i in ids)
 
@@ -323,15 +323,13 @@ def reference_markov_greedy(instance: Instance, oracle):
     exactly: a partition greedy over each k's members, even when an
     earlier k returned the same set, and the first strictly better w wins.
     """
-    from placement_opt import fill_empty
     from placement_opt.solvers import _partition_greedy
 
     ev = WEvaluator(instance)
     best = None
     for k in range(1, instance.m + 1):
-        members = sorted(i for i in oracle.best_assortment(k) if i < instance.n)
+        members = sorted(oracle.best_assortment(k))
         [(slots, w)] = _partition_greedy(instance, [members], ev)
-        slots = fill_empty(instance, slots)
         if best is None or w > best[0]:
             best = (w, k, slots)
     return best

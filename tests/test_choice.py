@@ -344,6 +344,20 @@ def test_batch_revenues_on_ties_and_bad_ids(family):
             model.revenues(prices, np.array(bad))
 
 
+@pytest.mark.parametrize("family", _TIED_MODELS)
+def test_ids_that_are_not_integers_are_rejected(family):
+    # a float, boolean or string id is never cast to an index: 1.9 is not
+    # product 1, and 2.0 is not product 2
+    model = _TIED_MODELS[family]()
+    for bad in ([1.9], [0.5], [2.0], [True], ["a"]):
+        with pytest.raises(ValueError, match="unknown product id"):
+            model.choice_probs(bad)
+    for bad in ([[0.7]], [[True]]):
+        with pytest.raises(ValueError, match="unknown product id"):
+            model.revenues(np.full(6, 2.0), bad)
+    assert model.choice_probs([np.int64(2), np.uint8(0)]) == model.choice_probs([0, 2])
+
+
 def _ranked_edge_model(n, offered, rng):
     # an empty order, a zero-probability list, two lists topped by the same
     # product and a list naming only products the first row leaves out

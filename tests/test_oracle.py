@@ -40,10 +40,8 @@ from helpers import (
 )
 
 
-def _real_revenue(instance, ids):
-    return expected_revenue(
-        instance.choice_model, instance.prices, [i for i in ids if i < instance.n]
-    )
+def _revenue(instance, ids):
+    return expected_revenue(instance.choice_model, instance.prices, ids)
 
 
 def test_tradeoff_instance_optimum_is_the_pricey_block():
@@ -53,7 +51,7 @@ def test_tradeoff_instance_optimum_is_the_pricey_block():
         inst = gen_first_slot_only(k)
         chosen = BruteForceOracle(inst).best_assortment(k)
         assert chosen == frozenset(range(k))
-        assert _real_revenue(inst, chosen) == pytest.approx(k / 2.0, abs=1e-12)
+        assert _revenue(inst, chosen) == pytest.approx(k / 2.0, abs=1e-12)
 
 
 def test_heavy_tail_optimum_is_one_tier():
@@ -75,8 +73,8 @@ def test_mnl_exact_matches_brute_force():
         inst = gen_random(10, 5, model="mnl", seed=seed)
         brute, mnl = BruteForceOracle(inst), MnlExactOracle(inst)
         for k in range(1, 6):
-            r_brute = _real_revenue(inst, brute.best_assortment(k))
-            r_mnl = _real_revenue(inst, mnl.best_assortment(k))
+            r_brute = _revenue(inst, brute.best_assortment(k))
+            r_mnl = _revenue(inst, mnl.best_assortment(k))
             assert abs(r_brute - r_mnl) <= 1e-7, (seed, k)
 
 
@@ -571,8 +569,8 @@ def test_brute_force_dominates_other_strategies():
         brute = BruteForceOracle(inst)
         greedy = GreedyUniformOracle(inst)
         for k in range(1, 5):
-            r_brute = _real_revenue(inst, brute.best_assortment(k))
-            r_greedy = _real_revenue(inst, greedy.best_assortment(k))
+            r_brute = _revenue(inst, brute.best_assortment(k))
+            r_greedy = _revenue(inst, greedy.best_assortment(k))
             assert r_greedy <= r_brute + 1e-12
             assert r_greedy >= greedy.alpha * r_brute - 1e-12
 
@@ -610,8 +608,8 @@ def test_short_answer_adds_only_the_pricey_product():
     assert oracle.best_assortment(2) == oracle._answers[3][0] == frozenset({1, 2})
     topped = oracle.best_assortment(3)
     assert topped == frozenset({0, 1, 2})
-    assert _real_revenue(inst, topped) == pytest.approx(
-        _real_revenue(inst, {1, 2}), abs=1e-12
+    assert _revenue(inst, topped) == pytest.approx(
+        _revenue(inst, {1, 2}), abs=1e-12
     )
 
 
@@ -673,8 +671,8 @@ def test_greedy_uniform_matches_brute_on_small_mnl():
         inst = gen_random(5, 2, model="mnl", price_range=(2.0, 2.0), seed=seed)
         greedy = GreedyUniformOracle(inst).best_assortment(2)
         brute = BruteForceOracle(inst).best_assortment(2)
-        assert _real_revenue(inst, greedy) == pytest.approx(
-            _real_revenue(inst, brute), abs=1e-9
+        assert _revenue(inst, greedy) == pytest.approx(
+            _revenue(inst, brute), abs=1e-9
         )
 
 
@@ -690,6 +688,6 @@ def test_oracle_revenue_agrees_with_direct_computation():
     inst = gen_random(6, 3, model="ranked", seed=2)
     oracle = BruteForceOracle(inst)
     chosen = oracle.best_assortment(3)
-    assert _real_revenue(inst, chosen) == pytest.approx(
+    assert _revenue(inst, chosen) == pytest.approx(
         direct_revenue(inst, chosen), abs=1e-12
     )

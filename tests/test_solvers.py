@@ -34,6 +34,7 @@ from placement_opt import (
     gen_random,
     gen_uniform_line,
     markov_deterministic_placement,
+    pair_objective_values,
     randomized_placement,
     uniform_price_matroid_greedy,
 )
@@ -272,6 +273,30 @@ def test_best_of_many_matches_per_k_reference():
     assert tied >= 4  # m > n repeats sets, so several k reach the best
 
 
+def test_best_of_many_evaluates_at_most_n_prefixes(monkeypatch):
+    # every k >= n gets the size-n set and the same slots, so it can only tie
+    cases = [
+        gen_random(n, m, model=family, browsing="line", seed=seed)
+        for seed, (n, m) in enumerate([(1, 3), (2, 5), (3, 40), (4, 6)])
+        for family in ("mnl", "mmnl", "markov", "ranked")
+    ]
+    real = WEvaluator.value
+    for inst in cases:
+        oracle = BruteForceOracle(inst)
+        w, k, slots = reference_best_of_many(inst, oracle)
+        calls = []
+
+        def counted(self, placed):
+            calls.append(placed)
+            return real(self, placed)
+
+        monkeypatch.setattr(WEvaluator, "value", counted)
+        report = best_of_many_line(inst, oracle)
+        monkeypatch.undo()
+        assert len(calls) <= inst.n < inst.m
+        assert (report.placement, report.w_exact.hex(), report.k) == (slots, w.hex(), k)
+
+
 def test_best_of_many_requires_line_browsing():
     inst = gen_random(3, 2, model="mnl", browsing="explicit", seed=0)
     with pytest.raises(ValueError):
@@ -306,16 +331,10 @@ def test_randomized_replication_lower_bound_exact_enumeration():
     inst = gen_random(6, 3, model="mnl", seed=9)
     oracle = BruteForceOracle(inst)
     members = sorted(oracle.best_assortment(3))
-    full = expected_revenue(
-        inst.choice_model, inst.prices, [i for i in members if i < inst.n]
-    )
+    full = expected_revenue(inst.choice_model, inst.prices, members)
     mean = np.mean(
         [
-            expected_revenue(
-                inst.choice_model,
-                inst.prices,
-                {i for i in triple if i < inst.n},
-            )
+            expected_revenue(inst.choice_model, inst.prices, set(triple))
             for triple in iter_product(members, repeat=3)
         ]
     )
@@ -515,10 +534,7 @@ def test_markov_greedy_runs_one_greedy_per_distinct_set(monkeypatch):
         oracle = exact_oracle(inst)
         calls.clear()
         markov_deterministic_placement(inst, oracle)
-        sets = [
-            tuple(sorted(i for i in oracle.best_assortment(k) if i < inst.n))
-            for k in range(1, inst.m + 1)
-        ]
+        sets = [tuple(sorted(oracle.best_assortment(k))) for k in range(1, inst.m + 1)]
         # one lockstep call over the distinct sets, in first-seen order
         assert calls == [list(dict.fromkeys(sets))]
         repeats += len(sets) - len(calls[0])
@@ -700,6 +716,14 @@ def test_adding_priciest_product_never_hurts():
 def test_pair_objective_monotone_submodular_with_uniform_prices():
     inst = gen_random(3, 2, model="mnl", price_range=(1.0, 1.0), browsing="explicit", seed=8)
     assert check_pair_objective_properties(inst) == []
+
+
+def test_pair_objective_guard():
+    inst = gen_random(1, 19, model="mnl", browsing="line", seed=0)
+    with pytest.raises(SizeGuardError, match=r"2\^19 subsets"):
+        pair_objective_values(inst)
+    with pytest.raises(SizeGuardError):
+        check_pair_objective_properties(inst)
 
 
 def test_pair_objective_checker_flags_nonuniform_counterexample():
