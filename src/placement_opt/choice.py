@@ -20,11 +20,21 @@ _EPS = np.finfo(float).eps
 
 
 def _revenue_rows(prices: np.ndarray, ids: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Row sums of ``r_i p_i``, a column at a time in id order as ``expected_revenue``."""
-    rev = np.zeros(len(ids))
-    for col in range(ids.shape[1]):
-        rev = rev + prices[ids[:, col]] * probs[:, col]
-    return rev
+    """Row sums of ``r_i p_i`` for ``s >= 1`` columns, added left to right in id
+    order as ``expected_revenue`` does: the running sum 0.0 + t_0 + t_1 + ...,
+    where ``+ 0.0`` turns a first term of -0.0 into 0.0."""
+    terms = prices[ids] * probs
+    terms[:, 0] += 0.0
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+
+
+_BOOLS = frozenset({bool, np.bool_})
+
+
+def _has_bool(values: Iterable) -> bool:
+    """Whether any of the scalars is a Python or numpy boolean, which numpy
+    silently reads as 0 or 1 in an array with integers."""
+    return not _BOOLS.isdisjoint(map(type, values))
 
 
 class ChoiceModel:
@@ -41,11 +51,12 @@ class ChoiceModel:
     def choice_probs(self, assortment: Iterable[int]) -> dict[int, float]:
         """Purchase probability for every product in the assortment; an id
         that is not an integer in [0, n), 2.0 or True say, raises ValueError."""
-        key = canon(assortment)
+        given = tuple(assortment)  # scanned whole: a set would merge True into 1
+        key = canon(given)
         if not key:
             return {}
         ids = np.array([key])
-        if ids.dtype.kind not in "iu" or key[0] < 0 or key[-1] >= self.n:
+        if ids.dtype.kind not in "iu" or key[0] < 0 or key[-1] >= self.n or _has_bool(given):
             raise ValueError(f"unknown product id in assortment {key}")
         return dict(zip(key, self._batch_probs(ids)[0].tolist()))
 
@@ -65,10 +76,15 @@ class ChoiceModel:
         revenue adds ``r_i p_i`` one column at a time in id order as that sum
         does. Its memory is linear in the rows, so callers bound them.
         """
-        ids = np.asarray(ids)
+        given, ids = ids, np.asarray(ids)
         if not ids.size:
             return np.zeros(len(ids))
-        if ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= self.n:
+        if (
+            ids.dtype.kind not in "iu"
+            or ids.min() < 0
+            or ids.max() >= self.n
+            or (given is not ids and _has_bool(np.asarray(given, dtype=object).flat))
+        ):
             raise ValueError("unknown product id in assortment batch")
         ids = ids.astype(np.intp, copy=False)
         return _revenue_rows(np.asarray(prices, dtype=float), ids, self._batch_probs(ids))
@@ -171,6 +187,9 @@ class MarkovModel(ChoiceModel):
         self.arrival = lam
         self.transitions = rho
         self.n = int(lam.size) - 1
+        # Every ``_batch_probs`` system I - Q is a gather of I - rho, equal to
+        # eye - Q entry by entry: 1 - rho_ii on the diagonal, 0 - rho_ij off it.
+        self._eye_minus_rho = np.eye(lam.size) - rho
         # t0 = ||(I - Q)^-1||_inf unoffered, the longest expected walk; offering
         # shortens walks, so every ``_batch_probs`` system has kappa_inf <= 2 t0.
         # I - Q is row diagonally dominant (pivot growth <= 2), so LU's hit
@@ -179,26 +198,26 @@ class MarkovModel(ChoiceModel):
         # 48 = 2 * 24 covers the rounding of t0 itself, n + 1 the final sum. A t0
         # below 1 (every walk visits a state) is rounding garbage: inf.
         try:
-            t0 = np.linalg.solve(np.eye(self.n) - rho[1:, 1:], np.ones(self.n)).max()
+            t0 = np.linalg.solve(self._eye_minus_rho[1:, 1:], np.ones(self.n)).max()
         except np.linalg.LinAlgError:
             t0 = np.inf
         self.prob_error = (48 * self.n**3 * (t0 if t0 >= 1.0 else np.inf) + self.n + 1) * _EPS
 
     def _batch_probs(self, ids):
         # States {quit} | offered are made absorbing, and each row solves the
-        # dense linear system over its transient (unoffered) states; all rows
-        # go through one stacked solve.
+        # dense linear system I - Q over its transient (unoffered) states,
+        # gathered from the stored I - rho; all rows go through one stacked solve.
         rows = np.arange(len(ids))[:, None]
-        absorbing = np.hstack([np.zeros_like(rows), ids + 1])
+        absorbing = np.zeros((len(ids), ids.shape[1] + 1), dtype=np.intp)  # column 0: quit
+        absorbing[:, 1:] = ids + 1
         unoffered = np.ones((len(ids), self.n + 1), dtype=bool)
         unoffered[rows, absorbing] = False
         transient = np.nonzero(unoffered)[1].reshape(len(ids), -1)
         if transient.shape[1] == 0:
             return self.arrival[ids + 1]
-        rho = self.transitions
-        q = rho[transient[:, :, None], transient[:, None, :]]
-        r = rho[transient[:, :, None], absorbing[:, None, :]]
-        hit = np.linalg.solve(np.eye(transient.shape[1]) - q, r)
+        system = self._eye_minus_rho[transient[:, :, None], transient[:, None, :]]
+        r = self.transitions[transient[:, :, None], absorbing[:, None, :]]
+        hit = np.linalg.solve(system, r)
         start = self.arrival[transient][:, None, :]
         # column 0 is the quit state; column pos + 1 matches ids[:, pos]
         return (self.arrival[absorbing] + (start @ hit)[:, 0])[:, 1:]

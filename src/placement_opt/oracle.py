@@ -8,7 +8,6 @@ highest-price product, which never lowers revenue under substitutability.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -18,8 +17,10 @@ from .core import Instance, SizeGuardError
 
 BRUTE_FORCE_MAX_N = 22
 _MNL_BISECT_ITERS = 200
-# Subsets per block of the brute-force pass; bounds its temporaries.
+# Subsets per solve block of the brute-force pass; bounds the kernel's temporaries.
 _BATCH = 256
+# Subsets per chunk of a size's ranks and bounds; bounds those temporaries.
+_CHUNK = 4096
 # Scores (sizes x products) per lockstep chunk of the MNL bisection. It bounds
 # a chunk's arrays: more than half this many products bisect one size a chunk.
 _MNL_CELLS = 1 << 14
@@ -45,20 +46,38 @@ def _exact_reaches(values: np.ndarray, t: float) -> bool:
     return values.sum() >= t  # numpy's pairwise sum, as a lone bisection has it
 
 
-def _sub_bounds(prev: np.ndarray, ids: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Per row of ``ids`` and member, the least bound ``prev`` holds for that
-    member over the row's subsets without one other member (inf if none).
-    ``prev`` has one row per subset of size s - 1 in ``combinations`` order,
-    where c_0 < c_1 < ... has rank C(n, k) - 1 - sum_q C(n - 1 - c_q, k - q)."""
-    s = ids.shape[1]
-    p, r = np.arange(s), np.arange(s - 1)[:, None]
-    rest = len(binom) - 1 - ids
-    # rank without member i: later members move down one (exact: ranks < 2^53)
-    ranks = len(prev) - 1 - binom[rest, s - 1 - p] @ (p[:, None] < p)
-    ranks -= binom[rest, s - p] @ (p[:, None] > p)
-    # [row, r, member j]: the r-th dropped member i != j, where j sits at j - (i < j)
-    src = ranks[:, r + (r >= p)] * (s - 1) + p - (r < p)
-    return prev.ravel()[src.astype(np.intp)].min(axis=1, initial=np.inf)
+def _extend(subsets: np.ndarray, n: int) -> np.ndarray:
+    """The size-(s + 1) subsets of range(n) in ``combinations`` order, from
+    the size-s ones: each row of ``subsets`` followed by every larger id."""
+    last = subsets[:, -1].astype(np.intp) if subsets.shape[1] else np.full(len(subsets), -1)
+    counts = n - 1 - last
+    out = np.empty((counts.sum(), subsets.shape[1] + 1), dtype=np.int8)
+    out[:, :-1] = np.repeat(subsets, counts, axis=0)
+    # row i's run of counts[i] new ids counts up from last[i] + 1
+    out[:, -1] = np.arange(len(out)) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+    return out
+
+
+def _drop_ranks(ids: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """``ranks[p, r]``: the rank of row r of sorted size-s ``ids`` without its
+    member p among the size-(s - 1) subsets of range(n) in ``combinations``
+    order, where c_0 < c_1 < ... of size k has rank C(n, k) - 1 - sum_q
+    C(n - 1 - c_q, k - q); ``binom[k, c]`` is C(n - 1 - c, k), exact int64.
+
+    Without member p, members q < p keep position q and those after p move
+    down one, so rank_0 = C(n, s - 1) - 1 - sum_{q > 0} C(n - 1 - c_q, s - q)
+    and rank_{p + 1} = rank_p + C(n - 1 - c_{p + 1}, k) - C(n - 1 - c_p, k),
+    k = s - 1 - p: c_p moves back to position p and c_{p + 1} out of it.
+    """
+    s, cols = ids.shape[1], ids.T
+    ranks = np.empty((s, len(ids)), dtype=np.int64)
+    ranks[0] = comb(binom.shape[1], s - 1) - 1
+    for q in range(1, s):
+        ranks[0] -= binom[s - q].take(cols[q])
+    for p in range(s - 1):
+        terms = binom[s - 1 - p]
+        ranks[p + 1] = ranks[p] + terms.take(cols[p + 1]) - terms.take(cols[p])
+    return ranks
 
 
 def last_record(values, best: float = -np.inf) -> tuple[int | None, float]:
@@ -112,9 +131,11 @@ class BruteForceOracle(AssortmentOracle):
     size s answers k = s. Substitutability, ``P_j(S) <= P_j(S - {i})``,
     bounds ``R(S) <= sum_j r_j min_{i != j} P_j(S - {i})``, read from a
     per-size table of probability bounds (a solved subset's probabilities,
-    a skipped one's propagated minima). In ``_BATCH``-row blocks, only
-    subsets whose bound plus a rounding margin beats the best so far are
-    solved, so the answers are those of scoring every subset.
+    a skipped one's propagated minima). Each size's subsets, their bounds
+    and bound revenues are built once, ``_CHUNK`` rows at a time, from the
+    previous size's; then, in ``_BATCH``-row blocks, only subsets whose
+    bound plus a rounding margin beats the best so far are solved, so the
+    answers are those of scoring every subset.
     """
 
     alpha = 1.0
@@ -129,29 +150,38 @@ class BruteForceOracle(AssortmentOracle):
 
     def _pass(self, top):
         model, prices, n = self.instance.choice_model, self.instance.prices, self.instance.n
-        binom = np.array([[comb(a, k) for k in range(n + 1)] for a in range(n)], dtype=float)
-        best, best_rev, out, bounds = frozenset(), 0.0, {}, np.zeros((1, 0))  # size 0: {}
+        binom = np.array([[comb(n - 1 - c, k) for c in range(n)] for k in range(n + 1)], np.int64)
+        best, best_rev, out = frozenset(), 0.0, {}
+        # bounds[j, r] is member j of subset r: a chunk's gathers take whole
+        # columns, and its minima run along contiguous rows
+        subsets, bounds = np.zeros((1, 0), dtype=np.int8), np.zeros((0, 1))  # size 0: {}
         for s in range(1, top + 1):
-            prev, bounds = bounds, np.empty((comb(n, s), s))
-            subsets = combinations(range(n), s)
-            for start in range(0, len(bounds), _BATCH):
-                ids = np.fromiter(chain.from_iterable(islice(subsets, _BATCH)), dtype=np.intp)
-                ids = ids.reshape(-1, s)
-                block = bounds[start : start + _BATCH]
-                block[:] = _sub_bounds(prev, ids, binom)
-                # By induction a stored bound is >= P_j - err (err =
-                # ``prob_error``), so a computed P_j is <= its bound + 2 err,
-                # and each of the two s-term sums rounds by < s^2 u r_max: a
-                # skipped subset's revenue is <= the best, never a record.
-                with np.errstate(invalid="ignore"):  # 0 * inf is nan: solved
-                    margin = 2 * s * prices.max() * (model.prob_error + s * _EPS)
-                    rows = np.flatnonzero(~(_revenue_rows(prices, ids, block) + margin <= best_rev))
+            subsets, prev = _extend(subsets, n), bounds
+            bounds, limits = np.full((s, len(subsets)), np.inf), np.empty(len(subsets))
+            for start in range(0, len(subsets), _CHUNK):
+                ids, block = subsets[start : start + _CHUNK], bounds[:, start : start + _CHUNK]
+                # the subset without member p holds member j at j if j < p,
+                # else at j - 1
+                for p, ranks in enumerate(_drop_ranks(ids, binom)):
+                    sub = prev.take(ranks, axis=1)
+                    np.minimum(block[:p], sub[:p], out=block[:p])
+                    np.minimum(block[p + 1 :], sub[p:], out=block[p + 1 :])
+                with np.errstate(invalid="ignore"):  # 0 * inf is nan, never <= best
+                    limits[start : start + _CHUNK] = _revenue_rows(prices, ids, block.T)
+            # By induction a stored bound is >= P_j - err (err = ``prob_error``),
+            # so a computed P_j is <= its bound + 2 err, and each of the two
+            # s-term sums rounds by < s^2 u r_max: a skipped subset's revenue
+            # is <= the best, never a record.
+            limits += 2 * s * prices.max() * (model.prob_error + s * _EPS)
+            for start in range(0, len(subsets), _BATCH):
+                rows = start + np.flatnonzero(~(limits[start : start + _BATCH] <= best_rev))
                 if not rows.size:
                     continue
-                probs = block[rows] = model._batch_probs(ids[rows])
-                revs = _revenue_rows(prices, ids[rows], probs)
-                at, best_rev = last_record(revs.tolist(), best_rev)
-                best = best if at is None else frozenset(ids[rows[at]].tolist())
+                ids = subsets[rows].astype(np.intp)
+                probs = model._batch_probs(ids)
+                bounds[:, rows] = probs.T
+                at, best_rev = last_record(_revenue_rows(prices, ids, probs).tolist(), best_rev)
+                best = best if at is None else frozenset(ids[at].tolist())
             out[s] = (best, best_rev)
         return out
 

@@ -59,6 +59,14 @@ def twin_optimum(instance: Instance) -> float:
     return best
 
 
+def reference_revenue_rows(prices, ids, probs) -> np.ndarray:
+    """Row sums of ``r_i p_i`` from 0.0, one column at a time in id order."""
+    rev = np.zeros(len(ids))
+    for col in range(ids.shape[1]):
+        rev = rev + prices[ids[:, col]] * probs[:, col]
+    return rev
+
+
 def absorption_by_iteration(model, offered, steps: int = 5000) -> dict[int, float]:
     """Markov absorption probabilities by stepping the chain forward.
 

@@ -21,10 +21,12 @@ from placement_opt import (
     model_from_spec,
     no_purchase_prob,
 )
+from placement_opt.choice import _revenue_rows
 
 from helpers import (
     absorption_by_iteration,
     reference_choice_probs,
+    reference_revenue_rows,
     reference_weak_rationality,
 )
 
@@ -349,13 +351,35 @@ def test_ids_that_are_not_integers_are_rejected(family):
     # a float, boolean or string id is never cast to an index: 1.9 is not
     # product 1, and 2.0 is not product 2
     model = _TIED_MODELS[family]()
-    for bad in ([1.9], [0.5], [2.0], [True], ["a"]):
+    # numpy reads [True, 2] as an integer array, so only a type scan sees the True
+    for bad in ([1.9], [0.5], [2.0], [True], ["a"], [True, 2], [np.True_, 2], [1, True]):
         with pytest.raises(ValueError, match="unknown product id"):
             model.choice_probs(bad)
-    for bad in ([[0.7]], [[True]]):
+    for bad in ([[0.7]], [[True]], [[True, 2]]):
         with pytest.raises(ValueError, match="unknown product id"):
             model.revenues(np.full(6, 2.0), bad)
     assert model.choice_probs([np.int64(2), np.uint8(0)]) == model.choice_probs([0, 2])
+
+
+def test_revenue_rows_match_the_column_loop_bitwise():
+    # -0.0 first terms, 0 * inf (the bound rows of members never solved are
+    # inf), inf itself and rows wider than 8 columns
+    rng = np.random.default_rng(4)
+    prices = np.array([0.0, 1.5, 2.0, 3.25, 1e-300, 7.0, 0.5, 4.0, 9.0, 2.5, 1.0, 6.0])
+    for cols in (1, 2, 7, 8, 9, 12):
+        ids = np.sort(np.array([rng.permutation(12)[:cols] for _ in range(40)]), axis=1)
+        probs = rng.choice([-0.0, 0.0, 0.25, 1.0 / 3.0, 1e-300, np.inf], size=ids.shape)
+        probs[:5] = rng.random((5, cols))
+        probs[5, 0] = -0.0
+        with np.errstate(invalid="ignore"):
+            got = _revenue_rows(prices, ids, probs)
+            want = reference_revenue_rows(prices, ids, probs)
+        assert got.tobytes() == want.tobytes(), cols
+    with np.errstate(invalid="ignore"):
+        row = _revenue_rows(prices, np.array([[0, 5]]), np.array([[-0.0, -0.0]]))
+        nan = _revenue_rows(prices, np.array([[0, 1]]), np.array([[np.inf, 0.5]]))
+    assert row.tobytes() == np.zeros(1).tobytes()  # 0.0, not -0.0
+    assert np.isnan(nan[0])
 
 
 def _ranked_edge_model(n, offered, rng):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from math import comb, nextafter
@@ -337,9 +338,18 @@ def _brute_reference_instances():
     return insts
 
 
-@pytest.mark.parametrize("batch", [oracle_module._BATCH, 3])
-def test_brute_force_matches_per_k_reference(monkeypatch, batch):
+# solve blocks and bound chunks at their sizes, and small enough that a size
+# spans several of each, cut at different rows
+_BLOCKS = [
+    pytest.param(oracle_module._BATCH, oracle_module._CHUNK, id=str(oracle_module._BATCH)),
+    pytest.param(3, 5, id="3"),
+]
+
+
+@pytest.mark.parametrize("batch, chunk", _BLOCKS)
+def test_brute_force_matches_per_k_reference(monkeypatch, batch, chunk):
     monkeypatch.setattr(oracle_module, "_BATCH", batch)
+    monkeypatch.setattr(oracle_module, "_CHUNK", chunk)
     for inst in _brute_reference_instances():
         m = inst.m
         expected = {k: reference_brute_oracle(inst, k) for k in range(1, m + 1)}
@@ -448,9 +458,10 @@ def _bound_instances():
     return insts
 
 
-@pytest.mark.parametrize("batch", [oracle_module._BATCH, 3])
-def test_bounded_brute_force_answers_equal_the_full_enumeration(monkeypatch, batch):
+@pytest.mark.parametrize("batch, chunk", _BLOCKS)
+def test_bounded_brute_force_answers_equal_the_full_enumeration(monkeypatch, batch, chunk):
     monkeypatch.setattr(oracle_module, "_BATCH", batch)
+    monkeypatch.setattr(oracle_module, "_CHUNK", chunk)
     for inst in _bound_instances():
         oracle = BruteForceOracle(inst)
         oracle.best_assortment(1)
@@ -460,6 +471,34 @@ def test_bounded_brute_force_answers_equal_the_full_enumeration(monkeypatch, bat
             # the reference's revenue is expected_revenue of its set
             want, want_rev = expected[size]
             assert (got, rev.hex()) == (want, want_rev.hex()), size
+
+
+def test_per_size_subsets_and_drop_ranks_follow_combinations_order():
+    for n in range(1, 11):
+        binom = np.array([[comb(n - 1 - c, k) for c in range(n)] for k in range(n + 1)])
+        subsets, position = np.zeros((1, 0), dtype=np.int8), {(): 0}
+        for s in range(1, n + 1):
+            subsets = oracle_module._extend(subsets, n)
+            expected = list(combinations(range(n), s))
+            assert subsets.dtype == np.int8 and subsets.tolist() == [list(c) for c in expected]
+            ranks = oracle_module._drop_ranks(subsets, binom)
+            assert ranks.shape == (s, len(expected))
+            want = [[position[c[:p] + c[p + 1 :]] for c in expected] for p in range(s)]
+            assert ranks.tolist() == want, (n, s)
+            position = {c: r for r, c in enumerate(expected)}
+
+
+def test_brute_force_pass_memory_stays_near_its_two_bound_tables():
+    # whole-size rank or gather arrays would reach several times the tables
+    inst = gen_random(20, 10, model="ranked", browsing="explicit", seed=3)
+    tables = (comb(20, 10) * 10 + comb(20, 9) * 9) * 8  # 25.6 MiB
+    tracemalloc.start()
+    try:
+        BruteForceOracle(inst).best_assortment(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * tables, peak / tables
 
 
 def test_markov_error_bound_grows_with_the_longest_walk():
