@@ -13,10 +13,12 @@ first in odd ones, and the last stdout line of each run is parsed as its
 JSON result.
 
 The output holds, per workload and end-to-end metric, both sides' medians
-and interquartile ranges, the per-pair values and the number of pairs the
-change won, plus failed ops, the run settings and host provenance. Each
-side is named by its short commit hash (a working tree that differs from
-its HEAD as ``<hash>+dirty``) and by ``src_sha256``, the ``tree_digest``
+and interquartile ranges, the per-pair values, the number of pairs the
+change won and a verdict against the metric's bound (``gain``,
+``regression``, ``unresolved`` or ``within bound``, see ``verdict``), plus
+failed ops, the run settings and host provenance. Each side is named by
+its short commit hash (a working tree that differs from its HEAD as
+``<hash>+dirty``) and by ``src_sha256``, the ``tree_digest``
 of the ``src/`` it ran, which can be recomputed on any later checkout.
 
 If a run exits nonzero, the pairs completed so far are still summarized
@@ -108,12 +110,36 @@ def _spread(values: list[float]) -> tuple[float, float]:
     return statistics.median(values), q3 - q1
 
 
+def verdict(row: dict, bound: float) -> str:
+    """One metric's reading of its pairs, ``bound`` its allowed relative worsening.
+
+    ``gain``: the change won at least nine tenths of the pairs and its
+    median beats the base median by more than the base IQR.
+    ``regression``: the change median is worse than the base median by more
+    than ``bound`` of it. ``unresolved``: the base IQR is wider than that
+    bound and not every change run beats every base run. ``within bound``:
+    anything else.
+    """
+    sign = 1.0 if row["better"] == "lower" else -1.0
+    base, change = (sign * row[f"{side}_median"] for side in SIDES)
+    if 10 * row["change_wins"] >= 9 * len(row["pairs"]) and base - change > row["base_iqr"]:
+        return "gain"
+    if change - base > bound * abs(row["base_median"]):
+        return "regression"
+    worst_change = max(sign * c for _, c in row["pairs"])
+    best_base = min(sign * b for b, _ in row["pairs"])
+    if row["base_iqr"] > bound * abs(row["base_median"]) and not worst_change < best_base:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(spec: list[dict], pairs: list[dict[str, dict]]) -> dict:
     """Per-metric summary of one workload's pairs of run results.
 
     ``spec`` is ``BENCHMARK.json``'s ``end_to_end`` list; each pair maps
     ``"base"`` and ``"change"`` to a parsed run result. The change wins a
-    pair when its value is strictly better in the metric's direction.
+    pair when its value is strictly better in the metric's direction; each
+    metric's ``verdict`` reads its pairs against the metric's bound.
     """
     out = {
         side: {
@@ -133,6 +159,7 @@ def summarize(spec: list[dict], pairs: list[dict[str, dict]]) -> dict:
             sign * c < sign * b for b, c in zip(values["base"], values["change"])
         )
         row["pairs"] = [list(bc) for bc in zip(values["base"], values["change"])]
+        row["verdict"] = verdict(row, entry["bound"])
         metrics[name] = row
     out["metrics"] = metrics
     return out

@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
     instance = _load_instance(args.instance)
     failures: list[str] = []
 
-    trials = None if instance.n <= 6 else args.trials
+    trials = None if instance.n <= 12 else args.trials
     violations = check_weak_rationality(
         instance.choice_model, instance.n, trials=trials, seed=args.seed
     )

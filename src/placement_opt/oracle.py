@@ -21,8 +21,8 @@ _MNL_BISECT_ITERS = 200
 _BATCH = 256
 # Subsets per chunk of a size's ranks and bounds; bounds those temporaries.
 _CHUNK = 4096
-# Scores (sizes x products) per lockstep chunk of the MNL bisection. It bounds
-# a chunk's arrays: more than half this many products bisect one size a chunk.
+# Scores (sizes x products) per chunk of the MNL bisection. It bounds a
+# chunk's arrays: more than half this many products bisect one size a chunk.
 _MNL_CELLS = 1 << 14
 # Summing s nonnegative terms in any order lands within (s - 1) u S of their
 # sum S (Higham, Accuracy and Stability, 4.2): a running and a pairwise sum
@@ -194,10 +194,16 @@ class MnlExactOracle(AssortmentOracle):
     monotone in t, so bisection pins the optimum and the final threshold
     reconstructs the set. Ties in v_i (r_i - t) go to the lower id.
 
-    The pass bisects every size up to min(m, n) in lockstep, one row per
-    size, in ascending chunks of at most ``_MNL_CELLS // n`` rows. Every
-    row takes the steps a bisection of its size alone would: the same
-    midpoints, the same test and the same early exit.
+    The pass bisects every size up to min(m, n), one row per size, in
+    ascending chunks of at most ``_MNL_CELLS // n`` rows. Every row takes
+    the steps a bisection of its size alone would: the same midpoints, the
+    same test and the same early exit. A few Dinkelbach steps first
+    bracket each row's optimum t* to within about 6 (k + 2) eps relative
+    (``_bracket``). A midpoint outside the bracket gets, unevaluated, the
+    answer the test is proven to give there, so each row's path and final
+    threshold are bitwise those of testing every midpoint. Only midpoints
+    inside are scored, sorted and summed, all waiting rows at once: 166 of
+    1,070 on ``gen_random(100, 20, model="mnl", seed=0)``.
     """
 
     alpha = 1.0
@@ -216,36 +222,112 @@ class MnlExactOracle(AssortmentOracle):
         """Scores v_i (r_i - t), one row per threshold t."""
         return self.instance.choice_model.weights * (self.instance.prices - t[:, None])
 
-    def _bisect(self, sizes: list[int]) -> list[tuple[frozenset[int], float]]:
-        # A row stops once an update would leave its lo or hi unchanged: its
-        # next step would then repeat this one forever. The iteration cap
-        # still binds when the optimum is 0 and hi only halves.
-        width = max(sizes)
-        lo = np.zeros(len(sizes))
-        # live rows' ids, sizes and bounds; a stopping row's lo goes to ``lo``
-        live, size = np.arange(len(sizes)), np.array(sizes)
-        low, high = lo.copy(), np.full(len(sizes), float(self.instance.prices.max()))
+    def _bracket(self, size: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of size k, (below, above): the test passes at every
+        midpoint <= below and fails at every one >= above.
+
+        The test at t sums the k largest positive fl(v_i fl(r_i - t)): two
+        roundings per score and k - 1 adds put it within (k + 1) u, u =
+        eps / 2, of the real gain G(t) = max_{|S| <= k} sum_S v_i (r_i - t),
+        relative (Higham, Accuracy and Stability, 3.1 and 4.2), plus half
+        the least subnormal per underflowed score. G never increases and
+        crosses t at t*. Let rel = (k + 2) eps = (2k + 4) u.
+
+        Dinkelbach's update t <- R~(S), S the k best positive scores at
+        b = t (1 + 3 rel), climbs from t = 0 through float revenues of real
+        sets. R~(S) <= R(S) / (1 - (2k + 1) u) (k products, two k-term
+        sums, an add and a divide), so a = t (1 - rel), one more rounding,
+        is below R(S) <= t*. Once the gain at b falls short of b (1 - rel),
+        G(b) < b, so b > t*. Three is the least multiple of rel for which
+        that happens whenever S is optimal: then t* <= t (1 + (2k + 1) u)
+        and the gain at b reads at most t* (1 + (k + 1) u). A midpoint <= a (1 - rel) then has G >= t*
+        and passes; one >= b (1 + rel) has G <= t* < b and fails: each by
+        about (k + 2) u t*, more than the test's error, and t >= tiny / eps
+        keeps the subnormal part under that. A row that does not certify
+        (t* = 0, t under tiny / eps, or scores that could overflow) gets
+        (-inf, inf), so every midpoint is tested.
+        """
+        v, r = self.instance.choice_model.weights, self.instance.prices
+        below, above = np.full(len(size), -np.inf), np.full(len(size), np.inf)
+        if not np.isfinite(2.0 * v.sum() * r.max()):  # bounds every score and gain
+            return below, above
+        rel, first = (size + 2) * _EPS, np.arange(width) < size[:, None]
+        t, live, floor = np.zeros(len(size)), np.arange(len(size)), np.finfo(float).tiny / _EPS
         for _ in range(_MNL_BISECT_ITERS):
-            mid = 0.5 * (low + high)
+            b = t[live] * (1.0 + 3.0 * rel[live])
+            # v (b - r) is exactly minus the score: ascending puts the best first
+            order = np.argsort(v * (b[:, None] - r), axis=1)[:, :width]
+            vs, rs = v[order], r[order]
+            top = np.where(first[live], np.maximum(vs * (rs - b[:, None]), 0.0), 0.0)
+            done = top.sum(axis=1) < b * (1.0 - rel[live])
+            ok = done & (t[live] >= floor)
+            sure = live[ok]
+            below[sure] = t[sure] * (1.0 - rel[sure]) * (1.0 - rel[sure])
+            above[sure] = b[ok] * (1.0 + rel[sure])
+            w = np.where(top > 0.0, vs, 0.0)
+            rev = (w * rs).sum(axis=1) / (1.0 + w.sum(axis=1))
+            grew = ~done & (rev > t[live])
+            t[live[grew]] = rev[grew]
+            live = live[grew]
+            if not live.size:
+                break
+        return below, above
+
+    def _bisect(self, sizes: list[int]) -> list[tuple[frozenset[int], float]]:
+        width, size = max(sizes), np.array(sizes)
+        below, above = self._bracket(size, width)
+        high = float(self.instance.prices.max())
+        rows = [_bisection(high, b, a) for b, a in zip(below.tolist(), above.tolist())]
+        # each row runs to its next undecided midpoint; those are tested together
+        lo, asked = [0.0] * len(rows), {}
+
+        def advance(r: int, up: bool | None) -> None:
+            try:
+                asked[r] = rows[r].send(up)
+            except StopIteration as stop:
+                lo[r] = stop.value
+
+        for r in range(len(rows)):
+            advance(r, None)
+        while asked:
+            ids, mid = list(asked), np.array(list(asked.values()))
+            asked.clear()
             # equal scores are interchangeable in a sum, so the values
             # alone give the gain; no ids need ranking
             top = np.maximum(-np.sort(-self._scores(mid), axis=1)[:, :width], 0.0)
-            up = _reaches(top, size, mid)
-            stuck = np.where(up, mid == low, mid == high)
-            low, high = np.where(up, mid, low), np.where(up, high, mid)
-            if stuck.any():
-                lo[live[stuck]] = low[stuck]
-                live, size, low, high = (a[~stuck] for a in (live, size, low, high))
-                if not live.size:
-                    break
-        lo[live] = low
-        scores = self._scores(lo)
+            for r, up in zip(ids, _reaches(top, size[ids], mid).tolist()):
+                advance(r, up)
+        scores = self._scores(np.array(lo))
         # lower id first on ties
         order = np.argsort(-scores, axis=1, kind="stable")[:, :width]
         return [
-            (frozenset(int(i) for i in order[r, :k] if scores[r, i] > 0.0), float(lo[r]))
+            (frozenset(int(i) for i in order[r, :k] if scores[r, i] > 0.0), lo[r])
             for r, k in enumerate(sizes)
         ]
+
+
+def _bisection(high: float, below: float, above: float):
+    """One size's bisection from [0, high]: yields each midpoint strictly
+    between ``below`` and ``above`` and is sent whether its test passes;
+    decides the others itself. Returns lo.
+
+    It stops once an update would leave low or high unchanged: its next
+    step would then repeat this one forever. The iteration cap still binds
+    when the optimum is 0 and high only halves.
+    """
+    low = 0.0
+    for _ in range(_MNL_BISECT_ITERS):
+        mid = 0.5 * (low + high)
+        up = mid <= below or (mid < above and (yield mid))
+        if up:
+            if mid == low:
+                break
+            low = mid
+        elif mid == high:
+            break
+        else:
+            high = mid
+    return low
 
 
 class GreedyUniformOracle(AssortmentOracle):

@@ -293,12 +293,14 @@ def reference_randomized(instance: Instance, oracle, repetitions: int, rng, valu
     return best
 
 
-def reference_mnl_bisection(instance: Instance, k: int) -> frozenset[int]:
-    """Exact MNL set of at most k products from a bisection of size k alone.
+def reference_mnl_bisection(instance: Instance, k: int) -> tuple[frozenset[int], float]:
+    """(exact MNL set of at most k products, final lo) from a bisection of
+    size k alone.
 
-    The scalar loop the library's lockstep bisection must match exactly: one
-    ``lexsort`` per step, the gain as the sum of the k best positive scores,
-    and the early exit once an update would leave lo or hi unchanged.
+    The scalar loop the library's bisection must match exactly: every
+    midpoint tested, one ``lexsort`` per step, the gain as the sum of the
+    k best positive scores, and the early exit once an update would leave
+    lo or hi unchanged.
     """
 
     def top_scores(t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +323,7 @@ def reference_mnl_bisection(instance: Instance, k: int) -> frozenset[int]:
                 break
             hi = mid
     top, scores = top_scores(lo)
-    return frozenset(int(i) for i in top if scores[i] > 0.0)
+    return frozenset(int(i) for i in top if scores[i] > 0.0), lo
 
 
 def reference_markov_greedy(instance: Instance, oracle):

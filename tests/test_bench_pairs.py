@@ -69,6 +69,52 @@ def test_summarize_single_pair_has_zero_iqr_and_ties_do_not_win():
         assert row["change_wins"] == 0
 
 
+def _verdicts(base, change, ops=None):
+    """Verdicts of pairs whose op_p50_s reads ``base`` and ``change``, and
+    whose ops_per_s reads ``ops`` (two lists) or 100.0 on both sides."""
+    ops = ops or ([100.0] * len(base), [100.0] * len(base))
+    pairs = [
+        {"base": bench_pairs.last_json(_stdout(b, ob)),
+         "change": bench_pairs.last_json(_stdout(c, oc))}
+        for b, c, ob, oc in zip(base, change, *ops)
+    ]
+    metrics = bench_pairs.summarize(SPEC, pairs)["metrics"]
+    return metrics["op_p50_s"]["verdict"], metrics["ops_per_s"]["verdict"]
+
+
+def test_verdict_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr():
+    base = [0.0100, 0.0101, 0.0099, 0.0100, 0.0102, 0.0098, 0.0100, 0.0101, 0.0099, 0.0100]
+    # 9 of 10 pairs won, median gap 0.0010 against a base IQR of 0.00015
+    change = [0.0090] * 9 + [0.0105]
+    assert _verdicts(base, change) == ("gain", "within bound")
+    # 8 of 10 pairs won: no gain, and 5% worse at most is within the 25% bound
+    assert _verdicts(base, [0.0090] * 8 + [0.0105] * 2)[0] == "within bound"
+    # every pair won, but by less than the base IQR
+    assert _verdicts(base, [b - 0.0001 for b in base])[0] == "within bound"
+    # higher is better: more ops per second win
+    ops = ([100.0] * 10, [120.0] * 10)
+    assert _verdicts(base, base, ops) == ("within bound", "gain")
+
+
+def test_verdict_regression_is_a_median_worse_by_more_than_the_bound():
+    base = [0.010] * 5
+    assert _verdicts(base, [0.0126] * 5)[0] == "regression"  # +26%
+    assert _verdicts(base, [0.0124] * 5)[0] == "within bound"  # +24%
+    # higher is better: 26% fewer ops per second is the regression
+    assert _verdicts(base, base, ([100.0] * 5, [74.0] * 5))[1] == "regression"
+    assert _verdicts(base, base, ([100.0] * 5, [76.0] * 5))[1] == "within bound"
+
+
+def test_verdict_unresolved_when_the_base_spreads_past_the_bound():
+    # inclusive quartiles 1.2 and 2.0: IQR 0.8, wider than 25% of the 1.6 median
+    base = [1.0, 1.2, 1.6, 2.0, 2.2]
+    assert _verdicts(base, [1.3, 1.1, 1.7, 1.3, 1.0])[0] == "unresolved"
+    # every change run beats every base run, by less than the IQR
+    assert _verdicts(base, [0.99] * 5)[0] == "within bound"
+    # a regression past the bound stays one
+    assert _verdicts(base, [2.1] * 5)[0] == "regression"
+
+
 def test_tree_digest_covers_names_and_bytes(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "a.py").write_text("x = 1\n")

@@ -3,6 +3,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from math import comb, nextafter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ def test_mnl_early_exit_matches_full_bisection():
 
 def _assert_lockstep_matches_reference(inst):
     """Every size of the table against one scalar bisection per size."""
-    expected = {k: reference_mnl_bisection(inst, k) for k in _sizes(inst)}
+    expected = {k: reference_mnl_bisection(inst, k)[0] for k in _sizes(inst)}
     assert _table(MnlExactOracle(inst)) == expected, (inst.n, inst.m)
 
 
@@ -187,6 +188,47 @@ def test_mnl_lockstep_splits_sizes_at_the_cell_cap(monkeypatch):
     _assert_lockstep_matches_reference(inst)
     ks = list(range(1, inst.m + 1))
     assert passes == [ks[:rows], ks[rows : 2 * rows], ks[2 * rows :]]
+
+
+@st.composite
+def _bisection_cases(draw):
+    """An MNL instance with m = n, so every size is bisected, and the rows
+    per chunk of its pass (None: all sizes in one chunk)."""
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = {
+        "decades": 10.0 ** rng.uniform(-8.0, 8.0, n),
+        "some zero": np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.1, 2.0, n)),
+        "all zero": np.zeros(n),  # optimum 0: the iteration cap binds
+        "plain": rng.uniform(0.1, 2.0, n),
+    }[draw(st.sampled_from(["decades", "some zero", "all zero", "plain"]))]
+    base = float(rng.uniform(1.0, 10.0))
+    prices = {
+        "spread": rng.uniform(1.0, 10.0, n),
+        "identical": np.full(n, base),
+        "one ulp apart": rng.permutation(base + np.arange(n) * np.spacing(base)),
+        "decades": 10.0 ** rng.uniform(-6.0, 6.0, n),
+    }[draw(st.sampled_from(["spread", "identical", "one ulp apart", "decades"]))]
+    products = [Product(i, float(r)) for i, r in enumerate(prices)]
+    inst = Instance(products, MnlModel(weights), n, full_support(n))
+    return inst, draw(st.sampled_from([None, 1, 2, 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bisection_cases())
+def test_mnl_bisection_matches_scalar_reference_bitwise(case):
+    # every size's set and final lo, whatever the bracket decided unevaluated
+    inst, rows = case
+    cells = oracle_module._MNL_CELLS if rows is None else rows * inst.n
+    with mock.patch.object(oracle_module, "_MNL_CELLS", cells):
+        oracle = MnlExactOracle(inst)
+        oracle.best_assortment(1)
+    got = {k: (ids, lo.hex()) for k, (ids, lo) in oracle._answers.items()}
+    expected = {}
+    for k in _sizes(inst):
+        ids, lo = reference_mnl_bisection(inst, k)
+        expected[k] = (ids, lo.hex())
+    assert got == expected
 
 
 # exact ties, signed zeros, subnormals, the extremes of the double range
@@ -288,12 +330,15 @@ def test_last_record_edges():
     assert (at, best.hex()) == (0, (-0.0).hex())
 
 
-def test_exact_sums_stay_a_minority_of_bisection_decisions(monkeypatch):
-    # every row re-summed exactly would still bisect bitwise, only slower
-    counts = {"rows": 0, "exact": 0}
+def test_bisection_tests_and_exact_sums_stay_within_their_pins(monkeypatch):
+    # Testing every midpoint, or re-summing every row exactly, would still
+    # bisect bitwise, only slower. Without the bracket this instance tests
+    # 1,070 midpoints in 54 calls; 111 of them need the exact sum either way.
+    counts = {"calls": 0, "rows": 0, "exact": 0}
     reaches, exact = oracle_module._reaches, oracle_module._exact_reaches
 
     def counted_reaches(top, size, t):
+        counts["calls"] += 1
         counts["rows"] += len(size)
         return reaches(top, size, t)
 
@@ -306,8 +351,8 @@ def test_exact_sums_stay_a_minority_of_bisection_decisions(monkeypatch):
     oracle = MnlExactOracle(gen_random(100, 20, model="mnl", seed=0))
     for k in range(1, 21):
         oracle.best_assortment(k)
-    assert counts["rows"] > 1000
-    assert counts["exact"] < 0.25 * counts["rows"], counts
+    assert counts["calls"] <= 15 and counts["rows"] <= 250, counts
+    assert counts["exact"] <= 111, counts
 
 
 def _brute_reference_instances():
