@@ -23,7 +23,9 @@ of the ``src/`` it ran, which can be recomputed on any later checkout.
 
 If a run exits nonzero, the pairs completed so far are still summarized
 and written, with a ``failed_run`` entry (workload, side, pair, exit code
-and the tail of its stderr), and the script exits 1.
+and the tail of its stderr), and the script exits 1. A run that exits 0
+but whose last line is no JSON result fails the same way, its entry
+holding the parse ``error`` in place of the exit code and stderr.
 """
 
 from __future__ import annotations
@@ -215,15 +217,14 @@ def main(argv=None) -> int:
                         f"{side} op_p50_s {pair[side]['metrics']['op_p50_s']['value']:.4g}"
                         for side in SIDES
                     ), file=sys.stderr)
-        except subprocess.CalledProcessError as err:
-            failed_run = {
-                "workload": workload,
-                "side": side,
-                "pair": i + 1,
-                "exit": err.returncode,
-                "stderr_tail": err.stderr.splitlines()[-20:],
-            }
-            print(f"pair {i + 1} {workload}: {side} exited {err.returncode}", file=sys.stderr)
+        except (subprocess.CalledProcessError, ValueError) as err:
+            failed_run = {"workload": workload, "side": side, "pair": i + 1}
+            if isinstance(err, subprocess.CalledProcessError):
+                failed_run["exit"] = err.returncode
+                failed_run["stderr_tail"] = err.stderr.splitlines()[-20:]
+            else:  # it exited 0 without a JSON result on its last line
+                failed_run["error"] = str(err)
+            print(f"pair {i + 1} {workload}: {side} failed: {err}", file=sys.stderr)
     result = {
         "base": labels["base"],
         "change": labels["change"],

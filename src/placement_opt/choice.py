@@ -70,13 +70,17 @@ class ChoiceModel:
     def revenues(self, prices: Sequence[float], ids: np.ndarray) -> np.ndarray:
         """Revenues of many same-size assortments, one per row of sorted ids.
 
-        ``ids`` is a ``(B, s)`` integer array (else ValueError); entry b equals
+        ``ids`` is a ``(B, s)`` integer array whose rows strictly increase;
+        any other shape, an unsorted or repeating row, or an id that is not
+        in [0, n) raises ValueError. Entry b equals
         ``expected_revenue(self, prices, ids[b])`` bitwise, because
         ``choice_probs`` is one row of the same ``_batch_probs`` and the
         revenue adds ``r_i p_i`` one column at a time in id order as that sum
         does. Its memory is linear in the rows, so callers bound them.
         """
         given, ids = ids, np.asarray(ids)
+        if ids.ndim != 2:
+            raise ValueError(f"assortment batch must be a (B, s) array, got shape {ids.shape}")
         if not ids.size:
             return np.zeros(len(ids))
         if (
@@ -87,6 +91,8 @@ class ChoiceModel:
         ):
             raise ValueError("unknown product id in assortment batch")
         ids = ids.astype(np.intp, copy=False)
+        if (np.diff(ids, axis=1) <= 0).any():
+            raise ValueError("assortment batch rows must be strictly increasing ids")
         return _revenue_rows(np.asarray(prices, dtype=float), ids, self._batch_probs(ids))
 
     def _batch_probs(self, ids: np.ndarray) -> np.ndarray:

@@ -24,26 +24,8 @@ _CHUNK = 4096
 # Scores (sizes x products) per chunk of the MNL bisection. It bounds a
 # chunk's arrays: more than half this many products bisect one size a chunk.
 _MNL_CELLS = 1 << 14
-# Summing s nonnegative terms in any order lands within (s - 1) u S of their
-# sum S (Higham, Accuracy and Stability, 4.2): a running and a pairwise sum
-# differ by under (s - 1) eps S, so outside 8 times that both decide alike.
-_SLACK = 8 * _EPS
 # The one tie rule: a record beats the best so far by more than this margin.
 _TIE = 1e-15
-
-
-def _reaches(top: np.ndarray, size: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per row r, ``top[r, :size[r]].sum() >= t[r]`` for nonnegative ``top``:
-    one running sum decides each row, ``_exact_reaches`` those in the band."""
-    approx = np.cumsum(top, axis=1)[np.arange(len(size)), size - 1]
-    up = approx >= t
-    for r in np.flatnonzero(np.abs(approx - t) <= _SLACK * size * approx).tolist():
-        up[r] = _exact_reaches(top[r, : size[r]], t[r])
-    return up
-
-
-def _exact_reaches(values: np.ndarray, t: float) -> bool:
-    return values.sum() >= t  # numpy's pairwise sum, as a lone bisection has it
 
 
 def _extend(subsets: np.ndarray, n: int) -> np.ndarray:
@@ -202,8 +184,9 @@ class MnlExactOracle(AssortmentOracle):
     (``_bracket``). A midpoint outside the bracket gets, unevaluated, the
     answer the test is proven to give there, so each row's path and final
     threshold are bitwise those of testing every midpoint. Only midpoints
-    inside are scored, sorted and summed, all waiting rows at once: 166 of
-    1,070 on ``gen_random(100, 20, model="mnl", seed=0)``.
+    inside are scored and sorted, all waiting rows at once (166 of 1,070 on
+    ``gen_random(100, 20, model="mnl", seed=0)``), and each row's k best
+    positive scores summed by numpy's pairwise sum, as a lone bisection does.
     """
 
     alpha = 1.0
@@ -295,8 +278,8 @@ class MnlExactOracle(AssortmentOracle):
             # equal scores are interchangeable in a sum, so the values
             # alone give the gain; no ids need ranking
             top = np.maximum(-np.sort(-self._scores(mid), axis=1)[:, :width], 0.0)
-            for r, up in zip(ids, _reaches(top, size[ids], mid).tolist()):
-                advance(r, up)
+            for r, row, t in zip(ids, top, mid.tolist()):
+                advance(r, bool(row[: sizes[r]].sum() >= t))
         scores = self._scores(np.array(lo))
         # lower id first on ties
         order = np.argsort(-scores, axis=1, kind="stable")[:, :width]

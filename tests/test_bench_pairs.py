@@ -136,25 +136,34 @@ def test_failed_run_keeps_the_completed_pairs(tmp_path, monkeypatch):
 
     spec = json.loads((_SCRIPT.parent.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
-    calls = []
-
-    def run_once(tree, command, workload, seed, seconds):
-        calls.append((workload, tree.name))
-        if len(calls) == 9:  # pair 2, second workload, change side first
-            raise subprocess.CalledProcessError(3, command, "", "log\n" * 30 + "Boom\n")
-        return {"attempted": 4, "failed": 0, "metrics": metrics}
-
-    monkeypatch.setattr(bench_pairs, "extract", extract)
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    out = tmp_path / "out.json"
-    argv = ["--pairs", "3", "--seconds", "1", "--workdir", str(tmp_path), "--out", str(out)]
-    assert bench_pairs.main(argv) == 1
-    doc = json.loads(out.read_text())
     first, second, third = (w["name"] for w in spec["workloads"])
-    assert calls[-1] == (second, "change")
-    failed = doc["failed_run"]
-    assert failed["stderr_tail"][-1] == "Boom" and len(failed["stderr_tail"]) == 20
-    del failed["stderr_tail"]
-    assert failed == {"workload": second, "side": "change", "pair": 2, "exit": 3}
-    done = {name: w["base"]["attempted"] // 4 for name, w in doc["workloads"].items()}
-    assert done == {first: 2, second: 1, third: 1}
+    # a nonzero exit, and exits 0 that print nothing or a broken last line
+    failures = [
+        (
+            subprocess.CalledProcessError(3, ["run"], "", "log\n" * 30 + "Boom\n"),
+            {"exit": 3, "stderr_tail": ["log"] * 19 + ["Boom"]},
+        ),
+        ("", {"error": "benchmark run printed nothing"}),
+        ('op_p50_s 1.0 s\n{"metrics": ', {"error": "Expecting value: line 1 column 13 (char 12)"}),
+    ]
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    for failure, expected in failures:
+        calls = []
+
+        def run_once(tree, command, workload, seed, seconds):
+            calls.append((workload, tree.name))
+            if len(calls) == 9:  # pair 2, second workload, change side first
+                if isinstance(failure, Exception):
+                    raise failure
+                return bench_pairs.last_json(failure)
+            return {"attempted": 4, "failed": 0, "metrics": metrics}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        out = tmp_path / "out.json"
+        argv = ["--pairs", "3", "--seconds", "1", "--workdir", str(tmp_path), "--out", str(out)]
+        assert bench_pairs.main(argv) == 1
+        doc = json.loads(out.read_text())
+        assert calls[-1] == (second, "change")
+        assert doc["failed_run"] == {"workload": second, "side": "change", "pair": 2, **expected}
+        done = {name: w["base"]["attempted"] // 4 for name, w in doc["workloads"].items()}
+        assert done == {first: 2, second: 1, third: 1}

@@ -21,7 +21,7 @@ from placement_opt import (
     model_from_spec,
     no_purchase_prob,
 )
-from placement_opt.choice import _revenue_rows
+from placement_opt.choice import ChoiceModel, _revenue_rows
 
 from helpers import (
     absorption_by_iteration,
@@ -229,6 +229,32 @@ def test_weak_rationality_detects_violations():
     assert hit.magnitude == pytest.approx(0.6)
 
 
+class _BoostedByOne(ChoiceModel):
+    """Unit-weight MNL, except that offering product 1 triples product 0's
+    weight: adding 1 to a set with 0 raises p_0, and nothing else rises."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def _batch_probs(self, ids):
+        w = np.ones(ids.shape)
+        w[:, 0] += 2.0 * ((ids[:, 0] == 0) & (ids == 1).any(axis=1))
+        return w / (1.0 + w.sum(axis=1))[:, None]
+
+
+@pytest.mark.parametrize("n", [2, 6, 12])
+def test_weak_rationality_flags_a_batch_model_in_both_modes(n):
+    model = _BoostedByOne(n)
+    exhaustive = check_weak_rationality(model, n)
+    # one violation per subset holding 0 and not 1
+    assert len(exhaustive) == 2 ** (n - 2)
+    assert {(v.product, v.added) for v in exhaustive} == {(0, 1)}
+    sampled = check_weak_rationality(model, n, trials=2000, seed=3)
+    assert sampled
+    # both modes read the same _batch_probs row, so magnitudes match bitwise
+    assert all(v in exhaustive for v in sampled)
+
+
 def _brute_best_subset(model, prices, n):
     best, best_rev = (), -1.0
     for mask in range(2**n):
@@ -344,6 +370,24 @@ def test_batch_revenues_on_ties_and_bad_ids(family):
     for bad in ([[0, 6]], [[-1, 2]], [[1, 2], [3, 9]]):
         with pytest.raises(ValueError):
             model.revenues(prices, np.array(bad))
+
+
+@pytest.mark.parametrize("family", _TIED_MODELS)
+def test_batch_revenues_reject_rows_that_are_not_sorted_ids(family):
+    # each would differ from expected_revenue of the same ids, which reads
+    # them as a set; unsigned ids must not wrap round to look increasing
+    model = _TIED_MODELS[family]()
+    prices = np.full(6, 2.0)
+    bad = [
+        [[0, 0]], [[1, 0]], [[0, 2, 1]], [[0, 1], [3, 3]],
+        np.array([[3, 1]], dtype=np.uint8), [[[0, 1]]], [0, 1], 3,
+    ]
+    for ids in bad:
+        with pytest.raises(ValueError):
+            model.revenues(prices, ids)
+    assert model.revenues(prices, [[0, 1], [2, 5]]).tolist() == [
+        expected_revenue(model, prices, row) for row in ([0, 1], [2, 5])
+    ]
 
 
 @pytest.mark.parametrize("family", _TIED_MODELS)

@@ -231,52 +231,6 @@ def test_mnl_bisection_matches_scalar_reference_bitwise(case):
     assert got == expected
 
 
-# exact ties, signed zeros, subnormals, the extremes of the double range
-_ROW_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.0, 3.0, np.inf]),
-    st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
-)
-
-
-@st.composite
-def _reaches_cases(draw):
-    """Rows of nonnegative values, their sizes, and per row a threshold at,
-    or one ulp either side of, the pairwise or the running sum of the row.
-    Some cases are built so that the two sums drift apart."""
-    # numpy's pairwise sum is sequential below 8 terms, unrolled by 8 up to
-    # 128 and splits in halves above
-    sizes = draw(st.lists(
-        st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)),
-        min_size=1, max_size=4,
-    ))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (len(sizes), max(sizes))
-    pool = np.array(draw(st.lists(_ROW_VALUES, min_size=1, max_size=6)))
-    spread = 10.0 ** rng.uniform(-323.0, 300.0, shape)
-    tied = rng.random(shape) < draw(st.floats(0.0, 1.0))
-    top = np.where(tied, rng.choice(pool, shape), spread)
-    if draw(st.booleans()):
-        # a head, then terms of at most half its ulp: the running sum rounds
-        # each one away, the pairwise sum adds them up first
-        top[:, 0] = 10.0 ** rng.uniform(-290.0, 290.0, len(sizes))
-        top[:, 1:] = top[:, :1] * 2.0**-53
-    t = []
-    for r, s in enumerate(sizes):
-        sums = [top[r, :s].sum(), np.cumsum(top[r, :s])[-1]]
-        mid = draw(st.sampled_from(sums))
-        t.append(draw(st.sampled_from([mid, np.nextafter(mid, -1.0), np.nextafter(mid, np.inf)])))
-    return top, np.array(sizes), np.array(t)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_reaches_cases())
-def test_batched_reach_decision_matches_pairwise_sum(case):
-    top, size, t = case
-    expected = [top[r, :s].sum() >= t[r] for r, s in enumerate(size.tolist())]
-    with np.errstate(invalid="ignore"):  # inf - inf where a row and t are inf
-        assert oracle_module._reaches(top, size, t).tolist() == expected
-
-
 def _plain_records(values, best):
     """The tie rule written out: index and value of the last record."""
     at = None
@@ -331,28 +285,29 @@ def test_last_record_edges():
 
 
 def test_bisection_tests_and_exact_sums_stay_within_their_pins(monkeypatch):
-    # Testing every midpoint, or re-summing every row exactly, would still
-    # bisect bitwise, only slower. Without the bracket this instance tests
-    # 1,070 midpoints in 54 calls; 111 of them need the exact sum either way.
-    counts = {"calls": 0, "rows": 0, "exact": 0}
-    reaches, exact = oracle_module._reaches, oracle_module._exact_reaches
+    # Testing every midpoint would still bisect bitwise, only slower: this
+    # instance then tests 1,070 midpoints in 54 batches. Every tested row is
+    # summed exactly, so the rows also count the exact sums.
+    chunks = []  # per _bisect call, the rows of each _scores call
+    bisect, scores = MnlExactOracle._bisect, MnlExactOracle._scores
 
-    def counted_reaches(top, size, t):
-        counts["calls"] += 1
-        counts["rows"] += len(size)
-        return reaches(top, size, t)
+    def counted_bisect(self, sizes):
+        chunks.append([])
+        return bisect(self, sizes)
 
-    def counted_exact(values, t):
-        counts["exact"] += 1
-        return exact(values, t)
+    def counted_scores(self, t):
+        chunks[-1].append(len(t))
+        return scores(self, t)
 
-    monkeypatch.setattr(oracle_module, "_reaches", counted_reaches)
-    monkeypatch.setattr(oracle_module, "_exact_reaches", counted_exact)
+    monkeypatch.setattr(MnlExactOracle, "_bisect", counted_bisect)
+    monkeypatch.setattr(MnlExactOracle, "_scores", counted_scores)
     oracle = MnlExactOracle(gen_random(100, 20, model="mnl", seed=0))
     for k in range(1, 21):
         oracle.best_assortment(k)
-    assert counts["calls"] <= 15 and counts["rows"] <= 250, counts
-    assert counts["exact"] <= 111, counts
+    # each chunk ends with one call that rebuilds its sets, a row per size
+    assert [chunk[-1] for chunk in chunks] == [20]
+    tests = [rows for chunk in chunks for rows in chunk[:-1]]
+    assert len(tests) <= 15 and sum(tests) <= 250, tests
 
 
 def _brute_reference_instances():
