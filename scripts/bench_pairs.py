@@ -112,11 +112,14 @@ def _spread(values: list[float]) -> tuple[float, float]:
     return statistics.median(values), q3 - q1
 
 
-def verdict(row: dict, bound: float) -> str:
+def verdict(row: dict, bound: float, more_failed: bool) -> str:
     """One metric's reading of its pairs, ``bound`` its allowed relative worsening.
 
-    ``gain``: the change won at least nine tenths of the pairs and its
-    median beats the base median by more than the base IQR.
+    ``more_failed`` tells whether the change failed a larger share of its
+    attempted ops than the base.
+    ``gain``: the change failed no larger share of ops, won at least nine
+    tenths of the pairs, and its median beats the base median by more than
+    the base IQR.
     ``regression``: the change median is worse than the base median by more
     than ``bound`` of it. ``unresolved``: the base IQR is wider than that
     bound and not every change run beats every base run. ``within bound``:
@@ -124,7 +127,8 @@ def verdict(row: dict, bound: float) -> str:
     """
     sign = 1.0 if row["better"] == "lower" else -1.0
     base, change = (sign * row[f"{side}_median"] for side in SIDES)
-    if 10 * row["change_wins"] >= 9 * len(row["pairs"]) and base - change > row["base_iqr"]:
+    won = 10 * row["change_wins"] >= 9 * len(row["pairs"])
+    if not more_failed and won and base - change > row["base_iqr"]:
         return "gain"
     if change - base > bound * abs(row["base_median"]):
         return "regression"
@@ -141,7 +145,8 @@ def summarize(spec: list[dict], pairs: list[dict[str, dict]]) -> dict:
     ``spec`` is ``BENCHMARK.json``'s ``end_to_end`` list; each pair maps
     ``"base"`` and ``"change"`` to a parsed run result. The change wins a
     pair when its value is strictly better in the metric's direction; each
-    metric's ``verdict`` reads its pairs against the metric's bound.
+    metric's ``verdict`` reads its pairs against the metric's bound and
+    the two sides' shares of failed ops.
     """
     out = {
         side: {
@@ -150,6 +155,8 @@ def summarize(spec: list[dict], pairs: list[dict[str, dict]]) -> dict:
         }
         for side in SIDES
     }
+    base, change = out["base"], out["change"]
+    more_failed = change["failed"] * base["attempted"] > base["failed"] * change["attempted"]
     metrics = {}
     for entry in spec:
         name, sign = entry["name"], 1.0 if entry["better"] == "lower" else -1.0
@@ -161,7 +168,7 @@ def summarize(spec: list[dict], pairs: list[dict[str, dict]]) -> dict:
             sign * c < sign * b for b, c in zip(values["base"], values["change"])
         )
         row["pairs"] = [list(bc) for bc in zip(values["base"], values["change"])]
-        row["verdict"] = verdict(row, entry["bound"])
+        row["verdict"] = verdict(row, entry["bound"], more_failed)
         metrics[name] = row
     out["metrics"] = metrics
     return out

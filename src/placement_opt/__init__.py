@@ -32,7 +32,6 @@ from .core import (
     EMPTY_SLOT,
     EnumerationUnsupportedError,
     Instance,
-    Product,
     SizeGuardError,
     canon,
     products_at,

@@ -1,6 +1,7 @@
-"""Core domain types: products, assortments, placements, problem instances.
+"""Core domain types: assortments, placements, problem instances.
 
-Products carry dense integer ids in [0, n) and fixed nonnegative prices.
+A catalog is a vector of n fixed nonnegative prices; product ids are the
+positions 0..n-1 in it.
 A placement assigns one product id to each of m display locations (a product
 may repeat across locations). An assortment is a duplicate-free set of
 product ids; the always-available no-purchase option is implicit and never
@@ -9,7 +10,6 @@ stored.
 
 from __future__ import annotations
 
-import math
 import numbers
 import zlib
 from dataclasses import dataclass
@@ -106,71 +106,44 @@ def products_at(slots: Sequence[int], locations: Iterable[int]) -> frozenset[int
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Product:
-    """A product with a dense integer id and a fixed nonnegative price."""
-
-    id: int
-    price: float
-
-    def __post_init__(self):
-        # concrete types, not numbers.Real: an ABC check costs about 1 us per
-        # product; bool subclasses int and np.bool_ is neither type
-        if isinstance(self.id, bool) or not isinstance(self.id, (int, np.integer)):
-            raise ValueError(f"product id must be an integer, got {self.id!r}")
-        if isinstance(self.price, bool) or not isinstance(
-            self.price, (int, float, np.integer, np.floating)
-        ):
-            raise ValueError(f"price must be a number, got {self.price!r}")
-        if self.id < 0:
-            raise ValueError(f"product id must be nonnegative, got {self.id}")
-        if not math.isfinite(self.price) or self.price < 0:
-            raise ValueError(f"price must be finite and nonnegative, got {self.price}")
-
-
-@dataclass
+@dataclass(eq=False)
 class Instance:
-    """A placement problem: catalog, choice model, locations, browsing."""
+    """A placement problem: catalog prices, choice model, locations, browsing.
 
-    products: list[Product]
+    The catalog's product ``i`` has id ``i`` and price ``prices[i]``.
+    """
+
+    prices: np.ndarray
     choice_model: ChoiceModel
     m: int
     browsing: BrowsingDistribution
 
     def __post_init__(self):
+        # copied: _reals hands a float array back as is, and the caller keeps it
+        self.prices = _reals(self.prices, "price").copy()
+        if self.prices.ndim != 1 or not self.prices.size:
+            raise ValueError(f"prices must be a nonempty flat list, got shape {self.prices.shape}")
         self.m = as_int(self.m, "m")
-        if not self.products:
-            raise ValueError("instance needs at least one product")
         if self.m < 1:
             raise ValueError("instance needs at least one location")
-        for idx, p in enumerate(self.products):
-            if p.id != idx:
-                raise ValueError("product ids must be dense 0..n-1 in order")
         model_n = getattr(self.choice_model, "n", None)
-        if model_n is not None and model_n != len(self.products):
-            raise ValueError(
-                f"choice model covers {model_n} products, catalog has {len(self.products)}"
-            )
+        if model_n is not None and model_n != self.n:
+            raise ValueError(f"choice model covers {model_n} products, catalog has {self.n}")
         line_m = getattr(self.browsing, "m", None)
         if line_m is not None and line_m != self.m:
             raise ValueError(f"browsing spans {line_m} locations, instance has {self.m}")
         max_loc = getattr(self.browsing, "max_location", None)
         if max_loc is not None and max_loc >= self.m:
             raise ValueError(f"browsing visits location {max_loc} >= m = {self.m}")
-        self._prices = np.array([p.price for p in self.products], dtype=float)
 
     @property
     def n(self) -> int:
-        return len(self.products)
-
-    @property
-    def prices(self) -> np.ndarray:
-        return self._prices
+        return len(self.prices)
 
     @property
     def i_star(self) -> int:
         """Highest-price product id (lowest id wins ties)."""
-        return int(np.argmax(self._prices))
+        return int(np.argmax(self.prices))
 
 
 def substream(seed: int, name: str) -> np.random.Generator:

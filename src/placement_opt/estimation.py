@@ -83,9 +83,10 @@ def estimate_w(
     Draws ``plan.samples`` visited sets and averages the exact assortment
     revenue of the products at each. Returns (estimate, samples used).
     Sets are drawn in blocks of ``(sets, index)``; each block computes one
-    revenue per distinct drawn set and adds the per-draw revenues with one
-    sequential ``np.add.accumulate``, so the estimate and the generator's
-    end state are those of one draw and one ``total += rev`` per sample.
+    revenue per distinct product set drawn and adds the per-draw revenues
+    with one sequential ``np.add.accumulate``, so the estimate and the
+    generator's end state are those of one draw and one ``total += rev``
+    per sample.
     Raises ValueError unless the placement fills every slot with a catalog id,
     or when the browsing draws a location outside [0, m).
     """
@@ -109,7 +110,8 @@ def _set_revenues(
 ) -> np.ndarray:
     """Revenue of the products at each set of ``sets`` that ``index`` draws.
 
-    Sets never drawn get 0.0. Raises ValueError naming the first drawn set,
+    Drawn sets that offer the same products share one revenue call; sets
+    never drawn get 0.0. Raises ValueError naming the first drawn set,
     in draw order, that holds a location outside [0, m).
     """
     m = instance.m
@@ -122,9 +124,12 @@ def _set_revenues(
             f"outside [0, {m})"
         )
     model, prices = instance.choice_model, instance.prices
-    revs = np.zeros(len(sets))
+    offering: dict[tuple[int, ...], list[int]] = {}
     for i in drawn:
-        revs[i] = expected_revenue(model, prices, canon(products_at(slots, sets[i])))
+        offering.setdefault(canon(products_at(slots, sets[i])), []).append(i)
+    revs = np.zeros(len(sets))
+    for key, where in offering.items():
+        revs[where] = expected_revenue(model, prices, key)
     return revs
 
 

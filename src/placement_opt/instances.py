@@ -22,7 +22,7 @@ from .browsing import (
     singleton_uniform,
 )
 from .choice import MarkovModel, MmnlModel, MnlModel, RankedListModel, model_from_spec
-from .core import Instance, Product, _reals, as_int
+from .core import Instance, as_int
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +31,7 @@ from .core import Instance, Product, _reals, as_int
 
 def instance_to_dict(instance: Instance) -> dict:
     return {
-        "products": [{"id": p.id, "price": p.price} for p in instance.products],
+        "products": [{"id": i, "price": p} for i, p in enumerate(instance.prices.tolist())],
         "choice_model": instance.choice_model.to_spec(),
         "m": instance.m,
         "browsing": instance.browsing.to_spec(),
@@ -39,14 +39,13 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> Instance:
-    prices = _reals([p["price"] for p in data["products"]], "price").tolist()
-    products = [
-        Product(as_int(p["id"], "product id"), price)
-        for p, price in zip(data["products"], prices)
-    ]
+    products = data["products"]
+    ids = [as_int(p["id"], "product id") for p in products]
+    if ids != list(range(len(ids))):
+        raise ValueError("product ids must be dense 0..n-1 in order")
     model = model_from_spec(data["choice_model"], n=len(products))
     browsing = browsing_from_spec(data["browsing"])
-    return Instance(products, model, data["m"], browsing)
+    return Instance([p["price"] for p in products], model, data["m"], browsing)
 
 
 def to_json(instance: Instance) -> str:
@@ -71,11 +70,9 @@ def gen_first_slot_only(k: int) -> Instance:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    products = [Product(i, float(k)) for i in range(k)]
-    products.append(Product(k, k / 2.0))
     weights = [1.0 / k] * k + [1.0]
     theta = [1.0] + [0.0] * (k - 1)
-    return Instance(products, MnlModel(weights), k, LineBrowsing(theta))
+    return Instance([float(k)] * k + [k / 2.0], MnlModel(weights), k, LineBrowsing(theta))
 
 
 def gen_uniform_line(m: int) -> Instance:
@@ -87,10 +84,9 @@ def gen_uniform_line(m: int) -> Instance:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    products = [Product(i, float(m)) for i in range(m)]
     weights = [1.0 / m] * m
     theta = [1.0 / m] * m
-    return Instance(products, MnlModel(weights), m, LineBrowsing(theta))
+    return Instance([float(m)] * m, MnlModel(weights), m, LineBrowsing(theta))
 
 
 def gen_heavy_tail_line(m: int, epsilon: float) -> Instance:
@@ -121,10 +117,9 @@ def gen_heavy_tail_line(m: int, epsilon: float) -> Instance:
         raise ValueError(bad) from None
     if not all(0.0 < x < math.inf for x in weights + prices):  # also false for NaN
         raise ValueError(bad)
-    products = [Product(i, r) for i, r in enumerate(prices)]
     raw = np.array([j ** -(1.0 + 1.0 / (1.0 + epsilon)) for j in range(1, m + 1)])
     theta = raw / raw.sum()
-    return Instance(products, MnlModel(weights), m, LineBrowsing(theta))
+    return Instance(prices, MnlModel(weights), m, LineBrowsing(theta))
 
 
 def heavy_tail_tier_ids(j: int) -> range:
@@ -196,8 +191,7 @@ def gen_coverage_mmnl(
     for j in range(universe):
         row = [big if j in members[i] else 0.0 for i in range(n)]
         segments.append((1.0 / universe, row))
-    products = [Product(i, 1.0) for i in range(n)]
-    return Instance(products, MmnlModel(segments), cardinality, full_support(cardinality))
+    return Instance([1.0] * n, MmnlModel(segments), cardinality, full_support(cardinality))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +267,6 @@ def gen_random(
         raise ValueError("price range must be finite and satisfy 0 <= lo <= hi")
     rng = np.random.default_rng(seed)
     prices = np.full(n, float(lo)) if lo == hi else rng.uniform(lo, hi, n)
-    products = [Product(i, float(prices[i])) for i in range(n)]
     choice_model = _random_model(rng, model, n)
     browse = _random_browsing(rng, browsing, m)
-    return Instance(products, choice_model, m, browse)
+    return Instance(prices, choice_model, m, browse)

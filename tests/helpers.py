@@ -29,7 +29,7 @@ def direct_revenue(instance: Instance, ids) -> float:
     """Assortment revenue from one ``choice_probs`` call, summed in id order."""
     ids = sorted(set(ids))
     probs = instance.choice_model.choice_probs(ids)
-    return sum(instance.products[i].price * probs[i] for i in ids)
+    return sum(instance.prices[i] * probs[i] for i in ids)
 
 
 def twin_optimum(instance: Instance) -> float:

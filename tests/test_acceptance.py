@@ -17,7 +17,6 @@ from placement_opt import (
     EstimationPlan,
     Instance,
     MnlModel,
-    Product,
     WEvaluator,
     best_of_many_line,
     brute_force_placement,
@@ -208,8 +207,7 @@ def test_acceptance_4_replication_bound_exact_enumeration():
     # keeps, in expectation over all j^j draws, at least (1-(1-1/j)^j) of
     # its revenue; checked by full enumeration on MNL with distinct prices.
     start = time.perf_counter()
-    products = [Product(i, 10.0 - i) for i in range(6)]
-    inst = Instance(products, MnlModel([1.0] * 6), 4, full_support(4))
+    inst = Instance([10.0 - i for i in range(6)], MnlModel([1.0] * 6), 4, full_support(4))
     oracle = BruteForceOracle(inst)
     gaps = []
     for j in (2, 3, 4):

@@ -69,13 +69,14 @@ def test_summarize_single_pair_has_zero_iqr_and_ties_do_not_win():
         assert row["change_wins"] == 0
 
 
-def _verdicts(base, change, ops=None):
-    """Verdicts of pairs whose op_p50_s reads ``base`` and ``change``, and
-    whose ops_per_s reads ``ops`` (two lists) or 100.0 on both sides."""
+def _verdicts(base, change, ops=None, failed=(0, 0)):
+    """Verdicts of pairs whose op_p50_s reads ``base`` and ``change``, whose
+    ops_per_s reads ``ops`` (two lists) or 100.0 on both sides, and whose
+    base and change runs each fail ``failed`` of their 10 ops."""
     ops = ops or ([100.0] * len(base), [100.0] * len(base))
     pairs = [
-        {"base": bench_pairs.last_json(_stdout(b, ob)),
-         "change": bench_pairs.last_json(_stdout(c, oc))}
+        {"base": bench_pairs.last_json(_stdout(b, ob, failed[0])),
+         "change": bench_pairs.last_json(_stdout(c, oc, failed[1]))}
         for b, c, ob, oc in zip(base, change, *ops)
     ]
     metrics = bench_pairs.summarize(SPEC, pairs)["metrics"]
@@ -94,6 +95,9 @@ def test_verdict_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr():
     # higher is better: more ops per second win
     ops = ([100.0] * 10, [120.0] * 10)
     assert _verdicts(base, base, ops) == ("within bound", "gain")
+    # no metric gains when the change fails a larger share of its ops
+    assert _verdicts(base, change, ops, failed=(0, 1)) == ("within bound", "within bound")
+    assert _verdicts(base, change, ops, failed=(1, 1)) == ("gain", "gain")
 
 
 def test_verdict_regression_is_a_median_worse_by_more_than_the_bound():

@@ -319,6 +319,28 @@ def test_quoted_or_boolean_number_exits_2(tmp_path, capsys, path, bad, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([True, 1, 2], "product id must be an integer, got True"),
+        ([0, 1.5, 2], "product id must be an integer, got 1.5"),
+        ([-1, 1, 2], "product ids must be dense 0..n-1 in order"),
+        ([1, 0, 2], "product ids must be dense 0..n-1 in order"),
+    ],
+    ids=["bool", "fraction", "negative", "out-of-order"],
+)
+def test_bad_product_id_exits_2(tmp_path, capsys, ids, message):
+    inst_path = tmp_path / "inst.json"
+    data = json.loads(to_json(gen_random(3, 2, model="mnl", seed=4)))
+    for product, i in zip(data["products"], ids):
+        product["id"] = i
+    with pytest.raises(ValueError, match=message):
+        from_json(json.dumps(data))
+    inst_path.write_text(json.dumps(data))
+    assert run("solve", "--instance", str(inst_path), "--algorithm", "markov-greedy") == 2
+    assert message in capsys.readouterr().err
+
+
 def test_size_guard_exits_3(tmp_path):
     inst_path = tmp_path / "big.json"
     inst = gen_random(30, 5, model="mnl", seed=0)

@@ -5,7 +5,6 @@ from placement_opt import (
     Instance,
     LineBrowsing,
     MnlModel,
-    Product,
     canon,
     products_at,
     substream,
@@ -46,52 +45,48 @@ def test_canon_sorts_and_dedupes():
     assert canon([]) == ()
 
 
-def test_product_validation():
-    with pytest.raises(ValueError):
-        Product(0, -1.0)
-    with pytest.raises(ValueError):
-        Product(-1, 1.0)
+@pytest.mark.parametrize(
+    "prices, message",
+    [
+        ([1.0, True], "price: expected a number, got True"),
+        ([np.True_], "price: expected a number, got np.True_"),
+        ([1.0, "3"], "price: expected a number, got '3'"),
+        ([1.0, float("nan")], "price must be finite and nonnegative, got nan"),
+        ([float("inf")], "price must be finite and nonnegative, got inf"),
+        ([2.0, -1.0], "price must be finite and nonnegative, got -1.0"),
+        ([[1.0], [2.0]], r"prices must be a nonempty flat list, got shape \(2, 1\)"),
+        ([], r"prices must be a nonempty flat list, got shape \(0,\)"),
+    ],
+    ids=["bool", "numpy-bool", "quoted", "nan", "inf", "negative", "2-d", "empty"],
+)
+def test_instance_rejects_bad_prices(prices, message):
+    with pytest.raises(ValueError, match=message):
+        Instance(prices, MnlModel([1.0]), 1, LineBrowsing([1.0]))
 
 
-def test_constructors_reject_boolean_and_non_numeric_fields():
-    with pytest.raises(ValueError, match="product id must be an integer"):
-        Product(True, 2.0)
-    with pytest.raises(ValueError, match="product id must be an integer"):
-        Product(1.5, 2.0)
-    with pytest.raises(ValueError, match="price must be a number"):
-        Product(0, True)
-    with pytest.raises(ValueError, match="price must be a number"):
-        Product(0, "3")
-    with pytest.raises(ValueError, match="price must be a number"):
-        Product(0, np.True_)
-    assert Product(np.int64(2), np.float64(1.5)) == Product(2, 1.5)
-    products = [Product(0, 1.0)]
+def test_instance_reads_numpy_prices_and_an_integral_m():
     model, browsing = MnlModel([1.0]), LineBrowsing([1.0])
+    inst = Instance([np.float64(1.5)], model, 1.0, browsing)
+    assert type(inst.m) is int and inst.prices.tolist() == [1.5]
     with pytest.raises(ValueError, match="m must be an integer, got True"):
-        Instance(products, model, True, browsing)
+        Instance([1.0], model, True, browsing)
     with pytest.raises(ValueError, match="m must be an integer"):
-        Instance(products, model, 1.5, browsing)
-    assert type(Instance(products, model, 1.0, browsing).m) is int
+        Instance([1.0], model, 1.5, browsing)
 
 
 def test_instance_validation():
-    products = [Product(0, 1.0), Product(1, 2.0)]
-    inst = Instance(products, MnlModel([1.0, 1.0]), 2, LineBrowsing([0.4, 0.6]))
+    prices = [1.0, 2.0]
+    inst = Instance(prices, MnlModel([1.0, 1.0]), 2, LineBrowsing([0.4, 0.6]))
     assert inst.n == 2
     assert inst.i_star == 1
-    with pytest.raises(ValueError):  # ids not dense
-        Instance([Product(1, 1.0)], MnlModel([1.0]), 1, LineBrowsing([1.0]))
     with pytest.raises(ValueError):  # model covers a different catalog
-        Instance(products, MnlModel([1.0]), 2, LineBrowsing([0.4, 0.6]))
+        Instance(prices, MnlModel([1.0]), 2, LineBrowsing([0.4, 0.6]))
     with pytest.raises(ValueError):  # browsing length mismatch
-        Instance(products, MnlModel([1.0, 1.0]), 1, LineBrowsing([0.4, 0.6]))
-    with pytest.raises(ValueError):
-        Instance([], MnlModel([1.0]), 1, LineBrowsing([1.0]))
+        Instance(prices, MnlModel([1.0, 1.0]), 1, LineBrowsing([0.4, 0.6]))
 
 
 def test_i_star_prefers_lowest_id_on_ties():
-    products = [Product(0, 5.0), Product(1, 5.0), Product(2, 1.0)]
-    inst = Instance(products, MnlModel([1.0, 1.0, 1.0]), 1, LineBrowsing([1.0]))
+    inst = Instance([5.0, 5.0, 1.0], MnlModel([1.0, 1.0, 1.0]), 1, LineBrowsing([1.0]))
     assert inst.i_star == 0
 
 

@@ -11,6 +11,7 @@ from placement_opt import (
     EstimationPlan,
     ExplicitBrowsing,
     Instance,
+    LineBrowsing,
     SamplerBrowsing,
     brute_force_placement,
     estimate_w,
@@ -73,7 +74,7 @@ def test_estimate_rejects_ids_outside_catalog():
 def test_estimate_rejects_drawn_locations_outside_m(location):
     inst = gen_random(5, 3, model="mnl", seed=2)
     inst = Instance(
-        inst.products, inst.choice_model, 3, SamplerBrowsing(lambda rng: [0, location])
+        inst.prices, inst.choice_model, 3, SamplerBrowsing(lambda rng: [0, location])
     )
     plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=10)
     with pytest.raises(ValueError, match=rf"locations \[{location}\] outside \[0, 3\)"):
@@ -84,7 +85,7 @@ def test_estimate_names_the_first_bad_set_in_draw_order():
     inst = gen_random(5, 3, model="mnl", seed=2)
     draws = itertools.cycle([[0], [0, 5], [0, -1]])
     inst = Instance(
-        inst.products, inst.choice_model, 3, SamplerBrowsing(lambda rng: next(draws))
+        inst.prices, inst.choice_model, 3, SamplerBrowsing(lambda rng: next(draws))
     )
     plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=3)
     with pytest.raises(ValueError, match=r"locations \[5\] outside \[0, 3\)"):
@@ -238,7 +239,7 @@ def _with_sampler(inst):
     def draw(rng):
         return np.flatnonzero(rng.random(m) < 0.5)
 
-    return Instance(inst.products, inst.choice_model, m, SamplerBrowsing(draw))
+    return Instance(inst.prices, inst.choice_model, m, SamplerBrowsing(draw))
 
 
 def _estimation_cases():
@@ -265,7 +266,7 @@ def _large_support_instance():
     browsing = ExplicitBrowsing(
         [([j for j in range(12) if mask >> j & 1], float(p)) for mask, p in zip(masks, probs)]
     )
-    return Instance(base.products, base.choice_model, 12, browsing)
+    return Instance(base.prices, base.choice_model, 12, browsing)
 
 
 _LARGE_SLOTS = (0, 3, 5, 3, 1, 2, 4, 0, 5, 1, 2, 3)
@@ -288,6 +289,24 @@ def test_estimate_matches_per_draw_loop_across_block_edges(monkeypatch):
     _assert_estimates_match_reference(
         _large_support_instance(), _LARGE_SLOTS, (1, 6, 7, 8, 15, 700), seed=62
     )
+
+
+def test_estimate_scores_each_product_set_once_per_block(monkeypatch):
+    base = gen_random(4, 4, model="mnl", seed=5)
+    inst = Instance(base.prices, base.choice_model, 4, LineBrowsing([0.25] * 4))
+    # the four line prefixes offer two product sets: {0} and, three times, {0, 1}
+    slots = (0, 1, 0, 1)
+    scored = []
+
+    def spy(model, prices, ids):
+        scored.append(ids)
+        return expected_revenue(model, prices, ids)
+
+    monkeypatch.setattr(estimation, "expected_revenue", spy)
+    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=2000)
+    value = estimate_w(inst, slots, plan, np.random.default_rng(3))
+    assert sorted(scored) == [(0,), (0, 1)]
+    assert value == reference_estimate_w(inst, slots, plan, np.random.default_rng(3))
 
 
 def test_estimate_matches_per_draw_loop_at_the_real_block_size():

@@ -20,7 +20,6 @@ from placement_opt import (
     MmnlModel,
     MnlExactOracle,
     MnlModel,
-    Product,
     RankedListModel,
     SizeGuardError,
     exact_oracle,
@@ -66,7 +65,7 @@ def test_heavy_tail_optimum_is_one_tier():
 
 
 def test_single_product_instance():
-    inst = Instance([Product(0, 2.0)], MnlModel([1.0]), 1, LineBrowsing([1.0]))
+    inst = Instance([2.0], MnlModel([1.0]), 1, LineBrowsing([1.0]))
     assert BruteForceOracle(inst).best_assortment(1) == frozenset({0})
 
 
@@ -116,14 +115,13 @@ def _tie_heavy_mnl_instances():
         ]
         for r in prices:
             for w in weights:
-                products = [Product(i, float(r[i])) for i in range(n)]
-                insts.append(Instance(products, MnlModel(w), 1, LineBrowsing([1.0])))
+                insts.append(Instance(r, MnlModel(w), 1, LineBrowsing([1.0])))
     return insts
 
 
 def _m_equals_n(inst):
     """The instance with one location per product, so every size is asked."""
-    return Instance(inst.products, inst.choice_model, inst.n, full_support(inst.n))
+    return Instance(inst.prices, inst.choice_model, inst.n, full_support(inst.n))
 
 
 def _table(oracle):
@@ -155,20 +153,17 @@ def test_mnl_lockstep_matches_scalar_bisection():
     insts.append(_m_equals_n(gen_random(100, 20, model="mnl", price_range=(3.0, 3.0), seed=3)))
     # at t = 1.0, the last product's price, the other ten score 0.1 each: their
     # pairwise sum is 1.0, which leaves the last one out; a running sum is not
-    products = [Product(i, 2.0) for i in range(10)] + [Product(10, 1.0)]
-    insts.append(Instance(products, MnlModel([0.1] * 10 + [1.0]), 11, full_support(11)))
+    insts.append(Instance([2.0] * 10 + [1.0], MnlModel([0.1] * 10 + [1.0]), 11, full_support(11)))
     # the bisection ranks score values, not ids: zero weights score -0.0
     # below the threshold and 0.0 above it, and repeated (weight, price)
     # pairs tie exactly above it
     weights = [1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 2.0, 0.3]
     prices = [5.0, 5.0, 5.0, 8.0, 8.0, 8.0, 0.5, 9.0, 3.0, 7.0, 1.5, 2.0]
-    products = [Product(i, r) for i, r in enumerate(prices)]
-    insts.append(Instance(products, MnlModel(weights), 12, full_support(12)))
+    insts.append(Instance(prices, MnlModel(weights), 12, full_support(12)))
     base = gen_random(50, 20, model="mnl", seed=4)
     weights = np.repeat(base.choice_model.weights, 2)
     weights[::7] = 0.0
-    products = [Product(i, r) for i, r in enumerate(np.repeat(base.prices, 2).tolist())]
-    insts.append(Instance(products, MnlModel(weights), 20, full_support(20)))
+    insts.append(Instance(np.repeat(base.prices, 2), MnlModel(weights), 20, full_support(20)))
     for inst in insts:
         _assert_lockstep_matches_reference(inst)
 
@@ -209,8 +204,7 @@ def _bisection_cases(draw):
         "one ulp apart": rng.permutation(base + np.arange(n) * np.spacing(base)),
         "decades": 10.0 ** rng.uniform(-6.0, 6.0, n),
     }[draw(st.sampled_from(["spread", "identical", "one ulp apart", "decades"]))]
-    products = [Product(i, float(r)) for i, r in enumerate(prices)]
-    inst = Instance(products, MnlModel(weights), n, full_support(n))
+    inst = Instance(prices, MnlModel(weights), n, full_support(n))
     return inst, draw(st.sampled_from([None, 1, 2, 3]))
 
 
@@ -321,20 +315,19 @@ def _brute_reference_instances():
     rng = np.random.default_rng(8)
     for n in (4, 7):
         for prices in (np.full(n, 2.0), rng.uniform(1.0, 10.0, n)):
-            products = [Product(i, float(prices[i])) for i in range(n)]
             for model in (
                 MnlModel(np.zeros(n)),
                 MnlModel(np.where(np.arange(n) % 2 == 0, 0.0, 1.5)),
                 markov_from_mnl(MnlModel(np.ones(n))),
             ):
-                insts.append(Instance(products, model, n, LineBrowsing([1.0] + [0.0] * (n - 1))))
+                insts.append(Instance(prices, model, n, LineBrowsing([1.0] + [0.0] * (n - 1))))
     # near ties: revenues one ulp apart (inside the 1e-15 record rule) and
     # 1e-13 apart (outside it)
     for step in (np.spacing(2.0), 1e-13):
         for n in (3, 6):
-            products = [Product(i, 2.0 + step * i) for i in range(n)]
+            prices = [2.0 + step * i for i in range(n)]
             for model in (MnlModel(np.ones(n)), markov_from_mnl(MnlModel(np.ones(n)))):
-                insts.append(Instance(products, model, 3, LineBrowsing([0.5, 0.5, 0.0])))
+                insts.append(Instance(prices, model, 3, LineBrowsing([0.5, 0.5, 0.0])))
     return insts
 
 
@@ -404,8 +397,7 @@ def _reference_answers(instance):
 
 
 def _line_instance(prices, model, m):
-    products = [Product(i, float(p)) for i, p in enumerate(prices)]
-    return Instance(products, model, m, LineBrowsing([1.0] + [0.0] * (m - 1)))
+    return Instance(prices, model, m, LineBrowsing([1.0] + [0.0] * (m - 1)))
 
 
 def _quit_now(n):
@@ -628,7 +620,7 @@ def test_short_answer_adds_only_the_pricey_product():
     # strong cheap products pull the optimum down to the single pricey one,
     # which is already i_star, so the size-3 answer is that one product
     inst = Instance(
-        [Product(0, 10.0), Product(1, 1.0), Product(2, 1.0), Product(3, 1.0)],
+        [10.0, 1.0, 1.0, 1.0],
         MnlModel([1.0, 5.0, 5.0, 5.0]),
         3,
         LineBrowsing([1.0, 0.0, 0.0]),
@@ -638,7 +630,7 @@ def test_short_answer_adds_only_the_pricey_product():
     # a never-chosen pricey product stays out of the optimum, so a short
     # answer gains it, and only it, at no cost in revenue
     inst = Instance(
-        [Product(0, 10.0), Product(1, 1.0), Product(2, 1.0)],
+        [10.0, 1.0, 1.0],
         MnlModel([0.0, 5.0, 5.0]),
         3,
         LineBrowsing([1.0, 0.0, 0.0]),

@@ -15,7 +15,6 @@ from placement_opt import (
     LineBrowsing,
     MarkovModel,
     MnlModel,
-    Product,
     SamplerBrowsing,
     SizeGuardError,
     SolveReport,
@@ -373,7 +372,7 @@ def test_randomized_estimation_matches_per_draw_loop():
     base = gen_random(4, 3, model="markov", browsing="line", seed=8)
     prefixes = [frozenset(range(t)) for t in range(4)]
     hidden = Instance(
-        base.products,
+        base.prices,
         base.choice_model,
         base.m,
         SamplerBrowsing(lambda rng: prefixes[int(rng.integers(0, 4))]),
@@ -402,7 +401,7 @@ def test_randomized_estimation_path_with_sampler_browsing():
     def draw(rng):
         return frozenset(range(int(np.searchsorted(cum, rng.random(), side="right"))))
 
-    hidden = Instance(base.products, base.choice_model, base.m, SamplerBrowsing(draw))
+    hidden = Instance(base.prices, base.choice_model, base.m, SamplerBrowsing(draw))
     plan = EstimationPlan.for_instance(hidden, 0.2, 0.2, samples_override=2000)
     report = randomized_placement(
         hidden, BruteForceOracle(base), repetitions=8, seed=3, plan=plan
@@ -416,7 +415,7 @@ def test_randomized_estimation_path_with_sampler_browsing():
 def test_randomized_requires_plan_for_sampler_browsing():
     base = gen_random(3, 2, model="mnl", browsing="line", seed=15)
     hidden = Instance(
-        base.products, base.choice_model, base.m, SamplerBrowsing(lambda rng: {0})
+        base.prices, base.choice_model, base.m, SamplerBrowsing(lambda rng: {0})
     )
     with pytest.raises(ValueError):
         randomized_placement(hidden, BruteForceOracle(base), seed=0)
@@ -558,7 +557,7 @@ def _greedy_cases():
                     cases.append((f"{model}-{browsing}-{seed}-{prices[0]}", inst))
     for m in range(1, 7):
         cases.append((f"uniform-line-{m}", gen_uniform_line(m)))
-    flat = [Product(i, 3.0) for i in range(5)]
+    flat = [3.0] * 5
     lines = (LineBrowsing([0.25] * 4), LineBrowsing([0.4, 0.0, 0.3, 0.0]))
     for weights in ([1.0] * 5, [0.0, 1.0, 0.0, 0.5, 1.0], [0.0] * 5):
         for browsing in lines + (full_support(4),):
@@ -654,8 +653,7 @@ def test_lockstep_greedy_subtracts_each_states_own_current():
     # just above the 1e-15 tie margin, over product 1's exact 0. Measured
     # from greedy 0's current instead, both gains sit near -9.9, where an
     # ulp is 1.8e-15, and the margin would swallow product 2's lead.
-    products = [Product(0, 13.0), Product(1, 6.0), Product(2, 3.000000000000004)]
-    inst = Instance(products, MnlModel([100.0, 1.0, 1.0]), 2, full_support(2))
+    inst = Instance([13.0, 6.0, 3.000000000000004], MnlModel([100.0, 1.0, 1.0]), 2, full_support(2))
     ev = WEvaluator(inst)
     assert 1e-15 < ev.revenue({1, 2}) - ev.revenue({1}) < 2e-15
     far = ev.revenue({0})
@@ -672,8 +670,7 @@ def test_lockstep_greedy_subtracts_each_states_own_current():
 def test_partition_greedy_keeps_the_earlier_of_near_tied_candidates(browsing):
     # prices one ulp apart under equal weights: product 1 leads product 0 by
     # under the 1e-15 tie margin, so whichever a list names first goes first
-    products = [Product(0, 2.0), Product(1, nextafter(2.0, 3.0))]
-    inst = Instance(products, MnlModel([1.0, 1.0]), 2, browsing)
+    inst = Instance([2.0, nextafter(2.0, 3.0)], MnlModel([1.0, 1.0]), 2, browsing)
     ev = WEvaluator(inst)
     assert 0.0 < ev.revenue({1}) - ev.revenue({0}) < 1e-15
     lists = [[0, 1], [1, 0], [1]]
@@ -690,8 +687,7 @@ def test_greedy_tie_rule_lower_product_then_lower_location():
         assert uniform_price_matroid_greedy(inst).placement == tuple(range(m))
     # only location 0 is ever seen: every product ties there, and every
     # later pick gains exactly 0, so product 0 fills each location in turn
-    products = [Product(i, 3.0) for i in range(4)]
-    inst = Instance(products, MnlModel([1.0] * 4), 3, LineBrowsing([1.0, 0.0, 0.0]))
+    inst = Instance([3.0] * 4, MnlModel([1.0] * 4), 3, LineBrowsing([1.0, 0.0, 0.0]))
     assert uniform_price_matroid_greedy(inst).placement == (0, 0, 0)
 
 
@@ -730,7 +726,7 @@ def test_pair_objective_checker_flags_nonuniform_counterexample():
     # a cheap very popular product makes revenue non-monotone, which the
     # lattice checker must report
     inst = Instance(
-        [Product(0, 10.0), Product(1, 1.0)],
+        [10.0, 1.0],
         MnlModel([1.0, 10.0]),
         1,
         full_support(1),
@@ -747,7 +743,7 @@ def test_restricted_revenue_checker_rejects_ids_outside_the_catalog():
 
 def test_restricted_revenue_checker_flags_same_counterexample():
     inst = Instance(
-        [Product(0, 10.0), Product(1, 1.0)],
+        [10.0, 1.0],
         MnlModel([1.0, 10.0]),
         1,
         full_support(1),
