@@ -25,20 +25,8 @@ class BrowsingDistribution:
         and the ``np.intp`` array ``index`` holds each draw's position in
         ``sets``, so draw ``t`` is ``sets[index[t]]``. The block draws the
         same sets, and leaves the generator in the same state, as ``size``
-        single draws. This default loops the single draw and lists each set
-        at its first draw.
+        single draws.
         """
-        if size is None:
-            return self._draw(rng)
-        positions: dict[frozenset[int], int] = {}
-        index = np.fromiter(
-            (positions.setdefault(self._draw(rng), len(positions)) for _ in range(size)),
-            dtype=np.intp,
-            count=size,
-        )
-        return list(positions), index
-
-    def _draw(self, rng: np.random.Generator) -> frozenset[int]:
         raise NotImplementedError
 
     def support(self) -> list[tuple[frozenset[int], float]]:
@@ -176,14 +164,20 @@ class LineBrowsing(_CategoricalBrowsing):
 class SamplerBrowsing(BrowsingDistribution):
     """Opaque simulator: draws visited sets, cannot enumerate them.
 
-    The draw callable must be deterministic given the generator state.
+    The draw callable must be deterministic given the generator state; its
+    locations are read by ``as_int``, as JSON ones are. A block loops the
+    single draw and lists each set at its first draw.
     """
 
     def __init__(self, draw: Callable[[np.random.Generator], Iterable[int]]):
         self._simulate = draw
 
-    def _draw(self, rng):
-        return frozenset(int(j) for j in self._simulate(rng))
+    def sample(self, rng, size=None):
+        if size is None:
+            return frozenset(as_int(j, "location") for j in self._simulate(rng))
+        positions: dict[frozenset[int], int] = {}
+        index = [positions.setdefault(self.sample(rng), len(positions)) for _ in range(size)]
+        return list(positions), np.array(index, dtype=np.intp)
 
     def support(self):
         raise EnumerationUnsupportedError(

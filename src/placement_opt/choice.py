@@ -212,15 +212,14 @@ class MarkovModel(ChoiceModel):
     def _batch_probs(self, ids):
         # States {quit} | offered are made absorbing, and each row solves the
         # dense linear system I - Q over its transient (unoffered) states,
-        # gathered from the stored I - rho; all rows go through one stacked solve.
+        # gathered from the stored I - rho; all rows go through one stacked solve
+        # (0 x 0 systems when every product is offered: the row is the arrival).
         rows = np.arange(len(ids))[:, None]
         absorbing = np.zeros((len(ids), ids.shape[1] + 1), dtype=np.intp)  # column 0: quit
         absorbing[:, 1:] = ids + 1
         unoffered = np.ones((len(ids), self.n + 1), dtype=bool)
         unoffered[rows, absorbing] = False
         transient = np.nonzero(unoffered)[1].reshape(len(ids), -1)
-        if transient.shape[1] == 0:
-            return self.arrival[ids + 1]
         system = self._eye_minus_rho[transient[:, :, None], transient[:, None, :]]
         r = self.transitions[transient[:, :, None], absorbing[:, None, :]]
         hit = np.linalg.solve(system, r)

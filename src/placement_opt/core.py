@@ -13,7 +13,7 @@ from __future__ import annotations
 import numbers
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -91,17 +91,18 @@ def canon(ids: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(ids)))
 
 
-def products_at(slots: Sequence[int], locations: Iterable[int]) -> frozenset[int]:
+def products_at(slots: Sequence[int], locations: Collection[int]) -> frozenset[int]:
     """Set of products placed at the given locations.
 
     Returns the duplicate-free union of slot contents; empty set for empty
-    input. Raises IndexError for a location outside [0, len(slots)).
+    input. Raises ValueError naming the locations outside [0, len(slots)).
     """
     m = len(slots)
     out = set()
     for j in locations:
         if not 0 <= j < m:
-            raise IndexError(f"location {j} out of range for {m} slots")
+            bad = sorted(j for j in locations if not 0 <= j < m)
+            raise ValueError(f"locations {bad} outside [0, {m})")
         out.add(slots[j])
     return frozenset(out)
 

@@ -88,7 +88,7 @@ def estimate_w(
     generator's end state are those of one draw and one ``total += rev``
     per sample.
     Raises ValueError unless the placement fills every slot with a catalog id,
-    or when the browsing draws a location outside [0, m).
+    and names the first drawn set that holds a location outside [0, m).
     """
     if len(slots) != instance.m:
         raise ValueError(f"placement must fill {instance.m} slots")
@@ -111,21 +111,13 @@ def _set_revenues(
     """Revenue of the products at each set of ``sets`` that ``index`` draws.
 
     Drawn sets that offer the same products share one revenue call; sets
-    never drawn get 0.0. Raises ValueError naming the first drawn set,
-    in draw order, that holds a location outside [0, m).
+    never drawn get 0.0. ``products_at`` raises ValueError on the first set,
+    in ``sets`` order, with a location outside [0, m): ``Instance`` checks
+    line and explicit sets, and a sampler lists its sets in first-draw order.
     """
-    m = instance.m
-    drawn = np.flatnonzero(np.bincount(index, minlength=len(sets))).tolist()
-    outside = [i for i in drawn if any(not 0 <= j < m for j in sets[i])]
-    if outside:
-        first = sets[index[np.isin(index, outside).argmax()]]
-        raise ValueError(
-            f"browsing drew locations {sorted(j for j in first if not 0 <= j < m)} "
-            f"outside [0, {m})"
-        )
     model, prices = instance.choice_model, instance.prices
     offering: dict[tuple[int, ...], list[int]] = {}
-    for i in drawn:
+    for i in np.flatnonzero(np.bincount(index, minlength=len(sets))).tolist():
         offering.setdefault(canon(products_at(slots, sets[i])), []).append(i)
     revs = np.zeros(len(sets))
     for key, where in offering.items():

@@ -39,13 +39,24 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> Instance:
-    products = data["products"]
-    ids = [as_int(p["id"], "product id") for p in products]
+    """Instance from its JSON document; ValueError names a malformed field."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"instance must be a JSON object, got {type(data).__name__}")
+    for key in ("products", "choice_model", "m", "browsing"):
+        if key not in data:
+            raise ValueError(f"instance lacks the {key!r} field")
+        if key in ("choice_model", "browsing") and not isinstance(data[key], Mapping):
+            raise ValueError(f"{key} must be a JSON object, got {type(data[key]).__name__}")
+    try:
+        ids = [as_int(p["id"], "product id") for p in data["products"]]
+        prices = [p["price"] for p in data["products"]]
+    except (TypeError, KeyError):  # not a list, or an entry without an id or a price
+        raise ValueError("products must be a list of objects with an id and a price") from None
     if ids != list(range(len(ids))):
         raise ValueError("product ids must be dense 0..n-1 in order")
-    model = model_from_spec(data["choice_model"], n=len(products))
+    model = model_from_spec(data["choice_model"], n=len(prices))
     browsing = browsing_from_spec(data["browsing"])
-    return Instance([p["price"] for p in products], model, data["m"], browsing)
+    return Instance(prices, model, data["m"], browsing)
 
 
 def to_json(instance: Instance) -> str:

@@ -148,6 +148,40 @@ def test_validation_errors():
         ExplicitBrowsing([([0], [0.5]), ([1], [0.5])])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ExplicitBrowsing([([0, -1], 1.0)]), "location indices must be nonnegative"),
+        (lambda: full_support(0), "need at least one location"),
+    ],
+    ids=["negative-explicit-location", "full-support-of-nothing"],
+)
+def test_browsing_rejects_locations_below_zero_or_none(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "location, expected",
+    [(2.0, 2), (np.int64(2), 2), (2.7, "2.7"), ("2", "'2'"), (True, "True")],
+    ids=["integral-float", "numpy-int", "fraction", "quoted", "bool"],
+)
+def test_sampler_reads_locations_as_json_does(location, expected):
+    # the rule ExplicitBrowsing applies to JSON locations, for single and block draws
+    browsing = SamplerBrowsing(lambda rng: [0, location])
+    if isinstance(expected, int):
+        single = browsing.sample(np.random.default_rng(0))
+        assert single == {0, expected} and all(type(j) is int for j in single)
+        sets, index = browsing.sample(np.random.default_rng(0), 3)
+        assert sets == [single] and index.tolist() == [0, 0, 0]
+        return
+    message = f"location must be an integer, got {expected}"
+    with pytest.raises(ValueError, match=message):
+        browsing.sample(np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        browsing.sample(np.random.default_rng(0), 3)
+
+
 def test_browsing_spec_round_trip():
     for browsing in [
         LineBrowsing([0.2, 0.5, 0.1]),

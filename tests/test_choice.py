@@ -108,6 +108,55 @@ def test_markov_all_offered_uses_arrival_directly():
         assert probs[i] == pytest.approx(float(model.arrival[i + 1]), abs=1e-12)
 
 
+def test_markov_full_catalog_rows_are_the_arrival_bitwise():
+    # no unoffered state is left: the stacked solve of 0 x 0 systems adds 0.0
+    for n in range(1, 16):
+        for seed in range(20):
+            model = gen_random(n, 2, model="markov", seed=seed).choice_model
+            rows = model._batch_probs(np.tile(np.arange(n), (2, 1)))
+            expected = [v.hex() for v in model.arrival[1:].tolist()]
+            assert [[v.hex() for v in row] for row in rows.tolist()] == [expected] * 2
+
+
+def test_markov_with_only_a_subnormal_exit_scores_every_subset():
+    # the walk from product 0 leaves with probability 1e-320: its expected
+    # length overflows, so no bound can skip a subset
+    model = MarkovModel([0.5, 0.5], [[1.0, 0.0], [1e-320, 1.0]])
+    assert model.prob_error == np.inf
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MmnlModel([]), "need at least one segment"),
+        (lambda: MarkovModel([1.0], [[1.0]]), "arrival must cover the quit state"),
+        (
+            lambda: MarkovModel([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]),
+            "the quit state must be absorbing",
+        ),
+        (lambda: RankedListModel([(1.0, [])], 0), "need at least one product"),
+        (lambda: RankedListModel([], 2), "need at least one ranking"),
+        (lambda: RankedListModel([(1.0, [0, 0])], 2), "a ranking may not repeat a product"),
+        (
+            lambda: model_from_spec({"type": "ranked", "lists": [{"prob": 1.0, "order": [0]}]}),
+            "ranked model spec needs a product count",
+        ),
+    ],
+    ids=[
+        "mmnl-no-segments",
+        "markov-quit-only",
+        "markov-quit-not-absorbing",
+        "ranked-no-products",
+        "ranked-no-lists",
+        "ranked-repeat",
+        "ranked-spec-no-count",
+    ],
+)
+def test_choice_models_reject_degenerate_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_markov_closed_transient_class_raises():
     # products 0 and 1 only feed each other, so offering just product 2
     # would leave a closed unoffered class and a singular absorption solve;

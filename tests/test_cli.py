@@ -341,6 +341,34 @@ def test_bad_product_id_exits_2(tmp_path, capsys, ids, message):
     assert message in capsys.readouterr().err
 
 
+def test_malformed_instance_json_exits_2_naming_the_field(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    data = json.loads(to_json(gen_random(3, 2, model="mnl", seed=4)))
+    del data["products"][1]["id"]
+    inst_path.write_text(json.dumps(data))
+    assert run("solve", "--instance", str(inst_path), "--algorithm", "brute") == 2
+    assert "products must be a list of objects with an id and a price" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["unknown-algorithm", "past-opt-guard", "verify-fails"])
+def test_cli_boundaries(tmp_path, capsys, monkeypatch, case):
+    inst_path, out = tmp_path / "inst.json", tmp_path / "out.json"
+    run("gen", "--family", "random", "--n", "4", "--m", "2", "-o", str(inst_path))
+    capsys.readouterr()
+    if case == "unknown-algorithm":
+        assert run("compare", "--instance", str(inst_path), "--algorithms", "nope,brute") == 2
+        assert "unknown algorithm 'nope'" in capsys.readouterr().err
+    elif case == "past-opt-guard":
+        # 4^2 placements exceed the guard, so no optimum is known
+        argv = ["--algorithms", "randomized", "--opt-guard", "1", "-o", str(out)]
+        assert run("compare", "--instance", str(inst_path), *argv) == 0
+        assert json.loads(out.read_text())["results"][0]["ratio_to_opt"] is None
+    else:
+        monkeypatch.setattr(cli, "check_weak_rationality", lambda *args, **kwargs: ["v"])
+        assert run("verify", "--instance", str(inst_path)) == 1
+        assert "FAIL weak rationality: 1 violations" in capsys.readouterr().out
+
+
 def test_size_guard_exits_3(tmp_path):
     inst_path = tmp_path / "big.json"
     inst = gen_random(30, 5, model="mnl", seed=0)

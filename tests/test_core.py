@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from placement_opt import (
+    ExplicitBrowsing,
     Instance,
     LineBrowsing,
     MnlModel,
     canon,
+    full_support,
     products_at,
     substream,
 )
@@ -24,8 +26,22 @@ def test_products_at_plain_union():
 
 
 def test_products_at_out_of_range():
-    with pytest.raises(IndexError):
-        products_at([0, 1], [2])
+    # the one range check on a drawn set names each location outside [0, m)
+    with pytest.raises(ValueError, match=r"locations \[-1, 2\] outside \[0, 2\)"):
+        products_at([0, 1], [2, 0, -1])
+
+
+@pytest.mark.parametrize(
+    "m, browsing, message",
+    [
+        (0, full_support(1), "instance needs at least one location"),
+        (2, ExplicitBrowsing([([0, 2], 1.0)]), "browsing visits location 2 >= m = 2"),
+    ],
+    ids=["no-locations", "explicit-beyond-m"],
+)
+def test_instance_rejects_locations_outside_its_range(m, browsing, message):
+    with pytest.raises(ValueError, match=message):
+        Instance([1.0], MnlModel([1.0]), m, browsing)
 
 
 def test_products_at_size_and_monotonicity():

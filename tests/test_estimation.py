@@ -92,6 +92,24 @@ def test_estimate_names_the_first_bad_set_in_draw_order():
         estimate_w(inst, (0, 1, 2), plan, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda inst: estimate_w(
+                inst, (0, 1), EstimationPlan(0.5, 0.5, 10, 1.0), np.random.default_rng(0)
+            ),
+            "placement must fill 3 slots",
+        ),
+        (lambda inst: EstimationPlan(0.0, 0.1, 10, 1.0), r"epsilon and delta must lie in \(0, 1\]"),
+    ],
+    ids=["short-placement", "zero-epsilon"],
+)
+def test_estimation_rejects_bad_plans_and_placements(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(gen_random(5, 3, model="mnl", seed=2))
+
+
 def test_point_mass_browsing_estimates_exactly():
     inst = gen_random(3, 2, model="mnl", browsing="full", seed=1)
     plan = EstimationPlan.for_instance(inst, 1.0, 1.0, samples_override=3)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,11 @@ def test_uniform_line_identity_value():
 def test_uniform_line_single_location():
     inst = gen_uniform_line(1)
     assert evaluate_exact(inst, (0,)) == pytest.approx(0.5)
+
+
+def test_uniform_line_validation():
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        gen_uniform_line(0)
 
 
 def test_uniform_line_prefix_placement_upper_bound():
@@ -404,4 +410,55 @@ def test_from_json_rejects_bad_payloads():
     data = json.loads(to_json(inst))
     data["products"][0]["id"] = 7
     with pytest.raises(ValueError):
+        from_json(json.dumps(data))
+
+
+_DELETE = object()
+_PRODUCTS = "products must be a list of objects with an id and a price"
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((), [1], "instance must be a JSON object, got list"),
+        (("products",), _DELETE, "instance lacks the 'products' field"),
+        (("choice_model",), _DELETE, "instance lacks the 'choice_model' field"),
+        (("m",), _DELETE, "instance lacks the 'm' field"),
+        (("browsing",), _DELETE, "instance lacks the 'browsing' field"),
+        (("products",), 5, _PRODUCTS),
+        (("products",), {"0": {"id": 0, "price": 1.0}}, _PRODUCTS),
+        (("products", 0), "x", _PRODUCTS),
+        (("products", 0, "id"), _DELETE, _PRODUCTS),
+        (("products", 0, "price"), _DELETE, _PRODUCTS),
+        (("choice_model",), 5, "choice_model must be a JSON object, got int"),
+        (("browsing",), [1], "browsing must be a JSON object, got list"),
+    ],
+    ids=[
+        "not-an-object",
+        "no-products",
+        "no-choice-model",
+        "no-m",
+        "no-browsing",
+        "products-number",
+        "products-object",
+        "product-string",
+        "product-without-id",
+        "product-without-price",
+        "choice-model-number",
+        "browsing-list",
+    ],
+)
+def test_from_json_names_a_malformed_field(path, value, message):
+    data = json.loads(to_json(gen_random(3, 2, model="mnl", seed=4)))
+    if not path:
+        data = value
+    else:
+        holder = data
+        for key in path[:-1]:
+            holder = holder[key]
+        if value is _DELETE:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
         from_json(json.dumps(data))

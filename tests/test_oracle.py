@@ -225,6 +225,31 @@ def test_mnl_bisection_matches_scalar_reference_bitwise(case):
     assert got == expected
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["mnl-oracle-on-markov", "bracket-overflow"],
+)
+def test_mnl_oracle_boundaries(case):
+    if case == "mnl-oracle-on-markov":
+        with pytest.raises(ValueError, match="MnlExactOracle requires an MNL choice model"):
+            MnlExactOracle(gen_random(3, 2, model="markov", seed=0))
+        return
+    # 2 v_sum r_max overflows, so no row is bracketed and every midpoint is tested
+    inst = Instance([3.0, 2.0, 5.0, 1.0], MnlModel([1e308, 1e308, 2.0, 0.5]), 4, full_support(4))
+    oracle = MnlExactOracle(inst)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        below, above = oracle._bracket(np.arange(1, 5), 4)
+    assert below.tolist() == [-np.inf] * 4 and above.tolist() == [np.inf] * 4
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        oracle.best_assortment(1)
+    got = {k: (ids, lo.hex()) for k, (ids, lo) in oracle._answers.items()}
+    expected = {}
+    for k in range(1, 5):
+        ids, lo = reference_mnl_bisection(inst, k)
+        expected[k] = (ids, lo.hex())
+    assert got == expected
+
+
 def _plain_records(values, best):
     """The tie rule written out: index and value of the last record."""
     at = None

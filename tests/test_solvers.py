@@ -741,6 +741,32 @@ def test_restricted_revenue_checker_rejects_ids_outside_the_catalog():
             check_restricted_revenue_properties(inst, members)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda inst: randomized_placement(inst, BruteForceOracle(inst), repetitions=0),
+            ValueError,
+            "need at least one repetition",
+        ),
+        (
+            lambda inst: check_restricted_revenue_properties(inst, range(17)),
+            SizeGuardError,
+            "capped at 16 members",
+        ),
+        (
+            lambda inst: SolveReport("brute-force", (0, EMPTY_SLOT), 1.0, None, 1, 0, 0),
+            ValueError,
+            "may not contain empty slots",
+        ),
+    ],
+    ids=["no-repetitions", "restricted-check-17-members", "report-with-empty-slot"],
+)
+def test_solver_boundaries_reject_bad_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build(gen_random(18, 2, model="mnl", seed=0))
+
+
 def test_restricted_revenue_checker_flags_same_counterexample():
     inst = Instance(
         [10.0, 1.0],
