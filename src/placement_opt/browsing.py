@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import _PROB_TOL, EnumerationUnsupportedError, _reals, as_int
+from .core import _PROB_TOL, EnumerationUnsupportedError, _entries, _field, _reals, as_int
 
 
 class BrowsingDistribution:
@@ -206,9 +206,7 @@ def browsing_from_spec(spec: Mapping) -> BrowsingDistribution:
     """Build a browsing distribution from its JSON-friendly description."""
     kind = spec.get("type")
     if kind == "explicit":
-        return ExplicitBrowsing(
-            [(entry["locations"], entry["prob"]) for entry in spec["support"]]
-        )
+        return ExplicitBrowsing(_entries(spec, "support", "browsing", "locations", "prob"))
     if kind == "line":
-        return LineBrowsing(spec["theta"])
+        return LineBrowsing(_field(spec, "theta", "browsing"))
     raise ValueError(f"unknown browsing type {kind!r}")

@@ -14,18 +14,29 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import _PROB_TOL, SizeGuardError, _probabilities, _reals, as_int, canon
+from .core import _PROB_TOL, SizeGuardError, _entries, _field, _probabilities, _reals, as_int, canon
 
 _EPS = np.finfo(float).eps
+
+
+def _sum_leading(x: np.ndarray) -> np.ndarray:
+    """``x[0] + x[1] + ...`` strictly left to right. numpy adds pairwise only
+    along a reduction's fast axis, so reduce adds the rows of a C-ordered ``x``
+    in order (from -0.0, which leaves every v as it is) unless each row holds
+    one entry; there accumulate keeps the order."""
+    x = np.ascontiguousarray(x)
+    if x[0].size > 1:
+        return np.add.reduce(x, axis=0, initial=-0.0)
+    return np.add.accumulate(x, axis=0)[-1]
 
 
 def _revenue_rows(prices: np.ndarray, ids: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Row sums of ``r_i p_i`` for ``s >= 1`` columns, added left to right in id
     order as ``expected_revenue`` does: the running sum 0.0 + t_0 + t_1 + ...,
     where ``+ 0.0`` turns a first term of -0.0 into 0.0."""
-    terms = prices[ids] * probs
-    terms[:, 0] += 0.0
-    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    terms = np.multiply(prices[ids.T], probs.T, order="C")
+    terms[0] += 0.0
+    return _sum_leading(terms)
 
 
 _BOOLS = frozenset({bool, np.bool_})
@@ -294,11 +305,12 @@ def model_from_spec(spec: Mapping, n: int | None = None) -> ChoiceModel:
     """
     kind = spec.get("type")
     if kind == "mnl":
-        return MnlModel(spec["weights"])
+        return MnlModel(_field(spec, "weights", "choice_model"))
     if kind == "mmnl":
-        return MmnlModel([(s["theta"], s["weights"]) for s in spec["segments"]])
+        return MmnlModel(_entries(spec, "segments", "choice_model", "theta", "weights"))
     if kind == "markov":
-        return MarkovModel(spec["arrival"], spec["transitions"])
+        arrival, rho = (_field(spec, key, "choice_model") for key in ("arrival", "transitions"))
+        return MarkovModel(arrival, rho)
     if kind == "ranked":
         count = spec.get("n", n)
         if count is None:
@@ -306,9 +318,7 @@ def model_from_spec(spec: Mapping, n: int | None = None) -> ChoiceModel:
         count = as_int(count, "product count")
         if n is not None and count != n:  # before the model allocates its ranks
             raise ValueError(f"choice model covers {count} products, catalog has {n}")
-        return RankedListModel(
-            [(entry["prob"], entry["order"]) for entry in spec["lists"]], n=count
-        )
+        return RankedListModel(_entries(spec, "lists", "choice_model", "prob", "order"), n=count)
     raise ValueError(f"unknown choice model type {kind!r}")
 
 

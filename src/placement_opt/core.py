@@ -13,7 +13,7 @@ from __future__ import annotations
 import numbers
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +49,21 @@ def as_int(value, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _field(spec: Mapping, key: str, where: str):
+    """``spec[key]``; ValueError if the JSON object ``where`` lacks it."""
+    if key not in spec:
+        raise ValueError(f"{where} lacks the {key!r} field")
+    return spec[key]
+
+
+def _entries(spec: Mapping, key: str, where: str, *fields: str) -> list[tuple]:
+    """The ``fields`` of each JSON object in the list ``spec[key]``."""
+    value = _field(spec, key, where)
+    if not isinstance(value, (list, tuple)) or not all(isinstance(e, Mapping) for e in value):
+        raise ValueError(f"{where} field {key!r} must be a list of JSON objects")
+    return [tuple(_field(e, f, f"{where} {key} entry") for f in fields) for e in value]
 
 
 def _reals(values, what: str) -> np.ndarray:

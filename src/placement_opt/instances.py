@@ -22,7 +22,7 @@ from .browsing import (
     singleton_uniform,
 )
 from .choice import MarkovModel, MmnlModel, MnlModel, RankedListModel, model_from_spec
-from .core import Instance, as_int
+from .core import Instance, _field, as_int
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +43,9 @@ def instance_from_dict(data: Mapping) -> Instance:
     if not isinstance(data, Mapping):
         raise ValueError(f"instance must be a JSON object, got {type(data).__name__}")
     for key in ("products", "choice_model", "m", "browsing"):
-        if key not in data:
-            raise ValueError(f"instance lacks the {key!r} field")
-        if key in ("choice_model", "browsing") and not isinstance(data[key], Mapping):
-            raise ValueError(f"{key} must be a JSON object, got {type(data[key]).__name__}")
+        value = _field(data, key, "instance")
+        if key in ("choice_model", "browsing") and not isinstance(value, Mapping):
+            raise ValueError(f"{key} must be a JSON object, got {type(value).__name__}")
     try:
         ids = [as_int(p["id"], "product id") for p in data["products"]]
         prices = [p["price"] for p in data["products"]]

@@ -65,10 +65,11 @@ def _drop_ranks(ids: np.ndarray, binom: np.ndarray) -> np.ndarray:
 def last_record(values, best: float = -np.inf) -> tuple[int | None, float]:
     """(index of the last record in ``values`` or None, the best after it),
     a record beating the best so far, from ``best``, by more than ``_TIE``."""
-    at = None
+    at, bar = None, best + _TIE
     for i, v in enumerate(values):
-        if v > best + _TIE:
+        if v > bar:
             at, best = i, v
+            bar = best + _TIE
     return at, best
 
 

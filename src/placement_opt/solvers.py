@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .browsing import LineBrowsing
-from .choice import MarkovModel, MnlModel, expected_revenue
+from .choice import MarkovModel, MnlModel, _sum_leading, expected_revenue
 from .core import EMPTY_SLOT, EnumerationUnsupportedError, Instance, SizeGuardError, canon
 from .estimation import EstimationPlan, estimate_w
 from .oracle import AssortmentOracle, last_record
@@ -300,8 +300,10 @@ def _partition_greedy(
     tie-breaks match it bit for bit. Every round folds the trials of
     consecutive states, each over its greedies' candidates, in one array of
     at most ``_GREEDY_CELLS`` cells (at least one state). Each greedy then
-    scans its own candidates' gains in its own order, and a state splits
-    when its greedies pick differently.
+    scans its own candidates' gains in its own order (the lead's come first:
+    one flat slice), and a state splits when its greedies pick differently.
+    Gains that are all zero pick the first candidate at the first empty
+    location; while such picks offer nothing new, they stay zero unfolded.
     """
     m = instance.m
     support = ev.support
@@ -323,11 +325,13 @@ def _partition_greedy(
         return r
 
     def state(greedies: list[int]):
-        """(greedies, their candidates' columns, and each greedy's candidates
-        as positions among those columns, in its own order)."""
-        cols = sorted({column[i] for g in greedies for i in cands[g]})
+        """(greedies, their candidates' columns, the lead's first in its order,
+        and each greedy's candidates as positions among them, in its order)."""
+        cols = list(dict.fromkeys(column[i] for i in cands[greedies[0]]))
+        scans = [range(len(cols))]
+        cols += sorted({column[i] for g in greedies for i in cands[g]}.difference(cols))
         at = {q: t for t, q in enumerate(cols)}
-        scans = [[at[column[i]] for i in cands[g]] for g in greedies]
+        scans += [[at[column[i]] for i in cands[g]] for g in greedies[1:]]
         return greedies, np.array(cols), scans
 
     # a state lives in the entries of its first greedy: table[:, g] is the
@@ -338,41 +342,51 @@ def _partition_greedy(
     free = np.ones((len(cands), m), dtype=bool)
     current = np.zeros(len(cands))
     states = [state(list(range(len(cands))))]
+    # idle[g]: the state g leads has all gains 0, and they stay 0 while its
+    # picks leave its offered sets as they are, so it skips the fold
+    idle = [False] * len(cands)
     for size in range(m, 0, -1):
         # every state has ``size`` empty locations left
         weighted = probs * table
         split, done = [], 0
         while done < len(states):
-            fold, cells = [], 0
+            fold, widths, cells = [], [], 0
             for st in states[done:]:
-                st_cells = len(support) * len(st[1]) * size
-                if fold and cells + st_cells > _GREEDY_CELLS:
+                width = 0 if idle[st[0][0]] else len(st[1])
+                if fold and cells + len(support) * width * size > _GREEDY_CELLS:
                     break
                 fold.append(st)
-                cells += st_cells
+                widths.append(width)
+                cells += len(support) * width * size
             done += len(fold)
             leads = [greedies[0] for greedies, _, _ in fold]
-            widths = [len(cols) for _, cols, _ in fold]
             owner = np.repeat(leads, widths)
-            cols = np.concatenate([cols for _, cols, _ in fold])
+            cols = np.concatenate([cols[:w] for (_, cols, _), w in zip(fold, widths)])
             empty = np.nonzero(free[leads])[1].reshape(len(fold), size)
             mask = visits[:, np.repeat(empty, widths, axis=0)]
             trial = np.where(
                 mask, weighted[:, owner, cols, None], weighted[:, owner, :1]
             )
-            # accumulate adds strictly left to right; sum may add pairwise
-            np.add.accumulate(trial, axis=0, out=trial)
-            gains = (trial[-1] - current[owner, None]).tolist()
-            for (greedies, st_cols, scans), empty_lists in zip(fold, empty.tolist()):
-                st_gains, gains = gains[: len(st_cols)], gains[len(st_cols) :]
+            gains = (_sum_leading(trial) - current[owner, None]).ravel().tolist()
+            base = 0
+            for (greedies, st_cols, scans), width, empty_lists in zip(fold, widths, empty.tolist()):
+                # the state's column t holds block[t * size : (t + 1) * size]
+                block, base = gains[base : base + width * size], base + width * size
+                zero = not any(block)  # every gain is 0.0 or -0.0
                 picks: dict[tuple[int, int], tuple[float, list[int]]] = {}
+                lead = greedies[0]
                 for g, scan in zip(greedies, scans):
-                    at, gain = last_record(chain.from_iterable(st_gains[t] for t in scan))
+                    if zero:  # the record is the first gain
+                        at, gain = 0, 0.0
+                    elif g == lead:  # its columns lead the state's, in its order
+                        at, gain = last_record(block[: len(scan) * size])
+                    else:
+                        runs = (block[t * size : (t + 1) * size] for t in scan)
+                        at, gain = last_record(chain.from_iterable(runs))
                     pair = scan[at // size], empty_lists[at % size]
                     picks.setdefault(pair, (gain, []))[1].append(g)
                 # each group of greedies that picked alike continues as one
                 # state; the first group keeps the shared one, so it goes last
-                lead = greedies[0]
                 for (t, j), (gain, group) in reversed(picks.items()):
                     g, i = group[0], union[st_cols[t] - 1]
                     if g != lead:
@@ -382,10 +396,12 @@ def _partition_greedy(
                     slots[g][j] = i
                     free[g, j] = False
                     current[g] += gain
+                    idle[g] = zero
                     for s in containing[j]:
                         if i not in offered[g][s]:
                             offered[g][s] = offered[g][s] | {i}
                             table[s, g] = row(offered[g][s])
+                            idle[g] = False
                 if len(picks) == 1:
                     split.append((greedies, st_cols, scans))
                 else:

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from placement_opt import (
@@ -21,7 +21,7 @@ from placement_opt import (
     model_from_spec,
     no_purchase_prob,
 )
-from placement_opt.choice import ChoiceModel, _revenue_rows
+from placement_opt.choice import ChoiceModel, _revenue_rows, _sum_leading
 
 from helpers import (
     absorption_by_iteration,
@@ -473,6 +473,33 @@ def test_revenue_rows_match_the_column_loop_bitwise():
         nan = _revenue_rows(prices, np.array([[0, 1]]), np.array([[np.inf, 0.5]]))
     assert row.tobytes() == np.zeros(1).tobytes()  # 0.0, not -0.0
     assert np.isnan(nan[0])
+
+
+@st.composite
+def _leading_arrays(draw):
+    """1-24 rows of shape (), (1, 1), (2, 1) or (2, 3) entries of mixed
+    magnitudes, in C or Fortran order, with a -0.0 first row at times."""
+    rows = draw(st.integers(1, 24))
+    trailing = draw(st.sampled_from([(), (1, 1), (2, 1), (2, 3)]))
+    size = rows * int(np.prod(trailing))
+    scaled = st.builds(lambda v, e: v * 10.0**e, st.floats(-1.0, 1.0), st.integers(-20, 20))
+    x = np.array(draw(st.lists(scaled, min_size=size, max_size=size))).reshape(rows, *trailing)
+    if draw(st.booleans()):
+        x[0] = -0.0
+    return np.asfortranarray(x) if draw(st.booleans()) else x
+
+
+# no explain phase: on a failing example it ran for minutes
+@settings(max_examples=300, deadline=None, derandomize=True, phases=[Phase.generate, Phase.shrink])
+@given(_leading_arrays())
+def test_sum_leading_adds_rows_left_to_right(x):
+    # from 8 rows on numpy's pairwise sum along a reduced fast axis differs
+    want = x[0]
+    for row in x[1:]:
+        want = want + row
+    got = _sum_leading(x)
+    assert got.shape == np.shape(want)
+    assert [v.hex() for v in np.ravel(got).tolist()] == [v.hex() for v in np.ravel(want).tolist()]
 
 
 def _ranked_edge_model(n, offered, rng):

@@ -350,6 +350,58 @@ def test_malformed_instance_json_exits_2_naming_the_field(tmp_path, capsys):
     assert "products must be a list of objects with an id and a price" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model, browsing, path, bad, message",
+    [
+        ("mnl", "line", ("choice_model", "weights"), None, "choice_model lacks the 'weights' field"),
+        ("mnl", "line", ("browsing", "theta"), None, "browsing lacks the 'theta' field"),
+        ("mnl", "explicit", ("browsing", "support"), None, "browsing lacks the 'support' field"),
+        (
+            "mnl", "explicit", ("browsing", "support", 0, "prob"), None,
+            "browsing support entry lacks the 'prob' field",
+        ),
+        (
+            "mnl", "explicit", ("browsing", "support"), 5,
+            "browsing field 'support' must be a list of JSON objects",
+        ),
+        (
+            "mmnl", "line", ("choice_model", "segments", 0, "theta"), None,
+            "choice_model segments entry lacks the 'theta' field",
+        ),
+        ("ranked", "line", ("choice_model", "lists"), None, "choice_model lacks the 'lists' field"),
+        ("markov", "line", ("choice_model", "arrival"), None, "choice_model lacks the 'arrival' field"),
+    ],
+    ids=[
+        "mnl-without-weights",
+        "line-without-theta",
+        "explicit-without-support",
+        "support-entry-without-prob",
+        "support-number",
+        "segment-without-theta",
+        "ranked-without-lists",
+        "markov-without-arrival",
+    ],
+)
+def test_missing_or_malformed_spec_field_exits_2_naming_it(
+    tmp_path, capsys, model, browsing, path, bad, message
+):
+    data = json.loads(to_json(gen_random(3, 2, model=model, browsing=browsing, seed=4)))
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    if bad is None:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = bad
+    with pytest.raises(ValueError) as raised:
+        from_json(json.dumps(data))
+    assert message in str(raised.value)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(data))
+    assert run("solve", "--instance", str(inst_path), "--algorithm", "markov-greedy") == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["unknown-algorithm", "past-opt-guard", "verify-fails"])
 def test_cli_boundaries(tmp_path, capsys, monkeypatch, case):
     inst_path, out = tmp_path / "inst.json", tmp_path / "out.json"

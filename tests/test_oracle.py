@@ -301,6 +301,17 @@ def test_last_record_edges():
     assert oracle_module.last_record([np.nan, -np.inf, 0.0, -0.0]) == (2, 0.0)
     at, best = oracle_module.last_record([-0.0, 0.0])
     assert (at, best.hex()) == (0, (-0.0).hex())
+    # in [4, 16) best + 1e-15 rounds up one ulp, so one ulp ties and two beat
+    # it; from 16 on it rounds back to best, so one ulp beats it
+    for x in (4.0, 5.0, nextafter(16.0, 0.0)):
+        up = nextafter(x, np.inf)
+        two_up = nextafter(up, np.inf)
+        assert oracle_module.last_record([x, up, x]) == (0, x)
+        assert oracle_module.last_record([x, up, two_up], x) == (2, two_up)
+    for x in (16.0, 20.0, 1e6):
+        up = nextafter(x, np.inf)
+        assert oracle_module.last_record([x, x, up, up]) == (2, up)
+        assert oracle_module.last_record([x], x) == (None, x)
 
 
 def test_bisection_tests_and_exact_sums_stay_within_their_pins(monkeypatch):

@@ -15,6 +15,7 @@ from placement_opt import (
     LineBrowsing,
     MarkovModel,
     MnlModel,
+    RankedListModel,
     SamplerBrowsing,
     SizeGuardError,
     SolveReport,
@@ -643,6 +644,21 @@ def test_lockstep_greedy_splits_rounds_at_the_cell_cap(monkeypatch):
     for cap in (1, split):
         monkeypatch.setattr(solvers, "_GREEDY_CELLS", cap)
         assert solvers._partition_greedy(inst, lists, WEvaluator(inst)) == want, cap
+
+
+def test_lockstep_greedy_folds_again_after_a_zero_gain_pick_offers_a_product():
+    # One visited set holds every location. After product 1, every gain of
+    # round two is 0: product 0 earns list 1's 0.5 and takes 0.25 from each
+    # of lists 2 and 4, and product 2 takes lists 2 and 4 at the same price.
+    # The first candidate, product 0, is placed; now offered, it makes
+    # product 2 worth 0.25 in round three, so that round must fold again.
+    lists = [(0.25, [0]), (0.25, [0, 2, 1]), (0.25, [1, 2]), (0.25, [2, 0, 1])]
+    inst = Instance([2.0, 3.0, 3.0], RankedListModel(lists, n=3), 3, full_support(3))
+    candidates = [[0, 1, 2], [2, 1, 0], [1, 0, 2]]
+    ev = WEvaluator(inst)
+    want = [reference_partition_greedy(inst, c, ev) for c in candidates]
+    assert want[0] == ((1, 0, 2), 2.5)
+    assert solvers._partition_greedy(inst, candidates, WEvaluator(inst)) == want
 
 
 def test_lockstep_greedy_subtracts_each_states_own_current():
