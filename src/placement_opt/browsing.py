@@ -206,7 +206,8 @@ def browsing_from_spec(spec: Mapping) -> BrowsingDistribution:
     """Build a browsing distribution from its JSON-friendly description."""
     kind = spec.get("type")
     if kind == "explicit":
-        return ExplicitBrowsing(_entries(spec, "support", "browsing", "locations", "prob"))
+        support = _entries(spec, "support", "browsing", "locations", "prob", lists=("locations",))
+        return ExplicitBrowsing(support)
     if kind == "line":
         return LineBrowsing(_field(spec, "theta", "browsing"))
     raise ValueError(f"unknown browsing type {kind!r}")

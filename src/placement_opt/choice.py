@@ -318,14 +318,17 @@ def model_from_spec(spec: Mapping, n: int | None = None) -> ChoiceModel:
         count = as_int(count, "product count")
         if n is not None and count != n:  # before the model allocates its ranks
             raise ValueError(f"choice model covers {count} products, catalog has {n}")
-        return RankedListModel(_entries(spec, "lists", "choice_model", "prob", "order"), n=count)
+        lists = _entries(spec, "lists", "choice_model", "prob", "order", lists=("order",))
+        return RankedListModel(lists, n=count)
     raise ValueError(f"unknown choice model type {kind!r}")
 
 
 def expected_revenue(model: ChoiceModel, prices: Sequence[float], assortment: Iterable[int]) -> float:
     """Expected revenue of an assortment: sum_i r_i * p(i, S)."""
-    probs = model.choice_probs(assortment)
-    return float(sum(prices[i] * p for i, p in probs.items()))
+    total = 0.0  # the additions ``revenues`` makes; ``sum`` compensates from Python 3.12
+    for i, p in model.choice_probs(assortment).items():
+        total += float(prices[i]) * p
+    return total
 
 
 def no_purchase_prob(model: ChoiceModel, assortment: Iterable[int]) -> float:

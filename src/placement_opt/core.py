@@ -51,19 +51,23 @@ def as_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _field(spec: Mapping, key: str, where: str):
-    """``spec[key]``; ValueError if the JSON object ``where`` lacks it."""
+def _field(spec: Mapping, key: str, where: str, listed: bool = False):
+    """``spec[key]``; ValueError if the JSON object ``where`` lacks it or,
+    when ``listed``, if it holds no JSON list."""
     if key not in spec:
         raise ValueError(f"{where} lacks the {key!r} field")
+    if listed and not isinstance(spec[key], (list, tuple)):
+        raise ValueError(f"{where} field {key!r} must be a list")
     return spec[key]
 
 
-def _entries(spec: Mapping, key: str, where: str, *fields: str) -> list[tuple]:
-    """The ``fields`` of each JSON object in the list ``spec[key]``."""
+def _entries(spec: Mapping, key: str, where: str, *fields: str, lists=()) -> list[tuple]:
+    """The ``fields`` of each JSON object in the list ``spec[key]``, those
+    named in ``lists`` read as lists."""
     value = _field(spec, key, where)
     if not isinstance(value, (list, tuple)) or not all(isinstance(e, Mapping) for e in value):
         raise ValueError(f"{where} field {key!r} must be a list of JSON objects")
-    return [tuple(_field(e, f, f"{where} {key} entry") for f in fields) for e in value]
+    return [tuple(_field(e, f, f"{where} {key} entry", f in lists) for f in fields) for e in value]
 
 
 def _reals(values, what: str) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain, product as iter_product
+from itertools import chain, compress, product as iter_product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -303,7 +303,10 @@ def _partition_greedy(
     scans its own candidates' gains in its own order (the lead's come first:
     one flat slice), and a state splits when its greedies pick differently.
     Gains that are all zero pick the first candidate at the first empty
-    location; while such picks offer nothing new, they stay zero unfolded.
+    location. When every greedy's first candidate is already offered in
+    every visited set holding an empty location, those picks change nothing,
+    so every later round would repeat them: the state finishes at once, each
+    greedy's first candidate filling all its empty locations.
     """
     m = instance.m
     support = ev.support
@@ -342,30 +345,26 @@ def _partition_greedy(
     free = np.ones((len(cands), m), dtype=bool)
     current = np.zeros(len(cands))
     states = [state(list(range(len(cands))))]
-    # idle[g]: the state g leads has all gains 0, and they stay 0 while its
-    # picks leave its offered sets as they are, so it skips the fold
-    idle = [False] * len(cands)
+    finished: dict[tuple[int, ...], list[int]] = {}  # final slots -> greedies
     for size in range(m, 0, -1):
         # every state has ``size`` empty locations left
-        weighted = probs * table
         split, done = [], 0
         while done < len(states):
-            fold, widths, cells = [], [], 0
+            fold, cells = [], 0
             for st in states[done:]:
-                width = 0 if idle[st[0][0]] else len(st[1])
-                if fold and cells + len(support) * width * size > _GREEDY_CELLS:
+                if fold and cells + len(support) * len(st[1]) * size > _GREEDY_CELLS:
                     break
                 fold.append(st)
-                widths.append(width)
-                cells += len(support) * width * size
+                cells += len(support) * len(st[1]) * size
             done += len(fold)
             leads = [greedies[0] for greedies, _, _ in fold]
+            widths = [len(cols) for _, cols, _ in fold]
             owner = np.repeat(leads, widths)
-            cols = np.concatenate([cols[:w] for (_, cols, _), w in zip(fold, widths)])
+            cols = np.concatenate([cols for _, cols, _ in fold])
             empty = np.nonzero(free[leads])[1].reshape(len(fold), size)
             mask = visits[:, np.repeat(empty, widths, axis=0)]
             trial = np.where(
-                mask, weighted[:, owner, cols, None], weighted[:, owner, :1]
+                mask, probs * table[:, owner, cols, None], probs * table[:, owner, :1]
             )
             gains = (_sum_leading(trial) - current[owner, None]).ravel().tolist()
             base = 0
@@ -373,8 +372,17 @@ def _partition_greedy(
                 # the state's column t holds block[t * size : (t + 1) * size]
                 block, base = gains[base : base + width * size], base + width * size
                 zero = not any(block)  # every gain is 0.0 or -0.0
-                picks: dict[tuple[int, int], tuple[float, list[int]]] = {}
                 lead = greedies[0]
+                if zero:  # finish if no first candidate is new to a set holding an empty location
+                    held = visits[:, empty_lists].any(axis=1).tolist()
+                    seen = set(compress(offered[lead], held))
+                    if all(cands[g][0] in o for g in greedies for o in seen):
+                        for g in greedies:
+                            i = cands[g][0]
+                            placed = tuple(i if x == EMPTY_SLOT else x for x in slots[lead])
+                            finished.setdefault(placed, []).append(g)
+                        continue
+                picks: dict[tuple[int, int], tuple[float, list[int]]] = {}
                 for g, scan in zip(greedies, scans):
                     if zero:  # the record is the first gain
                         at, gain = 0, 0.0
@@ -396,20 +404,19 @@ def _partition_greedy(
                     slots[g][j] = i
                     free[g, j] = False
                     current[g] += gain
-                    idle[g] = zero
                     for s in containing[j]:
                         if i not in offered[g][s]:
                             offered[g][s] = offered[g][s] | {i}
                             table[s, g] = row(offered[g][s])
-                            idle[g] = False
                 if len(picks) == 1:
                     split.append((greedies, st_cols, scans))
                 else:
                     split += [state(group) for _, group in picks.values()]
         states = split
-    out = [None] * len(cands)
     for greedies, _, _ in states:
-        placed = tuple(slots[greedies[0]])
+        finished.setdefault(tuple(slots[greedies[0]]), []).extend(greedies)
+    out = [None] * len(cands)
+    for placed, greedies in finished.items():
         w = ev.value(placed)
         for g in greedies:
             out[g] = (placed, w)

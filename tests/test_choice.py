@@ -399,6 +399,24 @@ def test_batch_revenues_equal_expected_revenue(family, n, seed, size_pick, rows)
         assert whole[b] == expected_revenue(fresh, inst.prices, row), (b, row)
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["mnl", "mmnl", "markov", "ranked"]),
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    prices=st.sampled_from([(1.0, 10.0), (2.0, 2.0), (0.0, 0.0)]),
+)
+def test_expected_revenue_is_its_revenues_row_to_the_bit(family, n, seed, prices):
+    # .hex() tells -0.0 from 0.0, which == does not
+    inst = gen_random(n, 1, model=family, price_range=prices, seed=seed)
+    for size in range(1, n + 1):
+        ids = np.array(list(combinations(range(n), size)))
+        whole = inst.choice_model.revenues(inst.prices, ids).tolist()
+        for row, want in zip(ids.tolist(), whole):
+            got = expected_revenue(inst.choice_model, inst.prices, row)
+            assert got.hex() == want.hex(), row
+
+
 _TIED_MODELS = {
     "mnl": lambda: MnlModel(np.ones(6)),
     "mmnl": lambda: MmnlModel([(0.5, np.ones(6)), (0.5, np.full(6, 3.0))]),

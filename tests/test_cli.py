@@ -370,6 +370,14 @@ def test_malformed_instance_json_exits_2_naming_the_field(tmp_path, capsys):
         ),
         ("ranked", "line", ("choice_model", "lists"), None, "choice_model lacks the 'lists' field"),
         ("markov", "line", ("choice_model", "arrival"), None, "choice_model lacks the 'arrival' field"),
+        (
+            "ranked", "line", ("choice_model", "lists", 0, "order"), 5,
+            "choice_model lists entry field 'order' must be a list",
+        ),
+        (
+            "mnl", "explicit", ("browsing", "support", 0, "locations"), 5,
+            "browsing support entry field 'locations' must be a list",
+        ),
     ],
     ids=[
         "mnl-without-weights",
@@ -380,6 +388,8 @@ def test_malformed_instance_json_exits_2_naming_the_field(tmp_path, capsys):
         "segment-without-theta",
         "ranked-without-lists",
         "markov-without-arrival",
+        "order-number",
+        "locations-number",
     ],
 )
 def test_missing_or_malformed_spec_field_exits_2_naming_it(

@@ -11,6 +11,7 @@ from placement_opt import (
     EMPTY_SLOT,
     BruteForceOracle,
     EstimationPlan,
+    ExplicitBrowsing,
     Instance,
     LineBrowsing,
     MarkovModel,
@@ -659,6 +660,46 @@ def test_lockstep_greedy_folds_again_after_a_zero_gain_pick_offers_a_product():
     want = [reference_partition_greedy(inst, c, ev) for c in candidates]
     assert want[0] == ((1, 0, 2), 2.5)
     assert solvers._partition_greedy(inst, candidates, WEvaluator(inst)) == want
+
+
+def test_lockstep_greedy_checks_every_greedys_first_candidate_before_finishing():
+    # The instance of the test above. Products 1 and 2 tie at R = 2.25 alone,
+    # above product 0, and both lists name 1 before 2: the two greedies share
+    # round one, placing product 1 at location 0.
+    lists = [(0.25, [0]), (0.25, [0, 2, 1]), (0.25, [1, 2]), (0.25, [2, 0, 1])]
+    inst = Instance([2.0, 3.0, 3.0], RankedListModel(lists, n=3), 3, full_support(3))
+    ev = WEvaluator(inst)
+    assert ev.revenue({1}) == ev.revenue({2}) == 2.25 > ev.revenue({0})
+    # Every round-two gain is 0. The lead's first candidate, product 1, is
+    # offered already, but the other greedy's, product 0, is not: placing it
+    # makes product 2 worth 0.25 in round three, so the state must not finish.
+    assert ev.revenue({0, 1}) == ev.revenue({1, 2}) == 2.25 < ev.revenue({0, 1, 2})
+    candidates = [[1, 0, 2], [0, 1, 2]]
+    want = [reference_partition_greedy(inst, c, ev) for c in candidates]
+    assert want == [((1, 1, 1), 2.25), ((1, 0, 2), 2.5)]
+    assert solvers._partition_greedy(inst, candidates, WEvaluator(inst)) == want
+
+
+@pytest.mark.parametrize(
+    "prices, weights, last",
+    [
+        ([4.0, 6.0, 5.0], [1.0, 0.5, 2.0], (2, 0, 0, 0)),
+        ([1.0, 6.0, 5.0], [5.0, 0.5, 2.0], (2, 2, 0, 0)),
+    ],
+)
+def test_lockstep_greedy_finishes_over_locations_no_customer_visits(prices, weights, last):
+    # No visited set holds location 2 or 3, so every gain there is 0. On the
+    # first instance each greedy fills 0 and 1, then finishes with its first
+    # candidate at both. On the second, product 0 at location 1 loses revenue,
+    # so list [0, 2] places it at the unvisited locations before filling 1.
+    browsing = ExplicitBrowsing([([0], 0.5), ([0, 1], 0.5)])
+    inst = Instance(prices, MnlModel(weights), 4, browsing)
+    lists = [[0, 1, 2], [2, 1], [1], [1, 0], [0, 2]]
+    ev = WEvaluator(inst)
+    want = [reference_partition_greedy(inst, c, ev) for c in lists]
+    assert solvers._partition_greedy(inst, lists, WEvaluator(inst)) == want
+    assert want[0][0] == (2, 1, 0, 0)
+    assert want[4][0] == last
 
 
 def test_lockstep_greedy_subtracts_each_states_own_current():
