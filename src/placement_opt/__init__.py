@@ -37,7 +37,7 @@ from .core import (
     products_at,
     substream,
 )
-from .estimation import EstimationPlan, estimate_w, sample_size, select_best
+from .estimation import EstimationPlan, estimate_w, sample_size
 from .instances import (
     from_json,
     gen_coverage_mmnl,
@@ -73,6 +73,7 @@ from .solvers import (
     markov_deterministic_placement,
     pair_objective_values,
     randomized_placement,
+    sample_average_placement,
     uniform_price_matroid_greedy,
 )
 

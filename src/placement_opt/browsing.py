@@ -99,9 +99,11 @@ class ExplicitBrowsing(_CategoricalBrowsing):
             raise ValueError(f"support probabilities: expected a number, got {bad!r}")
         merged: dict[frozenset[int], float] = {}
         for (locations, _), prob in zip(support, probs.tolist()):
-            key = frozenset(as_int(j, "location") for j in locations)
-            if any(j < 0 for j in key):
-                raise ValueError("location indices must be nonnegative")
+            locs = [as_int(j, "location") for j in locations]
+            bad = next((j for j in locs if j < 0), None)
+            if bad is not None:
+                raise ValueError(f"location indices must be nonnegative, got {bad}")
+            key = frozenset(locs)
             merged[key] = merged.get(key, 0.0) + prob
         total = sum(merged.values())
         if abs(total - 1.0) > _PROB_TOL:
@@ -181,7 +183,7 @@ class SamplerBrowsing(BrowsingDistribution):
 
     def support(self):
         raise EnumerationUnsupportedError(
-            "sampler-backed browsing has no enumerable support; use estimation"
+            "sampler-backed browsing has no enumerable support; use sample_average_placement"
         )
 
     def to_spec(self) -> dict:

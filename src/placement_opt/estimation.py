@@ -14,6 +14,7 @@ eps * OPT only when m p >= 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,9 +93,9 @@ def estimate_w(
     """
     if len(slots) != instance.m:
         raise ValueError(f"placement must fill {instance.m} slots")
-    bad = [i for i in slots if not 0 <= i < instance.n]
+    bad = [i for i in slots if not (isinstance(i, numbers.Real) and 0 <= i < instance.n)]
     if bad:
-        raise ValueError(f"placement ids {bad} lie outside [0, {instance.n})")
+        raise ValueError(f"placement ids {bad} are not catalog ids in [0, {instance.n})")
     total = 0.0
     for start in range(0, plan.samples, _BLOCK):
         size = min(_BLOCK, plan.samples - start)
@@ -123,32 +124,3 @@ def _set_revenues(
     for key, where in offering.items():
         revs[where] = expected_revenue(model, prices, key)
     return revs
-
-
-def select_best(
-    instance: Instance,
-    placements: Sequence[Sequence[int]],
-    plan: EstimationPlan,
-    rng: np.random.Generator,
-    union_bound: bool = False,
-) -> tuple[int, list[float]]:
-    """Pick the placement with the largest estimated revenue.
-
-    If the truly best candidate is within beta of optimal, the winner is
-    within beta - 2*epsilon with probability >= 1 - 2*delta per estimate.
-    With ``union_bound`` the per-candidate failure budget is split delta/t
-    so the guarantee covers all t candidates jointly (this grows, never
-    shrinks, the per-candidate sample count).
-    """
-    if not placements:
-        raise ValueError("need at least one candidate placement")
-    per_candidate = plan
-    if union_bound and len(placements) > 1:
-        shared = sample_size(instance.m, plan.epsilon, plan.delta / len(placements))
-        per_candidate = EstimationPlan(
-            plan.epsilon, plan.delta, max(plan.samples, shared), plan.r_star_bound
-        )
-    values = [
-        estimate_w(instance, slots, per_candidate, rng)[0] for slots in placements
-    ]
-    return int(np.argmax(values)), values

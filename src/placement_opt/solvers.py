@@ -1,14 +1,13 @@
 """Placement algorithms and exact expected-revenue evaluation.
 
 The expected revenue of a placement is the browsing-weighted sum of
-assortment revenues over visited location sets. Solvers either enumerate
-that sum exactly (explicit / line browsing) or fall back to Monte-Carlo
-estimation for sampler-only browsing.
+assortment revenues over visited location sets. Solvers enumerate that sum
+exactly (explicit / line browsing).
 """
 
 from __future__ import annotations
 
-import functools
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from itertools import chain, compress, product as iter_product
@@ -16,9 +15,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .browsing import LineBrowsing
+from .browsing import ExplicitBrowsing, LineBrowsing
 from .choice import MarkovModel, MnlModel, _sum_leading, expected_revenue
-from .core import EMPTY_SLOT, EnumerationUnsupportedError, Instance, SizeGuardError, canon
+from .core import EMPTY_SLOT, Instance, SizeGuardError, canon
 from .estimation import EstimationPlan, estimate_w
 from .oracle import AssortmentOracle, last_record
 
@@ -237,7 +236,6 @@ def randomized_placement(
     repetitions: int = 32,
     seed: int = 0,
     rng: np.random.Generator | None = None,
-    plan: EstimationPlan | None = None,
 ) -> SolveReport:
     """Uniform random replication of the best size-k assortment, best of all k.
 
@@ -245,23 +243,14 @@ def randomized_placement(
     entries, the oracle's set for budget k and, if it is short, copies of the
     priciest product (products may repeat); the best evaluated draw over all
     k and all repetitions wins. Randomizing the layout hedges against
-    unknown browsing patterns. Values come from exact evaluation when the
-    browsing support is enumerable, otherwise from Monte-Carlo estimation
-    under ``plan``.
+    unknown browsing patterns.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     start = time.perf_counter()
     rng = np.random.default_rng(seed) if rng is None else rng
     i_star, m = instance.i_star, instance.m
-    try:
-        value = WEvaluator(instance).value
-        plan = None  # the reported value is exact
-    except EnumerationUnsupportedError:
-        if plan is None:
-            raise ValueError("sampler-only browsing needs an estimation plan") from None
-        # each distinct placement is estimated once, at its first evaluation
-        value = functools.cache(lambda slots: estimate_w(instance, slots, plan, rng)[0])
+    value = WEvaluator(instance).value
 
     def replicas(assortments):
         for k, members in enumerate(assortments, 1):
@@ -272,8 +261,7 @@ def randomized_placement(
             for slots in dict.fromkeys(map(tuple, members[draws].tolist())):
                 yield k, value(slots), slots
 
-    best = _best_over_k(instance, oracle, replicas)
-    return _report("randomized", start, seed, best, plan)
+    return _report("randomized", start, seed, _best_over_k(instance, oracle, replicas))
 
 
 def _partition_greedy(
@@ -515,9 +503,11 @@ def check_restricted_revenue_properties(
 
     Exhausts every A within B within ``members`` and every member outside B.
     """
-    ids = sorted(set(members))
-    if ids and (ids[0] < 0 or ids[-1] >= instance.n):
-        raise ValueError(f"members must be catalog ids in [0, {instance.n}), got {ids}")
+    members = set(members)
+    bad = [i for i in members if not (isinstance(i, numbers.Real) and 0 <= i < instance.n)]
+    if bad:
+        raise ValueError(f"members must be catalog ids in [0, {instance.n}), got {bad}")
+    ids = sorted(members)
     if len(ids) > 16:
         raise SizeGuardError("restricted revenue check is capped at 16 members")
     model, prices = instance.choice_model, instance.prices
@@ -556,3 +546,27 @@ def markov_deterministic_placement(
 
     best = _best_over_k(instance, oracle, greedies)
     return _report("markov-greedy", start, seed, best)
+
+
+def sample_average_placement(
+    instance: Instance,
+    solve: Callable[[Instance], SolveReport],
+    plan: EstimationPlan,
+    rng: np.random.Generator,
+) -> SolveReport:
+    """``solve`` run on drawn browsing: sample-average approximation.
+
+    Draws ``plan.samples`` visited sets from ``rng`` and solves the instance
+    whose browsing is their empirical distribution, each drawn set with
+    probability count / samples (Kleywegt, Shapiro & Homem-de-Mello 2002).
+    The winner's value is one ``estimate_w`` on the next ``plan.samples``
+    draws, independent of the choice, so it carries the plan's guarantee.
+    This is how the exact solvers run on sampler-only browsing.
+    """
+    start = time.perf_counter()
+    sets, index = instance.browsing.sample(rng, plan.samples)
+    probs = np.bincount(index, minlength=len(sets)) / plan.samples
+    browsing = ExplicitBrowsing(zip(sets, probs.tolist()))
+    inner = solve(Instance(instance.prices, instance.choice_model, instance.m, browsing))
+    value, _ = estimate_w(instance, inner.placement, plan, rng)
+    return _report(inner.algorithm, start, inner.seed, (value, inner.k, inner.placement), plan)

@@ -17,6 +17,7 @@ from placement_opt import (
     MmnlModel,
     MnlModel,
     RankedListModel,
+    SamplerBrowsing,
     WEvaluator,
     canon,
     expected_revenue,
@@ -224,6 +225,17 @@ def reference_estimate_w(instance: Instance, slots, plan, rng):
     return total / plan.samples, plan.samples
 
 
+def with_sampler(instance: Instance) -> Instance:
+    """The instance with its browsing replaced by an opaque simulator that
+    visits each location with probability 1/2."""
+    m = instance.m
+
+    def draw(rng):
+        return np.flatnonzero(rng.random(m) < 0.5)
+
+    return Instance(instance.prices, instance.choice_model, m, SamplerBrowsing(draw))
+
+
 def top_up(instance: Instance, found, k: int) -> frozenset[int]:
     """An oracle's answer for budget k from the set its pass found: the set
     itself, plus the highest-price product if it has fewer than k members."""
@@ -276,7 +288,7 @@ def reference_randomized(instance: Instance, oracle, repetitions: int, rng, valu
     Each k draws from k entries, the sorted oracle set and empty slots;
     every drawn row is filled and evaluated in draw order, repeats included;
     the first strictly better value wins. ``value`` maps a slot tuple to its
-    value, as the library's exact or estimated evaluator does.
+    value, as the library's exact evaluator does.
     """
     from placement_opt import fill_empty
 

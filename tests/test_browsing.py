@@ -151,7 +151,7 @@ def test_validation_errors():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: ExplicitBrowsing([([0, -1], 1.0)]), "location indices must be nonnegative"),
+        (lambda: ExplicitBrowsing([([0, -1], 1.0)]), "location indices must be nonnegative, got -1"),
         (lambda: full_support(0), "need at least one location"),
     ],
     ids=["negative-explicit-location", "full-support-of-nothing"],

@@ -299,6 +299,15 @@ def test_non_integral_location_count_exits_2(tmp_path):
     assert run("solve", "--instance", str(inst_path), "--algorithm", "brute") == 2
 
 
+def test_negative_explicit_location_exits_2_naming_it(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    data = json.loads(to_json(gen_random(3, 2, model="mnl", browsing="explicit", seed=4)))
+    data["browsing"]["support"][0]["locations"] = [0, -1]
+    inst_path.write_text(json.dumps(data))
+    assert run("solve", "--instance", str(inst_path), "--algorithm", "brute") == 2
+    assert "location indices must be nonnegative, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "path, bad, message",
     [

@@ -19,14 +19,14 @@ from placement_opt import (
     expected_revenue,
     gen_random,
     randomized_placement,
+    sample_average_placement,
     sample_size,
-    select_best,
     substream,
 )
 from placement_opt import estimation, solvers
 from placement_opt.oracle import BruteForceOracle
 
-from helpers import reference_estimate_w
+from helpers import reference_estimate_w, with_sampler
 
 
 def test_sample_size_known_values():
@@ -180,84 +180,8 @@ def test_coverage_meets_hoeffding_guarantee():
     assert hits >= 40  # guarantee is 1 - 2*delta = 80%
 
 
-def test_select_best_single_candidate():
-    inst = gen_random(3, 2, model="mnl", browsing="line", seed=12)
-    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=10)
-    idx, values = select_best(inst, [(0, 1)], plan, np.random.default_rng(0))
-    assert idx == 0 and len(values) == 1
-
-
-def test_select_best_separates_clearly_better_candidate():
-    inst = gen_random(4, 2, model="mnl", browsing="line", seed=13)
-    opt_report = brute_force_placement(inst)
-    candidates = [opt_report.placement]
-    worst = min(
-        ((i, j) for i in range(4) for j in range(4)),
-        key=lambda s: evaluate_exact(inst, s),
-    )
-    candidates.append(worst)
-    gap = opt_report.w_exact - evaluate_exact(inst, worst)
-    plan = EstimationPlan.for_instance(inst, 0.2, 0.1)
-    assert gap > 2 * 0.2 * opt_report.w_exact * 0.1  # sanity: separable-ish gap
-    rng = np.random.default_rng(14)
-    wins = sum(
-        select_best(inst, candidates, plan, rng)[0] == 0 for _ in range(100)
-    )
-    assert wins >= 80
-
-
-def test_select_best_union_bound_uses_more_samples(monkeypatch):
-    inst = gen_random(3, 2, model="mnl", browsing="line", seed=15)
-    plan = EstimationPlan.for_instance(inst, 0.3, 0.2)
-    inflated = sample_size(inst.m, 0.3, 0.2 / 3)
-    assert inflated > plan.samples
-    used = []
-    real = estimation.estimate_w
-    monkeypatch.setattr(
-        estimation, "estimate_w", lambda i, s, p, r: used.append(p.samples) or real(i, s, p, r)
-    )
-    rng = np.random.default_rng(16)
-    idx, values = select_best(
-        inst, [(0, 0), (1, 1), (2, 2)], plan, rng, union_bound=True
-    )
-    assert 0 <= idx < 3 and len(values) == 3
-    assert used == [inflated] * 3
-    # an explicit count above the split-delta one is kept, never shrunk
-    used.clear()
-    big = EstimationPlan.for_instance(inst, 0.3, 0.2, samples_override=5 * inflated)
-    select_best(inst, [(0, 0), (1, 1)], big, rng, union_bound=True)
-    assert used == [5 * inflated] * 2
-
-
-def test_select_best_empty_candidates():
-    inst = gen_random(3, 2, model="mnl", browsing="line", seed=17)
-    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=5)
-    with pytest.raises(ValueError):
-        select_best(inst, [], plan, np.random.default_rng(0))
-
-
-def test_identical_candidates_get_equal_treatment():
-    inst = gen_random(3, 2, model="mnl", browsing="line", seed=18)
-    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=500)
-    rng = np.random.default_rng(19)
-    idx, values = select_best(inst, [(1, 2), (1, 2), (1, 2)], plan, rng)
-    assert 0 <= idx < 3
-    truth = evaluate_exact(inst, (1, 2))
-    assert all(abs(v - truth) < 0.5 for v in values)
-
-
 # ---------------------------------------------------------------------------
 # block draws == one draw per sample, bit for bit
-
-
-def _with_sampler(inst):
-    """The instance with its browsing replaced by an opaque simulator."""
-    m = inst.m
-
-    def draw(rng):
-        return np.flatnonzero(rng.random(m) < 0.5)
-
-    return Instance(inst.prices, inst.choice_model, m, SamplerBrowsing(draw))
 
 
 def _estimation_cases():
@@ -267,7 +191,7 @@ def _estimation_cases():
     )
     for seed, (model, browsing) in enumerate(families):
         if browsing == "sampler":
-            inst = _with_sampler(gen_random(5, 4, model=model, seed=seed))
+            inst = with_sampler(gen_random(5, 4, model=model, seed=seed))
         else:
             inst = gen_random(5, 4, model=model, browsing=browsing, seed=seed)
         slots = tuple(int(i) for i in np.random.default_rng(seed).integers(0, 5, 4))
@@ -351,7 +275,7 @@ def _block_case(draw):
     browsing = draw(st.sampled_from(("line", "explicit", "sampler")))
     seed = draw(st.integers(0, 2**16))
     if browsing == "sampler":
-        inst = _with_sampler(gen_random(n, m, model=model, seed=seed))
+        inst = with_sampler(gen_random(n, m, model=model, seed=seed))
     else:
         inst = gen_random(n, m, model=model, browsing=browsing, seed=seed)
     slots = tuple(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
@@ -373,34 +297,29 @@ def test_estimate_matches_per_draw_loop_property(case, block, blocks, edge, seed
         _assert_estimates_match_reference(inst, slots, (samples,), seed)
 
 
-def test_select_best_matches_per_draw_loop(monkeypatch):
-    monkeypatch.setattr(estimation, "_BLOCK", 7)
-    candidates = [(0, 1, 2, 3), (4, 4, 0, 1), (2, 2, 2, 2)]
-    for name, inst, _, seed in _estimation_cases():
-        plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=20)
-        runs = []
-        for loop in (estimate_w, reference_estimate_w):
-            monkeypatch.setattr(estimation, "estimate_w", loop)
-            for union_bound in (False, True):
-                rng = np.random.default_rng(seed)
-                result = select_best(inst, candidates, plan, rng, union_bound)
-                runs.append((result, rng.bit_generator.state))
-        assert runs[:2] == runs[2:], name
-
-
 def test_randomized_on_sampler_browsing_matches_per_draw_loop(monkeypatch):
     monkeypatch.setattr(estimation, "_BLOCK", 7)
     for model in ("mnl", "mmnl", "markov", "ranked"):
-        inst = _with_sampler(gen_random(4, 3, model=model, seed=50))
+        inst = with_sampler(gen_random(4, 3, model=model, seed=50))
         plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=30)
         runs = []
         for loop in (estimate_w, reference_estimate_w):
             monkeypatch.setattr(solvers, "estimate_w", loop)
             rng = np.random.default_rng(51)
-            report = randomized_placement(
-                inst, BruteForceOracle(inst), repetitions=4, rng=rng, plan=plan
+            report = sample_average_placement(
+                inst,
+                lambda i: randomized_placement(i, BruteForceOracle(i), repetitions=4, seed=52),
+                plan,
+                rng,
             )
             runs.append(
-                (report.placement, report.w_estimate, report.k, rng.bit_generator.state)
+                (
+                    report.algorithm,
+                    report.placement,
+                    report.w_estimate,
+                    report.k,
+                    report.seed,
+                    rng.bit_generator.state,
+                )
             )
         assert runs[0] == runs[1], model

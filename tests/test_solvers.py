@@ -1,4 +1,6 @@
 import json
+import re
+from collections import Counter
 from itertools import product as iter_product
 from math import nextafter
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from placement_opt import (
     EMPTY_SLOT,
     BruteForceOracle,
+    EnumerationUnsupportedError,
     EstimationPlan,
     ExplicitBrowsing,
     Instance,
@@ -37,6 +40,7 @@ from placement_opt import (
     markov_deterministic_placement,
     pair_objective_values,
     randomized_placement,
+    sample_average_placement,
     uniform_price_matroid_greedy,
 )
 from placement_opt import solvers
@@ -50,6 +54,7 @@ from helpers import (
     reference_partition_greedy,
     reference_randomized,
     twin_optimum,
+    with_sampler,
 )
 
 
@@ -370,43 +375,103 @@ def test_randomized_matches_per_draw_loop():
             assert (got.w_exact, got.k, got.placement) == (w, k, slots), (inst.n, reps)
 
 
-def test_randomized_estimation_matches_per_draw_loop():
-    base = gen_random(4, 3, model="markov", browsing="line", seed=8)
-    prefixes = [frozenset(range(t)) for t in range(4)]
-    hidden = Instance(
-        base.prices,
-        base.choice_model,
-        base.m,
-        SamplerBrowsing(lambda rng: prefixes[int(rng.integers(0, 4))]),
+def _sampler_twin(base):
+    """``base`` with its line browsing hidden behind a sampler that draws
+    the same prefixes from ``theta``, so exact ``W`` stays computable on
+    ``base``."""
+    theta = base.browsing.theta
+    cum = np.cumsum(np.concatenate(([1.0 - theta.sum()], theta)))
+    cum[-1] = 1.0
+
+    def draw(rng):
+        return range(int(np.searchsorted(cum, rng.random(), side="right")))
+
+    return Instance(base.prices, base.choice_model, base.m, SamplerBrowsing(draw))
+
+
+def _empirical(inst, samples, rng):
+    """``inst`` on the browsing of ``samples`` single draws, each drawn set
+    with probability count / samples."""
+    counts = Counter(inst.browsing.sample(rng) for _ in range(samples))
+    support = [(s, c / samples) for s, c in counts.items()]
+    return Instance(inst.prices, inst.choice_model, inst.m, ExplicitBrowsing(support))
+
+
+_EXACT_SOLVERS = {
+    "brute": (brute_force_placement, (0.5, 4.0)),
+    "randomized": (
+        lambda inst: randomized_placement(inst, BruteForceOracle(inst), repetitions=8, seed=6),
+        (0.5, 4.0),
+    ),
+    "uniform-greedy": (uniform_price_matroid_greedy, (2.0, 2.0)),
+    "markov-greedy": (
+        lambda inst: markov_deterministic_placement(inst, BruteForceOracle(inst)),
+        (0.5, 4.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXACT_SOLVERS))
+def test_sample_average_equals_the_solver_on_the_empirical_instance(name):
+    solve, prices = _EXACT_SOLVERS[name]
+    inst = with_sampler(gen_random(4, 3, model="mnl", price_range=prices, seed=7))
+    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=200)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    got = sample_average_placement(inst, solve, plan, rng)
+    want = solve(_empirical(inst, plan.samples, ref_rng))
+    assert (got.placement, got.k, got.algorithm, got.seed) == (
+        want.placement,
+        want.k,
+        want.algorithm,
+        want.seed,
     )
-    plan = EstimationPlan.for_instance(hidden, 0.5, 0.5, samples_override=50)
-    oracle = BruteForceOracle(base)
-    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    got = randomized_placement(hidden, oracle, repetitions=6, rng=rng, plan=plan)
-    estimates = {}
-
-    def value(slots):
-        if slots not in estimates:
-            estimates[slots], _ = estimate_w(hidden, slots, plan, ref_rng)
-        return estimates[slots]
-
-    w, k, slots = reference_randomized(hidden, oracle, 6, ref_rng, value)
-    assert (got.w_estimate.value, got.k, got.placement) == (w, k, slots)
+    # the winner is estimated on the stream's next draws
+    value, _ = estimate_w(inst, got.placement, plan, ref_rng)
+    assert got.w_exact is None
+    assert got.w_estimate == WEstimate(value, 0.5, 0.5, 200)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    single = np.random.default_rng(8)
+    for _ in range(2 * plan.samples):
+        inst.browsing.sample(single)
+    assert rng.bit_generator.state == single.bit_generator.state
+
+
+def test_sample_average_refuses_best_of_many():
+    inst = _sampler_twin(gen_random(3, 2, model="mnl", browsing="line", seed=15))
+    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=20)
+    with pytest.raises(ValueError, match="requires line browsing"):
+        sample_average_placement(
+            inst,
+            lambda i: best_of_many_line(i, BruteForceOracle(i)),
+            plan,
+            np.random.default_rng(0),
+        )
+
+
+@pytest.mark.parametrize(
+    "location, message",
+    [(-1, "location indices must be nonnegative, got -1"), (5, "browsing visits location 5 >= m = 3")],
+    ids=["negative", "beyond-m"],
+)
+def test_sample_average_rejects_drawn_locations_outside_m(location, message):
+    base = gen_random(3, 3, model="mnl", seed=2)
+    inst = Instance(
+        base.prices, base.choice_model, 3, SamplerBrowsing(lambda rng: [0, location])
+    )
+    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=5)
+    with pytest.raises(ValueError, match=message):
+        sample_average_placement(inst, brute_force_placement, plan, np.random.default_rng(0))
 
 
 def test_randomized_estimation_path_with_sampler_browsing():
     base = gen_random(3, 2, model="mnl", browsing="line", seed=15)
-    theta = base.browsing.theta
-    cum = np.cumsum(np.concatenate(([1.0 - theta.sum()], theta)))
-
-    def draw(rng):
-        return frozenset(range(int(np.searchsorted(cum, rng.random(), side="right"))))
-
-    hidden = Instance(base.prices, base.choice_model, base.m, SamplerBrowsing(draw))
+    hidden = _sampler_twin(base)
     plan = EstimationPlan.for_instance(hidden, 0.2, 0.2, samples_override=2000)
-    report = randomized_placement(
-        hidden, BruteForceOracle(base), repetitions=8, seed=3, plan=plan
+    report = sample_average_placement(
+        hidden,
+        lambda inst: randomized_placement(inst, BruteForceOracle(inst), repetitions=8, seed=3),
+        plan,
+        np.random.default_rng(3),
     )
     assert report.w_exact is None and report.w_estimate is not None
     assert report.w_estimate.samples == 2000
@@ -414,13 +479,32 @@ def test_randomized_estimation_path_with_sampler_browsing():
     assert abs(report.w_estimate.value - exact) <= 0.2 * base.prices.max()
 
 
-def test_randomized_requires_plan_for_sampler_browsing():
-    base = gen_random(3, 2, model="mnl", browsing="line", seed=15)
-    hidden = Instance(
-        base.prices, base.choice_model, base.m, SamplerBrowsing(lambda rng: {0})
-    )
-    with pytest.raises(ValueError):
-        randomized_placement(hidden, BruteForceOracle(base), seed=0)
+def test_sample_average_estimate_meets_the_plan_guarantee():
+    # the winner's estimate uses draws its choice never saw, so each one is
+    # within epsilon * R / m of its exact W with probability >= 1 - 2 delta
+    seeds = range(24)
+    hits = 0
+    for s in seeds:
+        family = ("mnl", "mmnl", "markov", "ranked")[s % 4]
+        base = gen_random(5, 4, model=family, browsing="line", seed=200 + s)
+        plan = EstimationPlan.for_instance(base, 0.2, 0.1)
+        report = sample_average_placement(
+            _sampler_twin(base),
+            lambda inst: randomized_placement(inst, BruteForceOracle(inst), seed=s),
+            plan,
+            np.random.default_rng(s),
+        )
+        error = abs(report.w_estimate.value - evaluate_exact(base, report.placement))
+        hits += error <= plan.epsilon * plan.r_star_bound / base.m
+    assert hits >= (1 - 2 * plan.delta) * len(seeds)
+
+
+@pytest.mark.parametrize("name", list(_EXACT_SOLVERS))
+def test_exact_solvers_refuse_sampler_browsing(name):
+    solve, prices = _EXACT_SOLVERS[name]
+    inst = with_sampler(gen_random(3, 2, model="mnl", price_range=prices, seed=15))
+    with pytest.raises(EnumerationUnsupportedError, match="use sample_average_placement"):
+        solve(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +880,16 @@ def test_restricted_revenue_checker_rejects_ids_outside_the_catalog():
     for members in ([0, inst.n], [EMPTY_SLOT, 1]):
         with pytest.raises(ValueError, match="catalog ids"):
             check_restricted_revenue_properties(inst, members)
+
+
+@pytest.mark.parametrize("bad", ["1", 1.5, True], ids=["quoted", "fraction", "bool"])
+def test_non_integer_ids_raise_value_error_naming_them(bad):
+    inst = gen_random(3, 3, model="mnl", browsing="full", seed=2)
+    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=10)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        estimate_w(inst, (bad, 0, 0), plan, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        check_restricted_revenue_properties(inst, [bad])
 
 
 @pytest.mark.parametrize(
