@@ -180,6 +180,9 @@ def host() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "loadavg": list(os.getloadavg()),
+        # the bench processes inherit it: when set, each one compiles the
+        # library afresh, and setup_s includes that
+        "dont_write_bytecode": sys.dont_write_bytecode,
     }
 
 

@@ -14,7 +14,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import _PROB_TOL, SizeGuardError, _entries, _field, _probabilities, _reals, as_int, canon
+from .core import _PROB_TOL, SizeGuardError, _entries, _field, _ids, _probabilities, _reals
+from .core import as_int, canon
 
 _EPS = np.finfo(float).eps
 
@@ -39,15 +40,6 @@ def _revenue_rows(prices: np.ndarray, ids: np.ndarray, probs: np.ndarray) -> np.
     return _sum_leading(terms)
 
 
-_BOOLS = frozenset({bool, np.bool_})
-
-
-def _has_bool(values: Iterable) -> bool:
-    """Whether any of the scalars is a Python or numpy boolean, which numpy
-    silently reads as 0 or 1 in an array with integers."""
-    return not _BOOLS.isdisjoint(map(type, values))
-
-
 class ChoiceModel:
     """Base class. Subclasses implement ``_batch_probs`` over rows of sorted ids.
 
@@ -60,16 +52,13 @@ class ChoiceModel:
     prob_error: float = np.inf
 
     def choice_probs(self, assortment: Iterable[int]) -> dict[int, float]:
-        """Purchase probability for every product in the assortment; an id
-        that is not an integer in [0, n), 2.0 or True say, raises ValueError."""
+        """Purchase probability for every product in the assortment, whose ids
+        pass ``core._ids``."""
         given = tuple(assortment)  # scanned whole: a set would merge True into 1
-        key = canon(given)
-        if not key:
-            return {}
-        ids = np.array([key])
-        if ids.dtype.kind not in "iu" or key[0] < 0 or key[-1] >= self.n or _has_bool(given):
-            raise ValueError(f"unknown product id in assortment {key}")
-        return dict(zip(key, self._batch_probs(ids)[0].tolist()))
+        key = canon(given) if {int}.issuperset(map(type, given)) else ()
+        if not (key and 0 <= key[0] and key[-1] < self.n):  # the sorted key's ends bound it
+            key = canon(_ids(given, self.n, "assortment"))  # plain ints, or raises
+        return dict(zip(key, self._batch_probs(np.array([key])).tolist()[0])) if key else {}
 
     def choose_prob(self, i: int, assortment: Iterable[int]) -> float:
         """Probability of picking product ``i`` from the offered assortment."""
@@ -82,27 +71,20 @@ class ChoiceModel:
         """Revenues of many same-size assortments, one per row of sorted ids.
 
         ``ids`` is a ``(B, s)`` integer array whose rows strictly increase;
-        any other shape, an unsorted or repeating row, or an id that is not
-        in [0, n) raises ValueError. Entry b equals
+        any other shape, an unsorted or repeating row, or an id that fails
+        ``core._ids`` raises ValueError. Entry b equals
         ``expected_revenue(self, prices, ids[b])`` bitwise, because
         ``choice_probs`` is one row of the same ``_batch_probs`` and the
         revenue adds ``r_i p_i`` one column at a time in id order as that sum
         does. Its memory is linear in the rows, so callers bound them.
         """
-        given, ids = ids, np.asarray(ids)
+        ids = ids if isinstance(ids, np.ndarray) else np.asarray(ids, dtype=object)  # keeps types
         if ids.ndim != 2:
             raise ValueError(f"assortment batch must be a (B, s) array, got shape {ids.shape}")
         if not ids.size:
             return np.zeros(len(ids))
-        if (
-            ids.dtype.kind not in "iu"
-            or ids.min() < 0
-            or ids.max() >= self.n
-            or (given is not ids and _has_bool(np.asarray(given, dtype=object).flat))
-        ):
-            raise ValueError("unknown product id in assortment batch")
-        ids = ids.astype(np.intp, copy=False)
-        if (np.diff(ids, axis=1) <= 0).any():
+        ids = _ids(ids, self.n, "assortment batch").astype(np.intp, copy=False)
+        if (ids[:, 1:] <= ids[:, :-1]).any():
             raise ValueError("assortment batch rows must be strictly increasing ids")
         return _revenue_rows(np.asarray(prices, dtype=float), ids, self._batch_probs(ids))
 
@@ -264,11 +246,9 @@ class RankedListModel(ChoiceModel):
         probs = _probabilities([p for p, _ in lists], "ranking probabilities")
         orders = []
         for _, order in lists:
-            order = tuple(as_int(i, "ranked product id") for i in order)
+            order = tuple(_ids([as_int(i, "ranked product id") for i in order], n, "ranking"))
             if len(set(order)) != len(order):
                 raise ValueError("a ranking may not repeat a product")
-            if any(not 0 <= i < n for i in order):
-                raise ValueError("ranking contains an unknown product id")
             orders.append(order)
         self.lists = tuple(zip((float(p) for p in probs), orders))
         self.n = n

@@ -95,6 +95,26 @@ def _reals(values, what: str) -> np.ndarray:
     return out
 
 
+def _is_id(v) -> bool:
+    """The type half of the product-id rule: a Python or numpy integer, no boolean."""
+    return type(v) is int or isinstance(v, np.integer)
+
+
+def _ids(values, n: int, what: str):
+    """``values``, product ids, as a list of plain ints (an ndarray: an int array of
+    its shape, itself if it is one). ValueError names ``what``, the range and the
+    first id that is not a Python or numpy integer in [0, n), like True, 2.0 or "2"."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu" and (not values.size or values.min() >= 0 and values.max() < n):
+            return values
+        return np.reshape(_ids(values.ravel().tolist(), n, what), values.shape)
+    ids = list(values)
+    for v in ids:
+        if not (_is_id(v) and 0 <= v < n):
+            raise ValueError(f"{what}: unknown product id {v!r}; catalog ids are ints in [0, {n})")
+    return [int(v) for v in ids]
+
+
 def _probabilities(values, what: str) -> np.ndarray:
     """``_reals`` whose every last-axis row sums to 1 within ``_PROB_TOL``."""
     p = _reals(values, what)

@@ -14,14 +14,13 @@ eps * OPT only when m p >= 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .choice import expected_revenue
-from .core import Instance, canon, products_at
+from .core import Instance, _ids, canon, products_at
 
 # Visited sets drawn per call to ``sample``: one vectorized draw per block for
 # enumerable browsing, with memory bounded for any sample count.
@@ -88,14 +87,12 @@ def estimate_w(
     with one sequential ``np.add.accumulate``, so the estimate and the
     generator's end state are those of one draw and one ``total += rev``
     per sample.
-    Raises ValueError unless the placement fills every slot with a catalog id,
-    and names the first drawn set that holds a location outside [0, m).
+    Raises ValueError unless the placement fills every slot with a catalog id
+    (``core._ids``), and names the first drawn set with a location outside [0, m).
     """
     if len(slots) != instance.m:
         raise ValueError(f"placement must fill {instance.m} slots")
-    bad = [i for i in slots if not (isinstance(i, numbers.Real) and 0 <= i < instance.n)]
-    if bad:
-        raise ValueError(f"placement ids {bad} are not catalog ids in [0, {instance.n})")
+    slots = _ids(slots, instance.n, "placement")
     total = 0.0
     for start in range(0, plan.samples, _BLOCK):
         size = min(_BLOCK, plan.samples - start)

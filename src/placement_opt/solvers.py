@@ -7,17 +7,16 @@ exactly (explicit / line browsing).
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain, compress, product as iter_product
+from itertools import chain, compress, filterfalse, product as iter_product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .browsing import ExplicitBrowsing, LineBrowsing
 from .choice import MarkovModel, MnlModel, _sum_leading, expected_revenue
-from .core import EMPTY_SLOT, Instance, SizeGuardError, canon
+from .core import EMPTY_SLOT, Instance, SizeGuardError, _ids, _is_id, canon
 from .estimation import EstimationPlan, estimate_w
 from .oracle import AssortmentOracle, last_record
 
@@ -92,15 +91,16 @@ class WEvaluator:
 
     def revenue(self, ids: Iterable[int]) -> float:
         """Expected revenue of an assortment, ignoring empty-slot sentinels;
-        any other id outside the catalog raises ValueError."""
+        any other id that fails ``core._ids`` raises ValueError."""
+        ids = ids if isinstance(ids, (set, frozenset)) else tuple(ids)  # a set merges True into 1
+        if not {int}.issuperset(map(type, ids)):  # as in ``value``
+            _ids(filterfalse(_is_id, ids), self.instance.n, "assortment")  # raises unless none
         key = frozenset(ids)
         if EMPTY_SLOT in key:
             key = key - {EMPTY_SLOT}
         rev = self._revenues.get(key)
         if rev is None:
-            rev = expected_revenue(
-                self.instance.choice_model, self.instance.prices, canon(key)
-            )
+            rev = expected_revenue(self.instance.choice_model, self.instance.prices, key)
             self._revenues[key] = rev
         return rev
 
@@ -108,8 +108,11 @@ class WEvaluator:
         """Expected revenue of a (possibly partial) placement."""
         if len(slots) != self.instance.m:
             raise ValueError(f"placement must fill {self.instance.m} slots")
-        # cached revenues are read directly; only a miss (or a key holding
-        # a sentinel, which is never cached) goes through revenue
+        # types are checked on every call, as 1.0 and True hash like 1; range only on a
+        # miss, as the cache holds ids ``choice_probs`` accepted. Cached revenues are read
+        # directly; only a miss (or a key holding a sentinel) goes through revenue
+        if not {int}.issuperset(map(type, slots)):
+            _ids(filterfalse(_is_id, slots), self.instance.n, "placement")  # raises unless none
         revenues = self._revenues
         total = 0.0
         for locations, prob in self._support:
@@ -300,6 +303,7 @@ def _partition_greedy(
     support = ev.support
     cands = [list(c) for c in candidate_lists]
     union = list(dict.fromkeys(i for c in cands for i in c))
+    _ids(union, instance.n, "candidates")  # once: ``row`` skips ev's check on cache hits
     column = {i: q for q, i in enumerate(union, 1)}  # column 0 holds R(X(L))
     probs = np.array([p for _, p in support])[:, None, None]
     visits = np.zeros((len(support), m), dtype=bool)
@@ -307,11 +311,13 @@ def _partition_greedy(
         visits[s, list(locations)] = True
     containing = [np.flatnonzero(visits[:, j]).tolist() for j in range(m)]
     rows: dict[frozenset[int], np.ndarray] = {}
+    revenues = ev._revenues  # hits are read directly, as in ``ev.value``
 
     def row(offered: frozenset[int]) -> np.ndarray:
         r = rows.get(offered)
         if r is None:
-            r = [ev.revenue(offered)] + [ev.revenue(offered | {c}) for c in union]
+            sets = [offered] + [offered | {c} for c in union]
+            r = [revenues[s] if s in revenues else ev.revenue(s) for s in sets]
             r = rows[offered] = np.array(r)
         return r
 
@@ -503,11 +509,7 @@ def check_restricted_revenue_properties(
 
     Exhausts every A within B within ``members`` and every member outside B.
     """
-    members = set(members)
-    bad = [i for i in members if not (isinstance(i, numbers.Real) and 0 <= i < instance.n)]
-    if bad:
-        raise ValueError(f"members must be catalog ids in [0, {instance.n}), got {bad}")
-    ids = sorted(members)
+    ids = sorted(set(_ids(members, instance.n, "members")))
     if len(ids) > 16:
         raise SizeGuardError("restricted revenue check is capped at 16 members")
     model, prices = instance.choice_model, instance.prices

@@ -60,6 +60,14 @@ def test_summarize_medians_iqrs_and_wins():
     assert p50["pairs"][2] == [0.011, 0.012]
 
 
+def test_host_records_whether_bytecode_is_cached(monkeypatch):
+    for flag in (True, False):
+        monkeypatch.setattr(bench_pairs.sys, "dont_write_bytecode", flag)
+        info = bench_pairs.host()
+        assert info["dont_write_bytecode"] is flag
+        assert {"nproc", "python", "numpy", "loadavg"} <= info.keys()
+
+
 def test_summarize_single_pair_has_zero_iqr_and_ties_do_not_win():
     pair = {"base": bench_pairs.last_json(_stdout(0.01, 100.0)),
             "change": bench_pairs.last_json(_stdout(0.01, 100.0))}

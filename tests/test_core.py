@@ -1,13 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
 from placement_opt import (
+    EstimationPlan,
     ExplicitBrowsing,
     Instance,
     LineBrowsing,
     MnlModel,
+    WEvaluator,
     canon,
+    check_restricted_revenue_properties,
+    estimate_w,
+    evaluate_exact,
+    expected_revenue,
     full_support,
+    gen_random,
     products_at,
     substream,
 )
@@ -114,3 +123,50 @@ def test_substream_is_deterministic_and_name_separated():
     assert not np.array_equal(a1, b)
     with pytest.raises(ValueError):
         substream(-1, "placement")
+
+
+def _warm_evaluator(inst):
+    """An evaluator whose cache already holds every set (1, 0, 2) offers."""
+    ev = WEvaluator(inst)
+    ev.value((1, 0, 2))
+    return ev
+
+
+# Every entry that takes catalog ids, fed the placement or assortment ``ids``;
+# ``revenues`` gets them sorted as its one row, and ``(1, 0, 2)`` is a valid input.
+_ID_ENTRIES = {
+    "choice_probs": lambda inst, ids: inst.choice_model.choice_probs(ids),
+    "revenues": lambda inst, ids: inst.choice_model.revenues(inst.prices, [sorted(ids, key=int)])
+    .tolist(),
+    "expected_revenue": lambda inst, ids: expected_revenue(inst.choice_model, inst.prices, ids),
+    "evaluate_exact": evaluate_exact,
+    "warm_value": lambda inst, ids: _warm_evaluator(inst).value(ids),
+    "warm_revenue": lambda inst, ids: _warm_evaluator(inst).revenue(ids),
+    "estimate_w": lambda inst, ids: estimate_w(
+        inst, ids, EstimationPlan.for_instance(inst, 0.5, 0.5, 50), np.random.default_rng(0)
+    ),
+    "restricted_check": check_restricted_revenue_properties,
+}
+_BAD_IDS = [1.0, 1.5, True, np.True_, "1", np.float64(1.0), 4, -2]  # n = 4
+
+
+@pytest.mark.parametrize("entry", _ID_ENTRIES)
+@pytest.mark.parametrize("bad", _BAD_IDS, ids=repr)
+def test_every_entry_rejects_ids_that_are_not_catalog_ids(entry, bad):
+    # a warm evaluator's cache must not answer 1.0, True or np.float64(1.0),
+    # which hash like product 1
+    inst = gen_random(4, 3, model="mnl", browsing="line", seed=1)
+    with pytest.raises(ValueError, match=f"unknown product id {re.escape(repr(bad))}"):
+        _ID_ENTRIES[entry](inst, (bad, 0, 2))
+
+
+@pytest.mark.parametrize("entry", _ID_ENTRIES)
+@pytest.mark.parametrize(
+    "ids", [(np.int64(1), np.uint8(0), np.int32(2)), np.array([1, 0, 2])], ids=["scalars", "array"]
+)
+def test_every_entry_reads_numpy_integer_ids_as_catalog_ids(entry, ids):
+    inst = gen_random(4, 3, model="mnl", browsing="line", seed=1)
+    got = _ID_ENTRIES[entry](inst, ids)
+    assert got == _ID_ENTRIES[entry](inst, (1, 0, 2))
+    if entry == "choice_probs":
+        assert [type(i) for i in got] == [int] * 3

@@ -586,6 +586,18 @@ def test_markov_greedy_rejects_other_models():
         markov_deterministic_placement(inst, BruteForceOracle(inst))
 
 
+def test_markov_greedy_checks_candidate_ids_before_scoring():
+    # the greedy scores its own sets unchecked, so a candidate that only
+    # hashes like product 1 must fail before it can read 1's cached revenue
+    inst = gen_random(4, 2, model="markov", browsing="line", seed=7)
+    ev = solvers.WEvaluator(inst)
+    ev.value((1, 0))
+    for bad in (1.0, True, np.float64(1.0), "1", inst.n, -1):
+        match = f"candidates: unknown product id {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=match):
+            solvers._partition_greedy(inst, [[0], [bad, 0]], ev)
+
+
 def _markov_greedy_cases():
     """MNL instances (exact MNL oracle) and Markov ones (brute oracle) over
     every enumerable browsing family; the MNL optima saturate below m, so
