@@ -345,18 +345,18 @@ class RationalityViolation:
 
 def check_weak_rationality(
     model: ChoiceModel,
-    n: int,
     trials: int | None = None,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> list[RationalityViolation]:
     """Check that adding a product never raises another's choice probability.
 
-    Exhaustive over all (S, i, j) triples when ``trials`` is None (requires
-    n <= 12, else SizeGuardError; one ``choice_probs`` per subset), otherwise
-    over ``trials`` random triples. Violations are returned as data, not
-    raised.
+    Covers the whole catalog, ``model.n`` products: exhaustive over all
+    (S, i, j) triples when ``trials`` is None (requires n <= 12, else
+    SizeGuardError; one ``choice_probs`` per subset), otherwise over
+    ``trials`` random triples. Violations are returned as data, not raised.
     """
+    n = model.n
     violations: list[RationalityViolation] = []
     if n < 2:
         return violations

@@ -205,9 +205,7 @@ def cmd_verify(args) -> int:
     failures: list[str] = []
 
     trials = None if instance.n <= 12 else args.trials
-    violations = check_weak_rationality(
-        instance.choice_model, instance.n, trials=trials, seed=args.seed
-    )
+    violations = check_weak_rationality(instance.choice_model, trials=trials, seed=args.seed)
     if violations:
         failures.append(f"weak rationality: {len(violations)} violations")
 

@@ -13,7 +13,7 @@ from math import comb
 import numpy as np
 
 from .choice import _EPS, MnlModel, _revenue_rows
-from .core import Instance, SizeGuardError
+from .core import Instance, SizeGuardError, _is_id
 
 BRUTE_FORCE_MAX_N = 22
 _MNL_BISECT_ITERS = 200
@@ -93,9 +93,10 @@ class AssortmentOracle:
         """At most k catalog ids with revenue >= alpha * optimum over <= k sets.
 
         A set the pass found with fewer than k members also gets ``i_star``.
+        ``k`` is a Python or numpy integer, no boolean, else ValueError.
         """
-        if not 1 <= k <= self.instance.m:
-            raise ValueError(f"cardinality {k} outside [1, {self.instance.m}]")
+        if not (_is_id(k) and 1 <= k <= self.instance.m):
+            raise ValueError(f"cardinality {k!r} outside [1, {self.instance.m}]")
         if not self._answers:
             self._answers = self._pass(min(self.instance.m, self.instance.n))
         found = self._answers[min(k, self.instance.n)][0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from itertools import chain, compress, filterfalse, product as iter_product
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -83,6 +84,7 @@ class WEvaluator:
             (tuple(sorted(s)), p) for s, p in instance.browsing.support()
         )
         self._revenues: dict[frozenset[int], float] = {}
+        self._slot_ids = frozenset(range(instance.n)) | {EMPTY_SLOT}
 
     @property
     def support(self) -> tuple[tuple[tuple[int, ...], float], ...]:
@@ -105,14 +107,18 @@ class WEvaluator:
         return rev
 
     def value(self, slots: Sequence[int]) -> float:
-        """Expected revenue of a (possibly partial) placement."""
+        """Expected revenue of a (possibly partial) placement: every slot holds
+        a catalog id or ``EMPTY_SLOT``, else ValueError."""
+        n = self.instance.n
         if len(slots) != self.instance.m:
             raise ValueError(f"placement must fill {self.instance.m} slots")
-        # types are checked on every call, as 1.0 and True hash like 1; range only on a
-        # miss, as the cache holds ids ``choice_probs`` accepted. Cached revenues are read
-        # directly; only a miss (or a key holding a sentinel) goes through revenue
+        # types first, as 1.0 and True hash like 1; then the range of every slot, not
+        # only of visited ones. Cached revenues are read directly; only a miss (or a
+        # key holding a sentinel) goes through revenue
         if not {int}.issuperset(map(type, slots)):
-            _ids(filterfalse(_is_id, slots), self.instance.n, "placement")  # raises unless none
+            _ids(filterfalse(_is_id, slots), n, "placement")  # raises unless none
+        if not self._slot_ids.issuperset(slots):
+            _ids(filterfalse(self._slot_ids.__contains__, slots), n, "placement")  # raises
         revenues = self._revenues
         total = 0.0
         for locations, prob in self._support:
@@ -176,36 +182,26 @@ def brute_force_placement(
     if n ** min(m, guard.bit_length() + 1) > guard:
         raise SizeGuardError(f"brute force needs {n}^{m} > {guard} placements")
     value = WEvaluator(instance).value
-    best_w, best = -1.0, None
-    for slots in iter_product(range(n), repeat=m):
-        w = value(slots)
-        if w > best_w:
-            best_w, best = w, slots
-    return _report("brute-force", start, seed, (best_w, None, best))
+    placements = iter_product(range(n), repeat=m)
+    best = max(((value(slots), None, slots) for slots in placements), key=itemgetter(0))
+    return _report("brute-force", start, seed, best)
 
 
-def _best_over_k(
-    instance: Instance,
-    oracle: AssortmentOracle,
-    candidates: Callable[
-        [list[tuple[int, ...]]], Iterable[tuple[int, float, tuple[int, ...]]]
-    ],
-) -> tuple[float, int, tuple[int, ...]]:
-    """(w, k, slots) of the best candidate placement over k = 1..m.
+def _oracle_sets(instance: Instance, oracle: AssortmentOracle) -> list[tuple[int, ...]]:
+    """The oracle's best assortment of at most k products for k = 1..m, asked
+    once per k, in order, each a sorted tuple (budget k at index k - 1).
 
-    Asks the oracle for its best assortment of at most k products once per
-    k, in order, and hands the list of them, each a sorted tuple (budget k
-    at index k - 1), to ``candidates``, which yields the ``(k, w, slots)``
-    candidates a solver builds from them, in k order. The first strictly
-    better value wins, so ties go to the smaller k and, within a k, to the
-    earlier candidate.
+    The one place oracle answers enter the solvers: an answer holding an id
+    that fails ``core._ids`` raises ValueError naming it. Each solver keeps
+    the first of its ``(w, k, slots)`` candidates with the largest ``w``
+    (``max`` over them in k order), so ties go to the smaller k and, within
+    a k, to the earlier candidate.
     """
-    assortments = [canon(oracle.best_assortment(k)) for k in range(1, instance.m + 1)]
-    best = None
-    for k, w, slots in candidates(assortments):
-        if best is None or w > best[0]:
-            best = (w, k, slots)
-    return best
+    n = instance.n
+    return [
+        canon(_ids(oracle.best_assortment(k), n, "oracle answer"))
+        for k in range(1, instance.m + 1)
+    ]
 
 
 def best_of_many_line(
@@ -224,13 +220,11 @@ def best_of_many_line(
     start = time.perf_counter()
     value = WEvaluator(instance).value
     i_star, m = instance.i_star, instance.m
-
-    def prefix(assortments):
-        for k, members in enumerate(assortments[: instance.n], 1):
-            slots = members + (i_star,) * (m - len(members))
-            yield k, value(slots), slots
-
-    return _report("best-of-many", start, seed, _best_over_k(instance, oracle, prefix))
+    candidates = []
+    for k, members in enumerate(_oracle_sets(instance, oracle)[: instance.n], 1):
+        slots = members + (i_star,) * (m - len(members))
+        candidates.append((value(slots), k, slots))
+    return _report("best-of-many", start, seed, max(candidates, key=itemgetter(0)))
 
 
 def randomized_placement(
@@ -254,17 +248,15 @@ def randomized_placement(
     rng = np.random.default_rng(seed) if rng is None else rng
     i_star, m = instance.i_star, instance.m
     value = WEvaluator(instance).value
-
-    def replicas(assortments):
-        for k, members in enumerate(assortments, 1):
-            members = np.array(members + (i_star,) * (k - len(members)))
-            draws = rng.integers(0, len(members), size=(repetitions, m))
-            # a repeated draw cannot beat its first occurrence, so each
-            # distinct placement is evaluated once, in draw order
-            for slots in dict.fromkeys(map(tuple, members[draws].tolist())):
-                yield k, value(slots), slots
-
-    return _report("randomized", start, seed, _best_over_k(instance, oracle, replicas))
+    candidates = []
+    for k, members in enumerate(_oracle_sets(instance, oracle), 1):
+        members = np.array(members + (i_star,) * (k - len(members)))
+        draws = rng.integers(0, len(members), size=(repetitions, m))
+        # a repeated draw cannot beat its first occurrence, so each
+        # distinct placement is evaluated once, in draw order
+        for slots in dict.fromkeys(map(tuple, members[draws].tolist())):
+            candidates.append((value(slots), k, slots))
+    return _report("randomized", start, seed, max(candidates, key=itemgetter(0)))
 
 
 def _partition_greedy(
@@ -537,17 +529,12 @@ def markov_deterministic_placement(
             "markov_deterministic_placement needs a Markov (or MNL) choice model"
         )
     start = time.perf_counter()
-
-    def greedies(assortments):
-        first_k: dict[tuple[int, ...], int] = {}  # sorted set -> first k
-        for k, members in enumerate(assortments, 1):
-            first_k.setdefault(members, k)
-        placed = _partition_greedy(instance, list(first_k), WEvaluator(instance))
-        for k, (slots, w) in zip(first_k.values(), placed):
-            yield k, w, slots
-
-    best = _best_over_k(instance, oracle, greedies)
-    return _report("markov-greedy", start, seed, best)
+    first_k: dict[tuple[int, ...], int] = {}  # sorted set -> first k
+    for k, members in enumerate(_oracle_sets(instance, oracle), 1):
+        first_k.setdefault(members, k)
+    placed = _partition_greedy(instance, list(first_k), WEvaluator(instance))
+    candidates = [(w, k, slots) for k, (slots, w) in zip(first_k.values(), placed)]
+    return _report("markov-greedy", start, seed, max(candidates, key=itemgetter(0)))
 
 
 def sample_average_placement(

@@ -280,7 +280,7 @@ def test_acceptance_6_submodularity_and_rationality_suites():
     # substitutability, exhaustive at n = 6 for every family
     for idx, family in enumerate(MODEL_CYCLE):
         inst = gen_random(6, 2, model=family, seed=63_000 + idx)
-        assert check_weak_rationality(inst.choice_model, 6) == [], family
+        assert check_weak_rationality(inst.choice_model) == [], family
 
     _report(
         6,

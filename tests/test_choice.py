@@ -213,12 +213,12 @@ def test_probabilities_valid_across_families():
 def test_weak_rationality_all_families_exhaustive():
     for idx, family in enumerate(["mnl", "mmnl", "markov", "ranked"]):
         inst = gen_random(4, 2, model=family, seed=200 + idx)
-        assert check_weak_rationality(inst.choice_model, 4) == []
+        assert check_weak_rationality(inst.choice_model) == []
 
 
 def test_weak_rationality_sampled_mode():
     inst = gen_random(8, 2, model="mnl", seed=7)
-    assert check_weak_rationality(inst.choice_model, 8, trials=500, seed=1) == []
+    assert check_weak_rationality(inst.choice_model, trials=500, seed=1) == []
 
 
 @pytest.mark.parametrize("family", ["mnl", "mmnl", "markov", "ranked"])
@@ -227,10 +227,10 @@ def test_weak_rationality_equals_the_triple_loop(family):
     # is compared, not just the (empty) list of real violations
     for n in range(2, 7):
         model = gen_random(n, 2, model=family, seed=300 + n).choice_model
-        got = check_weak_rationality(model, n, tol=-1.0)
+        got = check_weak_rationality(model, tol=-1.0)
         assert got == reference_weak_rationality(model, n, tol=-1.0)
     model = gen_random(9, 2, model=family, seed=309).choice_model
-    got = check_weak_rationality(model, 9, trials=300, seed=5, tol=-1.0)
+    got = check_weak_rationality(model, trials=300, seed=5, tol=-1.0)
     assert got == reference_weak_rationality(model, 9, trials=300, seed=5, tol=-1.0)
 
 
@@ -266,12 +266,12 @@ class _CherryPicker:
 def test_weak_rationality_caps_the_exhaustive_check():
     model = gen_random(13, 2, model="mnl", seed=13).choice_model
     with pytest.raises(SizeGuardError, match="n <= 12"):
-        check_weak_rationality(model, 13)
-    assert check_weak_rationality(model, 13, trials=50, seed=2) == []
+        check_weak_rationality(model)
+    assert check_weak_rationality(model, trials=50, seed=2) == []
 
 
 def test_weak_rationality_detects_violations():
-    report = check_weak_rationality(_CherryPicker(), 2)
+    report = check_weak_rationality(_CherryPicker())
     assert len(report) == 1
     hit = report[0]
     assert hit.product == 0 and hit.added == 1
@@ -294,14 +294,22 @@ class _BoostedByOne(ChoiceModel):
 @pytest.mark.parametrize("n", [2, 6, 12])
 def test_weak_rationality_flags_a_batch_model_in_both_modes(n):
     model = _BoostedByOne(n)
-    exhaustive = check_weak_rationality(model, n)
+    exhaustive = check_weak_rationality(model)
     # one violation per subset holding 0 and not 1
     assert len(exhaustive) == 2 ** (n - 2)
     assert {(v.product, v.added) for v in exhaustive} == {(0, 1)}
-    sampled = check_weak_rationality(model, n, trials=2000, seed=3)
+    sampled = check_weak_rationality(model, trials=2000, seed=3)
     assert sampled
     # both modes read the same _batch_probs row, so magnitudes match bitwise
     assert all(v in exhaustive for v in sampled)
+
+
+def test_weak_rationality_checks_the_whole_catalog():
+    # the product count is the model's own: all 2^6 subsets holding 0 and
+    # not 1 are flagged, and they reach product 7
+    report = check_weak_rationality(_BoostedByOne(8))
+    assert len(report) == 64
+    assert set().union(*(v.assortment for v in report)) == {0, 2, 3, 4, 5, 6, 7}
 
 
 def _brute_best_subset(model, prices, n):

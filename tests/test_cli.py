@@ -440,6 +440,37 @@ def test_cli_boundaries(tmp_path, capsys, monkeypatch, case):
         assert "FAIL weak rationality: 1 violations" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name, result, line",
+    [
+        ("check_pair_objective_properties", ["v"], "FAIL pair objective: 1 violations"),
+        ("estimate_w", (1e9, 1), "FAIL estimator coverage: 0/50 within bound"),
+    ],
+    ids=["pair-objective", "estimator-coverage"],
+)
+def test_verify_reports_each_failed_check(tmp_path, capsys, monkeypatch, name, result, line):
+    # identical prices and n m <= 12, so every check runs
+    inst_path = tmp_path / "inst.json"
+    run("gen", "--family", "random", "--n", "4", "--m", "2", "--price-min", "1",
+        "--price-max", "1", "-o", str(inst_path))
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: result)
+    assert run("verify", "--instance", str(inst_path)) == 1
+    out = capsys.readouterr().out
+    assert line in out and "OK" not in out
+
+
+def test_solve_without_output_prints_the_report(tmp_path, capsys):
+    inst_path, out = tmp_path / "inst.json", tmp_path / "out.json"
+    run("gen", "--family", "random", "--n", "4", "--m", "2", "-o", str(inst_path))
+    argv = ["solve", "--instance", str(inst_path), "--algorithm", "brute"]
+    assert run(*argv, "-o", str(out)) == 0
+    capsys.readouterr()
+    assert run(*argv) == 0
+    printed, written = json.loads(capsys.readouterr().out), json.loads(out.read_text())
+    assert printed.pop("ms") >= 0 and written.pop("ms") >= 0
+    assert printed == written
+
+
 def test_size_guard_exits_3(tmp_path):
     inst_path = tmp_path / "big.json"
     inst = gen_random(30, 5, model="mnl", seed=0)

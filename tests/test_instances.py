@@ -249,7 +249,7 @@ def test_gen_random_is_reproducible_bytes():
 def test_gen_random_families_are_rational():
     for idx, family in enumerate(["mnl", "mmnl", "markov", "ranked"]):
         inst = gen_random(4, 2, model=family, seed=60 + idx)
-        assert check_weak_rationality(inst.choice_model, 4) == []
+        assert check_weak_rationality(inst.choice_model) == []
 
 
 _MODELS = st.sampled_from(("mnl", "mmnl", "markov", "ranked"))
@@ -259,7 +259,7 @@ _MODELS = st.sampled_from(("mnl", "mmnl", "markov", "ranked"))
 @given(model=_MODELS, n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_gen_random_families_are_rational_property(model, n, seed):
     inst = gen_random(n, 2, model=model, seed=seed)
-    assert check_weak_rationality(inst.choice_model, n) == []
+    assert check_weak_rationality(inst.choice_model) == []
 
 
 def test_gen_random_uniform_prices_feed_uniform_solvers():

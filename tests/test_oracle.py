@@ -712,6 +712,15 @@ def test_cardinality_domain_errors():
         oracle.best_assortment(3)  # k > m
 
 
+@pytest.mark.parametrize("k", [1.5, "2", True, 2.0, np.bool_(True), np.float64(2.0)])
+def test_budget_reads_the_id_type_rule(k):
+    inst = gen_random(4, 2, model="mnl", seed=0)
+    oracle = BruteForceOracle(inst)
+    with pytest.raises(ValueError, match=r"cardinality .* outside \[1, 2\]"):
+        oracle.best_assortment(k)
+    assert oracle.best_assortment(np.int64(2)) == oracle.best_assortment(2)
+
+
 def test_brute_force_size_guard():
     inst = gen_random(23, 2, model="mnl", seed=0)
     with pytest.raises(SizeGuardError):

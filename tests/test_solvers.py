@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from placement_opt import (
     EMPTY_SLOT,
+    AssortmentOracle,
     BruteForceOracle,
     EnumerationUnsupportedError,
     EstimationPlan,
@@ -118,6 +119,19 @@ def test_evaluator_rejects_ids_outside_the_catalog():
     # the empty-slot sentinel is the one non-catalog id a slot may hold
     assert evaluate_exact(inst, (EMPTY_SLOT,) * inst.m) == 0.0
     assert evaluate_exact(inst, (0, EMPTY_SLOT)) == evaluate_exact(inst, (0, 0))
+
+
+@pytest.mark.parametrize("bad", [3, 99, -7])
+def test_evaluator_checks_slots_no_customer_visits(bad):
+    # location 2 is never visited, so its id never reaches choice_probs
+    inst = Instance([1.0, 2.0, 3.0], MnlModel([1, 1, 1]), 3, ExplicitBrowsing([([0, 1], 1.0)]))
+    ev = WEvaluator(inst)
+    match = f"placement: unknown product id {bad}"
+    with pytest.raises(ValueError, match=match):  # cold
+        ev.value((0, 1, bad))
+    assert ev.value((0, 1, 2)) == ev.value((0, 1, np.int64(2))) == ev.value((0, 1, EMPTY_SLOT))
+    with pytest.raises(ValueError, match=match):  # warm
+        ev.value((0, 1, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +610,31 @@ def test_markov_greedy_checks_candidate_ids_before_scoring():
         match = f"candidates: unknown product id {re.escape(repr(bad))}"
         with pytest.raises(ValueError, match=match):
             solvers._partition_greedy(inst, [[0], [bad, 0]], ev)
+
+
+class _StubOracle(AssortmentOracle):
+    """Answers every budget with one fixed set."""
+
+    def __init__(self, instance, answer):
+        super().__init__(instance)
+        self.answer = answer
+
+    def best_assortment(self, k):
+        return self.answer
+
+
+@pytest.mark.parametrize("bad", ["1", 1.5, True, 4])
+@pytest.mark.parametrize(
+    "solve", [best_of_many_line, randomized_placement, markov_deterministic_placement]
+)
+def test_oracle_solvers_check_every_oracle_answer(solve, bad):
+    inst = gen_random(4, 3, model="markov", browsing="line", seed=7)
+    match = f"oracle answer: unknown product id {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=match):
+        solve(inst, _StubOracle(inst, frozenset({bad, 0})))
+    # numpy integers are catalog ids
+    good = solve(inst, _StubOracle(inst, frozenset({np.int64(1), 0})))
+    assert good.placement == solve(inst, _StubOracle(inst, frozenset({1, 0}))).placement
 
 
 def _markov_greedy_cases():
