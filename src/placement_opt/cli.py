@@ -185,7 +185,12 @@ def cmd_compare(args) -> int:
 
 def cmd_estimate(args) -> int:
     instance = _load_instance(args.instance)
-    slots = tuple(int(s) for s in args.placement.split(","))
+    slots = []
+    for entry in args.placement.split(","):
+        try:
+            slots.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--placement entry {entry!r} is not an integer id") from None
     plan = EstimationPlan.for_instance(
         instance, args.epsilon, args.delta, args.samples_override
     )

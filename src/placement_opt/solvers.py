@@ -23,11 +23,6 @@ from .oracle import AssortmentOracle, last_record
 
 PLACEMENT_BRUTE_GUARD = 2_000_000
 PAIR_LATTICE_GUARD = 18  # most product-location pairs the pair lattice enumerates
-# Trial cells (support x candidates x empty locations) per stacked gains fold
-# of the lockstep partition greedy. It bounds the round's arrays: folding
-# every greedy of a round at once was a little faster on n = 100, m = 20
-# line instances but took about 5% more peak memory.
-_GREEDY_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -192,16 +187,19 @@ def _oracle_sets(instance: Instance, oracle: AssortmentOracle) -> list[tuple[int
     once per k, in order, each a sorted tuple (budget k at index k - 1).
 
     The one place oracle answers enter the solvers: an answer holding an id
-    that fails ``core._ids`` raises ValueError naming it. Each solver keeps
-    the first of its ``(w, k, slots)`` candidates with the largest ``w``
-    (``max`` over them in k order), so ties go to the smaller k and, within
-    a k, to the earlier candidate.
+    that fails ``core._ids`` raises ValueError naming it, and one holding
+    more than k ids raises ValueError naming k. Each solver keeps the first
+    of its ``(w, k, slots)`` candidates with the largest ``w`` (``max`` over
+    them in k order), so ties go to the smaller k and, within a k, to the
+    earlier candidate.
     """
-    n = instance.n
-    return [
-        canon(_ids(oracle.best_assortment(k), n, "oracle answer"))
-        for k in range(1, instance.m + 1)
-    ]
+    sets = []
+    for k in range(1, instance.m + 1):
+        members = canon(_ids(oracle.best_assortment(k), instance.n, "oracle answer"))
+        if len(members) > k:
+            raise ValueError(f"oracle answer: {len(members)} ids exceed the budget k = {k}")
+        sets.append(members)
+    return sets
 
 
 def best_of_many_line(
@@ -280,22 +278,23 @@ def _partition_greedy(
     trial value W(X + (c, j)) adds ``P(L) * R(X(L) + c)`` for sets
     containing j and ``P(L) * R(X(L))`` for the rest, left to right in
     support order, which is exactly the sum ``ev.value`` forms, so gains and
-    tie-breaks match it bit for bit. Every round folds the trials of
-    consecutive states, each over its greedies' candidates, in one array of
-    at most ``_GREEDY_CELLS`` cells (at least one state). Each greedy then
-    scans its own candidates' gains in its own order (the lead's come first:
-    one flat slice), and a state splits when its greedies pick differently.
+    tie-breaks match it bit for bit. Every round folds each state's trials
+    over its greedies' candidates on its own. Each greedy then scans its own
+    candidates' gains in its own order (the lead's come first: one flat
+    slice), and a state splits when its greedies pick differently.
     Gains that are all zero pick the first candidate at the first empty
     location. When every greedy's first candidate is already offered in
     every visited set holding an empty location, those picks change nothing,
     so every later round would repeat them: the state finishes at once, each
     greedy's first candidate filling all its empty locations.
+
+    Candidates must be catalog ids: ``row`` reads cached revenues without
+    ``ev``'s id check, and both callers pass ids already checked.
     """
     m = instance.m
     support = ev.support
     cands = [list(c) for c in candidate_lists]
     union = list(dict.fromkeys(i for c in cands for i in c))
-    _ids(union, instance.n, "candidates")  # once: ``row`` skips ev's check on cache hits
     column = {i: q for q, i in enumerate(union, 1)}  # column 0 holds R(X(L))
     probs = np.array([p for _, p in support])[:, None, None]
     visits = np.zeros((len(support), m), dtype=bool)
@@ -328,76 +327,61 @@ def _partition_greedy(
     table = np.tile(row(frozenset()), (len(support), len(cands), 1))
     offered = [[frozenset()] * len(support) for _ in cands]
     slots = [[EMPTY_SLOT] * m for _ in cands]
-    free = np.ones((len(cands), m), dtype=bool)
     current = np.zeros(len(cands))
     states = [state(list(range(len(cands))))]
     finished: dict[tuple[int, ...], list[int]] = {}  # final slots -> greedies
     for size in range(m, 0, -1):
         # every state has ``size`` empty locations left
-        split, done = [], 0
-        while done < len(states):
-            fold, cells = [], 0
-            for st in states[done:]:
-                if fold and cells + len(support) * len(st[1]) * size > _GREEDY_CELLS:
-                    break
-                fold.append(st)
-                cells += len(support) * len(st[1]) * size
-            done += len(fold)
-            leads = [greedies[0] for greedies, _, _ in fold]
-            widths = [len(cols) for _, cols, _ in fold]
-            owner = np.repeat(leads, widths)
-            cols = np.concatenate([cols for _, cols, _ in fold])
-            empty = np.nonzero(free[leads])[1].reshape(len(fold), size)
-            mask = visits[:, np.repeat(empty, widths, axis=0)]
+        split = []
+        for greedies, cols, scans in states:
+            lead = greedies[0]
+            empty = [j for j, x in enumerate(slots[lead]) if x == EMPTY_SLOT]
             trial = np.where(
-                mask, probs * table[:, owner, cols, None], probs * table[:, owner, :1]
+                visits[:, None, empty],
+                probs * table[:, lead, cols, None],
+                probs * table[:, lead, :1, None],
             )
-            gains = (_sum_leading(trial) - current[owner, None]).ravel().tolist()
-            base = 0
-            for (greedies, st_cols, scans), width, empty_lists in zip(fold, widths, empty.tolist()):
-                # the state's column t holds block[t * size : (t + 1) * size]
-                block, base = gains[base : base + width * size], base + width * size
-                zero = not any(block)  # every gain is 0.0 or -0.0
-                lead = greedies[0]
-                if zero:  # finish if no first candidate is new to a set holding an empty location
-                    held = visits[:, empty_lists].any(axis=1).tolist()
-                    seen = set(compress(offered[lead], held))
-                    if all(cands[g][0] in o for g in greedies for o in seen):
-                        for g in greedies:
-                            i = cands[g][0]
-                            placed = tuple(i if x == EMPTY_SLOT else x for x in slots[lead])
-                            finished.setdefault(placed, []).append(g)
-                        continue
-                picks: dict[tuple[int, int], tuple[float, list[int]]] = {}
-                for g, scan in zip(greedies, scans):
-                    if zero:  # the record is the first gain
-                        at, gain = 0, 0.0
-                    elif g == lead:  # its columns lead the state's, in its order
-                        at, gain = last_record(block[: len(scan) * size])
-                    else:
-                        runs = (block[t * size : (t + 1) * size] for t in scan)
-                        at, gain = last_record(chain.from_iterable(runs))
-                    pair = scan[at // size], empty_lists[at % size]
-                    picks.setdefault(pair, (gain, []))[1].append(g)
-                # each group of greedies that picked alike continues as one
-                # state; the first group keeps the shared one, so it goes last
-                for (t, j), (gain, group) in reversed(picks.items()):
-                    g, i = group[0], union[st_cols[t] - 1]
-                    if g != lead:
-                        table[:, g] = table[:, lead]
-                        offered[g], slots[g] = list(offered[lead]), list(slots[lead])
-                        free[g], current[g] = free[lead], current[lead]
-                    slots[g][j] = i
-                    free[g, j] = False
-                    current[g] += gain
-                    for s in containing[j]:
-                        if i not in offered[g][s]:
-                            offered[g][s] = offered[g][s] | {i}
-                            table[s, g] = row(offered[g][s])
-                if len(picks) == 1:
-                    split.append((greedies, st_cols, scans))
+            # column t holds gains[t * size : (t + 1) * size]
+            gains = (_sum_leading(trial) - current[lead]).ravel().tolist()
+            zero = not any(gains)  # every gain is 0.0 or -0.0
+            if zero:  # finish if no first candidate is new to a set holding an empty location
+                held = visits[:, empty].any(axis=1).tolist()
+                seen = set(compress(offered[lead], held))
+                if all(cands[g][0] in o for g in greedies for o in seen):
+                    for g in greedies:
+                        i = cands[g][0]
+                        placed = tuple(i if x == EMPTY_SLOT else x for x in slots[lead])
+                        finished.setdefault(placed, []).append(g)
+                    continue
+            picks: dict[tuple[int, int], tuple[float, list[int]]] = {}
+            for g, scan in zip(greedies, scans):
+                if zero:  # the record is the first gain
+                    at, gain = 0, 0.0
+                elif g == lead:  # its columns lead the state's, in its order
+                    at, gain = last_record(gains[: len(scan) * size])
                 else:
-                    split += [state(group) for _, group in picks.values()]
+                    runs = (gains[t * size : (t + 1) * size] for t in scan)
+                    at, gain = last_record(chain.from_iterable(runs))
+                pair = scan[at // size], empty[at % size]
+                picks.setdefault(pair, (gain, []))[1].append(g)
+            # each group of greedies that picked alike continues as one
+            # state; the first group keeps the shared one, so it goes last
+            for (t, j), (gain, group) in reversed(picks.items()):
+                g, i = group[0], union[cols[t] - 1]
+                if g != lead:
+                    table[:, g] = table[:, lead]
+                    offered[g], slots[g] = list(offered[lead]), list(slots[lead])
+                    current[g] = current[lead]
+                slots[g][j] = i
+                current[g] += gain
+                for s in containing[j]:
+                    if i not in offered[g][s]:
+                        offered[g][s] = offered[g][s] | {i}
+                        table[s, g] = row(offered[g][s])
+            if len(picks) == 1:
+                split.append((greedies, cols, scans))
+            else:
+                split += [state(group) for _, group in picks.values()]
         states = split
     for greedies, _, _ in states:
         finished.setdefault(tuple(slots[greedies[0]]), []).extend(greedies)

@@ -283,6 +283,15 @@ def test_estimate_out_of_range_placement_exits_2(tmp_path):
     assert run(*argv, "--samples-override", "10") == 2
 
 
+@pytest.mark.parametrize("placement, entry", [("1.0", "1.0"), ("1,,2", ""), ("a,b", "a")])
+def test_estimate_names_the_placement_entry_it_cannot_read(tmp_path, capsys, placement, entry):
+    inst_path = tmp_path / "inst.json"
+    run("gen", "--family", "random", "--n", "5", "--m", "3", "-o", str(inst_path))
+    assert run("estimate", "--instance", str(inst_path), "--placement", placement) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --placement entry {entry!r} is not an integer id\n"
+
+
 def test_solve_markov_closed_class_exits_2(tmp_path):
     inst_path = tmp_path / "inst.json"
     data = json.loads(to_json(gen_random(3, 2, model="markov", seed=4)))

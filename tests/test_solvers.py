@@ -600,18 +600,6 @@ def test_markov_greedy_rejects_other_models():
         markov_deterministic_placement(inst, BruteForceOracle(inst))
 
 
-def test_markov_greedy_checks_candidate_ids_before_scoring():
-    # the greedy scores its own sets unchecked, so a candidate that only
-    # hashes like product 1 must fail before it can read 1's cached revenue
-    inst = gen_random(4, 2, model="markov", browsing="line", seed=7)
-    ev = solvers.WEvaluator(inst)
-    ev.value((1, 0))
-    for bad in (1.0, True, np.float64(1.0), "1", inst.n, -1):
-        match = f"candidates: unknown product id {re.escape(repr(bad))}"
-        with pytest.raises(ValueError, match=match):
-            solvers._partition_greedy(inst, [[0], [bad, 0]], ev)
-
-
 class _StubOracle(AssortmentOracle):
     """Answers every budget with one fixed set."""
 
@@ -623,18 +611,29 @@ class _StubOracle(AssortmentOracle):
         return self.answer
 
 
-@pytest.mark.parametrize("bad", ["1", 1.5, True, 4])
+ORACLE_SOLVERS = [best_of_many_line, randomized_placement, markov_deterministic_placement]
+
+
 @pytest.mark.parametrize(
-    "solve", [best_of_many_line, randomized_placement, markov_deterministic_placement]
+    "bad", ["1", 1.5, True, 4, 1.0, pytest.param(np.float64(1.0), id="np.float64(1.0)"), -1]
 )
+@pytest.mark.parametrize("solve", ORACLE_SOLVERS)
 def test_oracle_solvers_check_every_oracle_answer(solve, bad):
+    # 1.0 and np.float64(1.0) hash like product 1 and still fail
     inst = gen_random(4, 3, model="markov", browsing="line", seed=7)
     match = f"oracle answer: unknown product id {re.escape(repr(bad))}"
     with pytest.raises(ValueError, match=match):
         solve(inst, _StubOracle(inst, frozenset({bad, 0})))
     # numpy integers are catalog ids
-    good = solve(inst, _StubOracle(inst, frozenset({np.int64(1), 0})))
-    assert good.placement == solve(inst, _StubOracle(inst, frozenset({1, 0}))).placement
+    good = solve(inst, _StubOracle(inst, frozenset({np.int64(1)})))
+    assert good.placement == solve(inst, _StubOracle(inst, frozenset({1}))).placement
+
+
+@pytest.mark.parametrize("solve", ORACLE_SOLVERS)
+def test_oracle_solvers_reject_an_answer_over_its_budget(solve):
+    inst = gen_random(4, 2, model="mnl", browsing="line", seed=7)
+    with pytest.raises(ValueError, match="oracle answer: 3 ids exceed the budget k = 1"):
+        solve(inst, _StubOracle(inst, frozenset({0, 1, 2})))
 
 
 def _markov_greedy_cases():
@@ -764,22 +763,15 @@ def test_lockstep_greedy_matches_one_call_per_list(
     assert together == alone
 
 
-def test_lockstep_greedy_splits_rounds_at_the_cell_cap(monkeypatch):
+def test_lockstep_greedy_folds_each_state_of_a_round_on_its_own():
     inst = gen_random(14, 8, model="mnl", browsing="line", seed=0)
-    # disjoint lists: round one holds one state over all 13 candidates, and
-    # no two greedies can pick alike, so round two holds one state per list
+    # disjoint lists: round one folds one state over all 13 candidates, and
+    # no two greedies can pick alike, so round two folds four states, each
+    # as wide as its list
     lists = [[0, 3, 5], [2], [1, 4, 6, 7], [8, 9, 10, 11, 12]]
     ev = WEvaluator(inst)
     want = [reference_partition_greedy(inst, c, ev) for c in lists]
-    # each state's cells: support x its candidates x empty locations
-    first = len(ev.support) * 13 * inst.m
-    second = [len(ev.support) * len(c) * (inst.m - 1) for c in lists]
-    split = second[0] + second[1]  # round two folds states 0-1, then 2-3
-    assert second[0] < split < sum(second) < first <= solvers._GREEDY_CELLS
     assert solvers._partition_greedy(inst, lists, WEvaluator(inst)) == want
-    for cap in (1, split):
-        monkeypatch.setattr(solvers, "_GREEDY_CELLS", cap)
-        assert solvers._partition_greedy(inst, lists, WEvaluator(inst)) == want, cap
 
 
 def test_lockstep_greedy_folds_again_after_a_zero_gain_pick_offers_a_product():
