@@ -258,9 +258,7 @@ def randomized_placement(
 
 
 def _partition_greedy(
-    instance: Instance,
-    candidate_lists: Sequence[Sequence[int]],
-    ev: WEvaluator,
+    instance: Instance, candidate_lists: Sequence[Sequence[int]]
 ) -> list[tuple[tuple[int, ...], float]]:
     """One greedy per candidate list, run in lockstep: ``[(slots, w), ...]``.
 
@@ -277,25 +275,27 @@ def _partition_greedy(
     a pick refreshes only the sets that contain the filled location. A
     trial value W(X + (c, j)) adds ``P(L) * R(X(L) + c)`` for sets
     containing j and ``P(L) * R(X(L))`` for the rest, left to right in
-    support order, which is exactly the sum ``ev.value`` forms, so gains and
-    tie-breaks match it bit for bit. Every round folds each state's trials
-    over its greedies' candidates on its own. Each greedy then scans its own
-    candidates' gains in its own order (the lead's come first: one flat
-    slice), and a state splits when its greedies pick differently.
-    Gains that are all zero pick the first candidate at the first empty
-    location. When every greedy's first candidate is already offered in
-    every visited set holding an empty location, those picks change nothing,
-    so every later round would repeat them: the state finishes at once, each
-    greedy's first candidate filling all its empty locations.
+    support order, which is exactly the sum ``WEvaluator.value`` forms, so
+    gains and tie-breaks match it bit for bit. Every round folds each
+    state's trials over its greedies' columns on its own. Each greedy then
+    scans its own columns' gains in its own list order, and a state splits
+    when its greedies pick differently; gains that are all zero thus pick
+    the first candidate at the first empty location. When every greedy's
+    first candidate is already offered in every visited set holding an
+    empty location, those picks change nothing, so every later round would
+    repeat them: the state finishes at once, each greedy's first candidate
+    filling all its empty locations.
 
     Candidates must be catalog ids: ``row`` reads cached revenues without
-    ``ev``'s id check, and both callers pass ids already checked.
+    the evaluator's id check, and both callers pass ids already checked.
     """
     m = instance.m
+    ev = WEvaluator(instance)
     support = ev.support
     cands = [list(c) for c in candidate_lists]
     union = list(dict.fromkeys(i for c in cands for i in c))
     column = {i: q for q, i in enumerate(union, 1)}  # column 0 holds R(X(L))
+    scans = [[column[i] for i in c] for c in cands]  # each greedy's columns, in its order
     probs = np.array([p for _, p in support])[:, None, None]
     visits = np.zeros((len(support), m), dtype=bool)
     for s, (locations, _) in enumerate(support):
@@ -312,38 +312,28 @@ def _partition_greedy(
             r = rows[offered] = np.array(r)
         return r
 
-    def state(greedies: list[int]):
-        """(greedies, their candidates' columns, the lead's first in its order,
-        and each greedy's candidates as positions among them, in its order)."""
-        cols = list(dict.fromkeys(column[i] for i in cands[greedies[0]]))
-        scans = [range(len(cols))]
-        cols += sorted({column[i] for g in greedies for i in cands[g]}.difference(cols))
-        at = {q: t for t, q in enumerate(cols)}
-        scans += [[at[column[i]] for i in cands[g]] for g in greedies[1:]]
-        return greedies, np.array(cols), scans
-
-    # a state lives in the entries of its first greedy: table[:, g] is the
-    # support x (1 + union) table of the state greedy g leads
+    # a state is its list of greedies and lives in the entries of the first:
+    # table[:, g] is the support x (1 + union) table of the state greedy g leads
     table = np.tile(row(frozenset()), (len(support), len(cands), 1))
     offered = [[frozenset()] * len(support) for _ in cands]
     slots = [[EMPTY_SLOT] * m for _ in cands]
     current = np.zeros(len(cands))
-    states = [state(list(range(len(cands))))]
+    states = [list(range(len(cands)))]
     finished: dict[tuple[int, ...], list[int]] = {}  # final slots -> greedies
     for size in range(m, 0, -1):
         # every state has ``size`` empty locations left
         split = []
-        for greedies, cols, scans in states:
+        for greedies in states:
             lead = greedies[0]
             empty = [j for j, x in enumerate(slots[lead]) if x == EMPTY_SLOT]
+            cols = sorted({q for g in greedies for q in scans[g]})
             trial = np.where(
                 visits[:, None, empty],
                 probs * table[:, lead, cols, None],
                 probs * table[:, lead, :1, None],
             )
-            # column t holds gains[t * size : (t + 1) * size]
-            gains = (_sum_leading(trial) - current[lead]).ravel().tolist()
-            zero = not any(gains)  # every gain is 0.0 or -0.0
+            gains = _sum_leading(trial) - current[lead]
+            zero = not gains.any()  # every gain is 0.0 or -0.0
             if zero:  # finish if no first candidate is new to a set holding an empty location
                 held = visits[:, empty].any(axis=1).tolist()
                 seen = set(compress(offered[lead], held))
@@ -353,21 +343,16 @@ def _partition_greedy(
                         placed = tuple(i if x == EMPTY_SLOT else x for x in slots[lead])
                         finished.setdefault(placed, []).append(g)
                     continue
+            gains = dict(zip(cols, gains.tolist()))  # column -> its gain at each empty location
             picks: dict[tuple[int, int], tuple[float, list[int]]] = {}
-            for g, scan in zip(greedies, scans):
-                if zero:  # the record is the first gain
-                    at, gain = 0, 0.0
-                elif g == lead:  # its columns lead the state's, in its order
-                    at, gain = last_record(gains[: len(scan) * size])
-                else:
-                    runs = (gains[t * size : (t + 1) * size] for t in scan)
-                    at, gain = last_record(chain.from_iterable(runs))
-                pair = scan[at // size], empty[at % size]
+            for g in greedies:
+                at, gain = last_record(chain.from_iterable(gains[q] for q in scans[g]))
+                pair = scans[g][at // size], empty[at % size]
                 picks.setdefault(pair, (gain, []))[1].append(g)
             # each group of greedies that picked alike continues as one
             # state; the first group keeps the shared one, so it goes last
-            for (t, j), (gain, group) in reversed(picks.items()):
-                g, i = group[0], union[cols[t] - 1]
+            for (q, j), (gain, group) in reversed(picks.items()):
+                g, i = group[0], union[q - 1]
                 if g != lead:
                     table[:, g] = table[:, lead]
                     offered[g], slots[g] = list(offered[lead]), list(slots[lead])
@@ -378,12 +363,9 @@ def _partition_greedy(
                     if i not in offered[g][s]:
                         offered[g][s] = offered[g][s] | {i}
                         table[s, g] = row(offered[g][s])
-            if len(picks) == 1:
-                split.append((greedies, cols, scans))
-            else:
-                split += [state(group) for _, group in picks.values()]
+            split += [group for _, group in picks.values()]
         states = split
-    for greedies, _, _ in states:
+    for greedies in states:
         finished.setdefault(tuple(slots[greedies[0]]), []).extend(greedies)
     out = [None] * len(cands)
     for placed, greedies in finished.items():
@@ -403,7 +385,7 @@ def uniform_price_matroid_greedy(instance: Instance, seed: int = 0) -> SolveRepo
     if np.ptp(instance.prices) != 0.0:
         raise ValueError("uniform_price_matroid_greedy requires identical prices")
     start = time.perf_counter()
-    [(slots, w)] = _partition_greedy(instance, [range(instance.n)], WEvaluator(instance))
+    [(slots, w)] = _partition_greedy(instance, [range(instance.n)])
     return _report("uniform-greedy", start, seed, (w, None, slots))
 
 
@@ -516,7 +498,7 @@ def markov_deterministic_placement(
     first_k: dict[tuple[int, ...], int] = {}  # sorted set -> first k
     for k, members in enumerate(_oracle_sets(instance, oracle), 1):
         first_k.setdefault(members, k)
-    placed = _partition_greedy(instance, list(first_k), WEvaluator(instance))
+    placed = _partition_greedy(instance, list(first_k))
     candidates = [(w, k, slots) for k, (slots, w) in zip(first_k.values(), placed)]
     return _report("markov-greedy", start, seed, max(candidates, key=itemgetter(0)))
 

@@ -347,11 +347,10 @@ def reference_markov_greedy(instance: Instance, oracle):
     """
     from placement_opt.solvers import _partition_greedy
 
-    ev = WEvaluator(instance)
     best = None
     for k in range(1, instance.m + 1):
         members = sorted(oracle.best_assortment(k))
-        [(slots, w)] = _partition_greedy(instance, [members], ev)
+        [(slots, w)] = _partition_greedy(instance, [members])
         if best is None or w > best[0]:
             best = (w, k, slots)
     return best

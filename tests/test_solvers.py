@@ -659,9 +659,9 @@ def test_markov_greedy_runs_one_greedy_per_distinct_set(monkeypatch):
     calls = []
     real = solvers._partition_greedy
 
-    def counted(instance, candidate_lists, ev):
+    def counted(instance, candidate_lists):
         calls.append([tuple(c) for c in candidate_lists])
-        return real(instance, candidate_lists, ev)
+        return real(instance, candidate_lists)
 
     monkeypatch.setattr(solvers, "_partition_greedy", counted)
     repeats = 0
@@ -711,8 +711,9 @@ def test_greedy_solvers_match_reference_loop(monkeypatch):
 
     ran = []
 
-    def reference(instance, candidate_lists, ev):
+    def reference(instance, candidate_lists):
         ran.append(instance)
+        ev = WEvaluator(instance)
         return [reference_partition_greedy(instance, c, ev) for c in candidate_lists]
 
     cases = _greedy_cases()
@@ -758,9 +759,11 @@ def test_lockstep_greedy_matches_one_call_per_list(
     prices = (2.0, 2.0) if equal_prices else (1.0, 10.0)
     inst = gen_random(n, m, model=model, price_range=prices, browsing=browsing, seed=seed)
     lists = _lockstep_lists(n, data)
-    together = solvers._partition_greedy(inst, lists, WEvaluator(inst))
-    alone = [solvers._partition_greedy(inst, [c], WEvaluator(inst))[0] for c in lists]
+    together = solvers._partition_greedy(inst, lists)
+    alone = [solvers._partition_greedy(inst, [c])[0] for c in lists]
     assert together == alone
+    ev = WEvaluator(inst)
+    assert together == [reference_partition_greedy(inst, c, ev) for c in lists]
 
 
 def test_lockstep_greedy_folds_each_state_of_a_round_on_its_own():
@@ -771,7 +774,7 @@ def test_lockstep_greedy_folds_each_state_of_a_round_on_its_own():
     lists = [[0, 3, 5], [2], [1, 4, 6, 7], [8, 9, 10, 11, 12]]
     ev = WEvaluator(inst)
     want = [reference_partition_greedy(inst, c, ev) for c in lists]
-    assert solvers._partition_greedy(inst, lists, WEvaluator(inst)) == want
+    assert solvers._partition_greedy(inst, lists) == want
 
 
 def test_lockstep_greedy_folds_again_after_a_zero_gain_pick_offers_a_product():
@@ -786,7 +789,7 @@ def test_lockstep_greedy_folds_again_after_a_zero_gain_pick_offers_a_product():
     ev = WEvaluator(inst)
     want = [reference_partition_greedy(inst, c, ev) for c in candidates]
     assert want[0] == ((1, 0, 2), 2.5)
-    assert solvers._partition_greedy(inst, candidates, WEvaluator(inst)) == want
+    assert solvers._partition_greedy(inst, candidates) == want
 
 
 def test_lockstep_greedy_checks_every_greedys_first_candidate_before_finishing():
@@ -804,7 +807,7 @@ def test_lockstep_greedy_checks_every_greedys_first_candidate_before_finishing()
     candidates = [[1, 0, 2], [0, 1, 2]]
     want = [reference_partition_greedy(inst, c, ev) for c in candidates]
     assert want == [((1, 1, 1), 2.25), ((1, 0, 2), 2.5)]
-    assert solvers._partition_greedy(inst, candidates, WEvaluator(inst)) == want
+    assert solvers._partition_greedy(inst, candidates) == want
 
 
 @pytest.mark.parametrize(
@@ -824,7 +827,7 @@ def test_lockstep_greedy_finishes_over_locations_no_customer_visits(prices, weig
     lists = [[0, 1, 2], [2, 1], [1], [1, 0], [0, 2]]
     ev = WEvaluator(inst)
     want = [reference_partition_greedy(inst, c, ev) for c in lists]
-    assert solvers._partition_greedy(inst, lists, WEvaluator(inst)) == want
+    assert solvers._partition_greedy(inst, lists) == want
     assert want[0][0] == (2, 1, 0, 0)
     assert want[4][0] == last
 
@@ -845,7 +848,7 @@ def test_lockstep_greedy_subtracts_each_states_own_current():
     # greedy 2 scans the same set in the other order, and greedy 3 offers a
     # prefix of it: it shares the first pick, then splits off
     lists = [[0], [1, 2], [2, 1], [1]]
-    got = solvers._partition_greedy(inst, lists, WEvaluator(inst))
+    got = solvers._partition_greedy(inst, lists)
     assert got == [reference_partition_greedy(inst, c, ev) for c in lists]
     assert [slots for slots, _ in got] == [(0, 0), (1, 2), (1, 2), (1, 1)]
 
@@ -858,7 +861,7 @@ def test_partition_greedy_keeps_the_earlier_of_near_tied_candidates(browsing):
     ev = WEvaluator(inst)
     assert 0.0 < ev.revenue({1}) - ev.revenue({0}) < 1e-15
     lists = [[0, 1], [1, 0], [1]]
-    got = solvers._partition_greedy(inst, lists, WEvaluator(inst))
+    got = solvers._partition_greedy(inst, lists)
     assert got == [reference_partition_greedy(inst, c, ev) for c in lists]
     assert [slots for slots, _ in got] == [(0, 1), (1, 0), (1, 1)]
 
