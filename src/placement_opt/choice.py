@@ -10,6 +10,7 @@ existing one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -46,10 +47,15 @@ class ChoiceModel:
     Models are immutable values: nothing is stored per assortment, so
     concurrent readers need no lock. ``prob_error`` bounds the absolute error
     of each ``_batch_probs`` entry (u = eps / 2); ``inf`` makes brute force score all.
+    ``purchase_cap`` bounds the exact ``sum_j P_j(S)`` over every assortment. A
+    customer buys at most one product, so MNL's mass is below 1, and a mixture's
+    or ranked list's is below the sum of its segment or list probabilities, which
+    the inputs hold to 1 within ``_PROB_TOL`` (numpy's pairwise sum errs by far less).
     """
 
     n: int
     prob_error: float = np.inf
+    purchase_cap: float = 1.0 + 2 * _PROB_TOL
 
     def choice_probs(self, assortment: Iterable[int]) -> dict[int, float]:
         """Purchase probability for every product in the assortment, whose ids
@@ -200,7 +206,17 @@ class MarkovModel(ChoiceModel):
             t0 = np.linalg.solve(self._eye_minus_rho[1:, 1:], np.ones(self.n)).max()
         except np.linalg.LinAlgError:
             t0 = np.inf
-        self.prob_error = (48 * self.n**3 * (t0 if t0 >= 1.0 else np.inf) + self.n + 1) * _EPS
+        t0 = t0 if t0 >= 1.0 else np.inf
+        self.prob_error = (48 * self.n**3 * t0 + self.n + 1) * _EPS
+        # A walk that starts at quit buys nothing. One from product i ends with
+        # mass 1 + ((I - Q)^-1 (sums - 1))_i <= 1 + t0 d, sums the rows of rho and
+        # d >= the most a product row sums above 1 (inputs sum to 1 within
+        # _PROB_TOL; fsum rounds once). So sum_j P_j(S) <= sum_{i >= 1} lam_i
+        # (1 + 2 t0 d), 2 t0 >= the true t0 as above; 1 + 4 eps covers the roundings.
+        d = max(max(fsum(row) for row in rho[1:].tolist()) - 1.0, 0.0) + _EPS
+        cap = fsum(lam[1:].tolist()) * (1.0 + 2.0 * t0 * d) * (1.0 + 4.0 * _EPS)
+        if 0.0 < cap < np.inf:  # else no arrival buys, or every subset is solved
+            self.purchase_cap = cap
 
     def _batch_probs(self, ids):
         # States {quit} | offered are made absorbing, and each row solves the

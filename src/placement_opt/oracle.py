@@ -115,11 +115,16 @@ class BruteForceOracle(AssortmentOracle):
     size s answers k = s. Substitutability, ``P_j(S) <= P_j(S - {i})``,
     bounds ``R(S) <= sum_j r_j min_{i != j} P_j(S - {i})``, read from a
     per-size table of probability bounds (a solved subset's probabilities,
-    a skipped one's propagated minima). Each size's subsets, their bounds
-    and bound revenues are built once, ``_CHUNK`` rows at a time, from the
-    previous size's; then, in ``_BATCH``-row blocks, only subsets whose
-    bound plus a rounding margin beats the best so far are solved, so the
-    answers are those of scoring every subset.
+    a skipped one's propagated minima). The model's ``purchase_cap`` c
+    bounds ``sum_j P_j(S)`` (about ``1 - arrival[0]`` for a Markov chain: a
+    walk that starts at quit buys nothing), which also gives
+    ``R(S) <= mu c + sum_j (r_j - mu)^+ b_j`` for the same bounds b_j, at
+    ``mu = best / (2 c)``, the record after the smaller sizes; the smaller
+    limit counts. Each size's subsets, their bounds and limits are built
+    once, ``_CHUNK`` rows at a time, from the previous size's; then, in
+    ``_BATCH``-row blocks, only subsets whose limit plus a rounding margin
+    beats the best so far are solved, so the answers are those of scoring
+    every subset.
     """
 
     alpha = 1.0
@@ -136,12 +141,15 @@ class BruteForceOracle(AssortmentOracle):
         model, prices, n = self.instance.choice_model, self.instance.prices, self.instance.n
         binom = np.array([[comb(n - 1 - c, k) for c in range(n)] for k in range(n + 1)], np.int64)
         best, best_rev, out = frozenset(), 0.0, {}
+        cap, err = model.purchase_cap, model.prob_error
         # bounds[j, r] is member j of subset r: a chunk's gathers take whole
         # columns, and its minima run along contiguous rows
         subsets, bounds = np.zeros((1, 0), dtype=np.int8), np.zeros((0, 1))  # size 0: {}
         for s in range(1, top + 1):
             subsets, prev = _extend(subsets, n), bounds
             bounds, limits = np.full((s, len(subsets)), np.inf), np.empty(len(subsets))
+            mu = best_rev / (2.0 * cap)
+            excess = np.maximum(prices - mu, 0.0)
             for start in range(0, len(subsets), _CHUNK):
                 ids, block = subsets[start : start + _CHUNK], bounds[:, start : start + _CHUNK]
                 # the subset without member p holds member j at j if j < p,
@@ -151,12 +159,24 @@ class BruteForceOracle(AssortmentOracle):
                     np.minimum(block[:p], sub[:p], out=block[:p])
                     np.minimum(block[p + 1 :], sub[p:], out=block[p + 1 :])
                 with np.errstate(invalid="ignore"):  # 0 * inf is nan, never <= best
-                    limits[start : start + _CHUNK] = _revenue_rows(prices, ids, block.T)
-            # By induction a stored bound is >= P_j - err (err = ``prob_error``),
-            # so a computed P_j is <= its bound + 2 err, and each of the two
-            # s-term sums rounds by < s^2 u r_max: a skipped subset's revenue
-            # is <= the best, never a record.
-            limits += 2 * s * prices.max() * (model.prob_error + s * _EPS)
+                    mass = mu * cap + _revenue_rows(excess, ids, block.T)
+                    limit = _revenue_rows(prices, ids, block.T)
+                    np.minimum(limit, mass, out=limits[start : start + _CHUNK])
+            # Both limits bound R(S) = sum_j r_j P_j, exact P_j in [0, 1]: by
+            # induction a stored bound b_j is >= P_j - err (err = ``prob_error``),
+            # so R(S) <= sum_j r_j b_j + s r err (r the top price), and, with
+            # sum_j P_j <= cap and any mu >= 0, R(S) <= mu cap + sum_j (r_j - mu)^+
+            # P_j <= mu cap + sum_j (r_j - mu)^+ b_j + s r err. A computed revenue
+            # is within s r err of R(S) plus its rounding. Computed P_j and b_j
+            # lie in [-err, 1 + err], so an s-term sum of products rounds by
+            # <= s u T, T = s r (1 + err), u = eps / 2; the mass limit adds u T
+            # for (r_j - mu)^+ and 2 u T for mu cap (about best / 2 < T / 2) and
+            # the add. So a limit is within 2 s r err + (2 s + 3) u T of every
+            # revenue it bounds, and for s >= 2 the margin's 4 s u T leaves u T
+            # for higher orders (size-1 limits are inf or nan: every product is
+            # solved). A skipped subset's computed revenue is <= the best, never
+            # a record.
+            limits += 2 * s * prices.max() * (err + s * _EPS * (1.0 + err))
             for start in range(0, len(subsets), _BATCH):
                 rows = start + np.flatnonzero(~(limits[start : start + _BATCH] <= best_rev))
                 if not rows.size:

@@ -453,13 +453,40 @@ def _leaking(n, leak=1e-12):
 
 
 def _bound_instances():
-    """Random instances of every family with m < n, m = n and m > n, and
-    cases where the revenue bound is tight or the Markov error bound huge."""
+    """Random instances of every family with m < n, m = n and m > n, random
+    Markov ones over every browsing family with n from 2 to 14 and m from 1
+    to 7, and cases where the substitutability or purchase-mass bound is
+    tight or empty, or the Markov error bound huge."""
     insts = [
         gen_random(n, m, model=family, seed=n + m)
         for family in ("mnl", "mmnl", "markov", "ranked")
         for n, m in ((8, 4), (7, 7), (5, 7))
     ]
+    shapes = [(2, 1), (5, 3), (7, 7), (14, 5), (3, 6), (9, 4), (11, 2), (12, 6)]
+    browsings = ("line", "explicit", "singleton", "full")
+    for i, (n, m) in enumerate(shapes):
+        insts.append(gen_random(n, m, model="markov", browsing=browsings[i % 4], seed=i))
+    rng = np.random.default_rng(38)
+    for n in (4, 7):
+        rho = np.vstack([np.eye(1, n + 1), rng.dirichlet(np.ones(n + 1), n)])
+        no_quit = np.concatenate(([0.0], rng.dirichlet(np.ones(n))))  # lambda_0 = 0
+        mostly_quit = np.concatenate(([0.9], 0.1 * rng.dirichlet(np.ones(n))))
+        # segment and list probabilities summing to 1 + 8e-10, within the
+        # input tolerance: each product past the first adds about 2e-11 to
+        # the revenue, a record that a purchase cap of exactly 1 would skip
+        shares = [1.0 - (n - 1) * 1e-11 + 8e-10] + [1e-11] * (n - 1)
+        for step in (0.0, np.spacing(2.0), 1e-15):
+            prices = 2.0 + step * np.arange(n)
+            for model in (
+                MarkovModel(no_quit, rho),
+                MarkovModel(mostly_quit, rho),
+                # the full set buys the whole arrival mass: its mass bound is tight
+                MarkovModel(mostly_quit, _quit_now(n)),
+                MarkovModel(no_quit, _leaking(n)),
+                RankedListModel([(p, [i]) for i, p in enumerate(shares)], n),
+                MmnlModel([(p, np.eye(n)[i] * 1e12) for i, p in enumerate(shares)]),
+            ):
+                insts.append(_line_instance(prices, model, n + 1))
     rng = np.random.default_rng(20)
     for n in (4, 7):
         for step in (0.0, np.spacing(2.0), 1e-15, 1e-13):
@@ -482,7 +509,9 @@ def _bound_instances():
     for seed in (0, 3):
         rng = np.random.default_rng(seed)
         weights = np.where(rng.random(12) < 0.3, 0.0, rng.uniform(0.5, 3.0, 12))
-        insts.append(_line_instance(rng.uniform(1000.0, 1001.0, 12), MnlModel(weights), 12))
+        prices = rng.uniform(1000.0, 1001.0, 12)
+        insts.append(_line_instance(prices, MnlModel(weights), 12))
+        insts.append(_line_instance(prices[:9], markov_from_mnl(MnlModel(weights[:9])), 7))
     return insts
 
 
@@ -543,6 +572,21 @@ def test_bounded_brute_force_solves_a_minority_of_subsets(monkeypatch):
     BruteForceOracle(inst).best_assortment(6)
     total = sum(comb(13, s) for s in range(1, 7))  # 4,095
     assert len(set(scored)) == len(scored) < 0.3 * total, len(scored)
+
+
+def test_purchase_mass_bound_cuts_the_markov_solves(monkeypatch):
+    inst = gen_random(13, 6, model="markov", browsing="explicit", seed=0)
+    model = inst.choice_model
+    assert 0.0 <= model.purchase_cap - (1.0 - model.arrival[0]) < 1e-12
+    scored = _spy_scored(monkeypatch, model)
+    capped = _table(BruteForceOracle(inst))
+    solved = len(scored)
+    scored.clear()
+    # so loose a cap that the mass limit never binds
+    monkeypatch.setattr(model, "purchase_cap", 1e300)
+    assert _table(BruteForceOracle(inst)) == capped
+    # 441 of 707
+    assert solved < 0.65 * len(scored), (solved, len(scored))
 
 
 @pytest.mark.parametrize("family", ["mnl", "mmnl", "markov", "ranked"])
