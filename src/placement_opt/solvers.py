@@ -23,6 +23,9 @@ from .oracle import AssortmentOracle, last_record
 
 PLACEMENT_BRUTE_GUARD = 2_000_000
 PAIR_LATTICE_GUARD = 18  # most product-location pairs the pair lattice enumerates
+# Most slot cells (rows x m) randomized draws before it scores them in one
+# ``WEvaluator.values`` call, which bounds that call's temporaries
+_DRAW_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,9 @@ class WEvaluator:
 
     Assortment revenues are cached by the frozenset of catalog ids offered
     (visited sets repeat assortments heavily); placement values are summed
-    afresh on every call. Empty-slot sentinels contribute nothing to revenue.
+    afresh on every call: ``value`` scores one placement, ``values`` a block
+    of full placements with one pass over the support, bitwise as ``value``
+    scores each. Empty-slot sentinels contribute nothing to revenue.
     Keys are frozensets, not integer bitmasks: a frozenset costs time linear
     in the assortment, a bitmask time linear in the catalog, and
     ``gen_heavy_tail_line(256)`` has about 33k products (bitmask keys took
@@ -122,6 +127,44 @@ class WEvaluator:
             if rev is None:
                 rev = self.revenue(offered)
             total += prob * rev
+        return total
+
+    def values(self, placements) -> np.ndarray:
+        """Expected revenues of a block of full placements, a ``(D, m)`` array
+        of catalog ids: entry d equals ``value(placements[d])`` bitwise.
+
+        Any other shape raises ValueError, as does an id that fails
+        ``core._ids``, ``EMPTY_SLOT`` included. Per support set, the rows'
+        offered sets are keyed by their packed membership over the block's
+        distinct products, each distinct key's revenue is read once (a miss
+        goes through ``revenue``), and ``P(L) * R`` is added to every row's
+        total in support order: the additions ``value`` makes.
+        """
+        m = self.instance.m
+        placed = placements
+        if not isinstance(placed, np.ndarray):
+            placed = np.asarray(placed, dtype=object)  # keeps types: numpy reads True as 1
+        if placed.ndim != 2 or placed.shape[1] != m:
+            raise ValueError(f"placement block must be a (D, {m}) array, got shape {placed.shape}")
+        placed = _ids(placed, self.instance.n, "placement")
+        products, ranks = np.unique(placed, return_inverse=True)
+        ranks = ranks.reshape(placed.shape)
+        products = products.tolist()
+        rows = np.arange(len(placed))[:, None]
+        revenues = self._revenues
+        total = np.zeros(len(placed))
+        for locations, prob in self._support:
+            member = np.zeros((len(placed), len(products)), dtype=bool)
+            member[rows, ranks[:, list(locations)]] = True
+            keys = np.packbits(member, axis=1)
+            keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            revs = []
+            for held in member[first].tolist():
+                offered = frozenset(compress(products, held))
+                rev = revenues.get(offered)
+                revs.append(self.revenue(offered) if rev is None else rev)
+            total = total + prob * np.array(revs)[inverse]
         return total
 
 
@@ -239,21 +282,34 @@ def randomized_placement(
     priciest product (products may repeat); the best evaluated draw over all
     k and all repetitions wins. Randomizing the layout hedges against
     unknown browsing patterns.
+
+    Every draw is scored, repeats included, by ``WEvaluator.values`` over
+    blocks of whole ks in k order, each block at most ``_DRAW_CELLS`` slot
+    cells unless one k alone is more. A block's candidate is its first
+    draw with the largest ``w``, so ties go to the smaller k, then to the
+    earlier draw. ``repetitions`` is a positive Python or numpy integer,
+    else ValueError.
     """
-    if repetitions < 1:
-        raise ValueError("need at least one repetition")
+    if not (_is_id(repetitions) and repetitions >= 1):
+        raise ValueError(
+            f"need at least one repetition: repetitions must be a positive integer, got {repetitions!r}"
+        )
     start = time.perf_counter()
     rng = np.random.default_rng(seed) if rng is None else rng
-    i_star, m = instance.i_star, instance.m
-    value = WEvaluator(instance).value
+    i_star, m, repetitions = instance.i_star, instance.m, int(repetitions)
+    values = WEvaluator(instance).values
+    sets = _oracle_sets(instance, oracle)
+    per_block = max(1, _DRAW_CELLS // (repetitions * m))  # whole ks per block
     candidates = []
-    for k, members in enumerate(_oracle_sets(instance, oracle), 1):
-        members = np.array(members + (i_star,) * (k - len(members)))
-        draws = rng.integers(0, len(members), size=(repetitions, m))
-        # a repeated draw cannot beat its first occurrence, so each
-        # distinct placement is evaluated once, in draw order
-        for slots in dict.fromkeys(map(tuple, members[draws].tolist())):
-            candidates.append((value(slots), k, slots))
+    for first in range(0, m, per_block):
+        draws = []
+        for k, members in enumerate(sets[first : first + per_block], first + 1):
+            members = np.array(members + (i_star,) * (k - len(members)))
+            draws.append(members[rng.integers(0, len(members), size=(repetitions, m))])
+        block = np.concatenate(draws)
+        w = values(block)
+        at = int(np.argmax(w))
+        candidates.append((float(w[at]), first + 1 + at // repetitions, tuple(block[at].tolist())))
     return _report("randomized", start, seed, max(candidates, key=itemgetter(0)))
 
 

@@ -134,6 +134,71 @@ def test_evaluator_checks_slots_no_customer_visits(bad):
         ev.value((0, 1, bad))
 
 
+@st.composite
+def _placement_block(draw):
+    """(instance, block): a ``(D, m)`` array of catalog ids with repeated rows.
+
+    n sits on both sides of 8 and 64 products, where a packed key grows a
+    byte (and 64 is where an int64 bitmask would run out); browsing adds a line with residual mass and a support holding only
+    the empty set to the four random families; prices may tie or sit an ulp
+    or 1e-15 apart.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 12, 63, 64, 65, 70]))
+    m = draw(st.integers(1, 10))
+    model = draw(st.sampled_from(["mnl", "mmnl", "markov", "ranked"]))
+    browsing = draw(st.sampled_from(["line", "explicit", "singleton", "full", "residual", "empty"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    family = {"residual": "line", "empty": "line"}.get(browsing, browsing)
+    inst = gen_random(n, m, model=model, browsing=family, seed=seed)
+    prices = inst.prices
+    step = draw(st.sampled_from([None, 0.0, np.spacing(2.0), 1e-15]))
+    if step is not None:
+        prices = 2.0 + np.arange(n) * step
+    browse = {
+        "residual": LineBrowsing(np.full(m, 0.5 / m)),
+        "empty": ExplicitBrowsing([([], 1.0)]),
+    }.get(browsing, inst.browsing)
+    inst = Instance(prices, inst.choice_model, m, browse)
+    rng = np.random.default_rng(seed)
+    # about 3n cells, so a block holds most of the catalog
+    rows = rng.integers(0, n, size=(draw(st.integers(1, 8)) + 3 * n // m, m))
+    repeats = rows[rng.integers(0, len(rows), size=draw(st.integers(0, 8)))]
+    return inst, rng.permutation(np.concatenate([rows, repeats]))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=_placement_block())
+def test_values_equal_value_of_every_row(case):
+    inst, block = case
+    ev, ref = WEvaluator(inst), WEvaluator(inst)
+    want = [ref.value(tuple(row)) for row in block.tolist()]
+    for _ in ("cold", "warm"):
+        assert [w.hex() for w in ev.values(block).tolist()] == [w.hex() for w in want]
+    # misses went through ``revenue``: the same sets are cached
+    assert ev._revenues.keys() == ref._revenues.keys()
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        np.zeros(3, dtype=int),
+        np.zeros((2, 2), dtype=int),
+        np.zeros((2, 4), dtype=int),
+        np.zeros((2, 3)),
+        np.ones((2, 3), dtype=bool),
+        np.full((2, 3), EMPTY_SLOT),
+        np.full((2, 3), 4),
+        np.array([[0, 1, -2]]),
+        [[0, True, 2]],
+    ],
+    ids=["flat", "narrow", "wide", "float", "bool", "empty-slot", "past-catalog", "negative", "bool-among-ints"],
+)
+def test_values_rejects_bad_blocks_naming_placement(block):
+    inst = gen_random(4, 3, model="markov", browsing="explicit", seed=0)
+    with pytest.raises(ValueError, match="placement"):
+        WEvaluator(inst).values(block)
+
+
 # ---------------------------------------------------------------------------
 # fill_empty
 
@@ -366,27 +431,32 @@ def test_randomized_is_reproducible_bit_for_bit():
     oracle = BruteForceOracle(inst)
     a = randomized_placement(inst, oracle, repetitions=16, seed=21)
     b = randomized_placement(inst, oracle, repetitions=16, seed=21)
-    assert a.placement == b.placement
-    assert a.w_exact == b.w_exact
-    assert a.k == b.k
+    c = randomized_placement(inst, oracle, repetitions=np.int64(16), seed=21)
+    assert a.placement == b.placement == c.placement
+    assert a.w_exact == b.w_exact == c.w_exact
+    assert a.k == b.k == c.k
 
 
-def test_randomized_matches_per_draw_loop():
+def test_randomized_matches_per_draw_loop(monkeypatch):
     cases = [
         gen_random(n, m, model=family, browsing=browsing, seed=seed)
-        for seed, (n, m) in enumerate([(2, 4), (5, 3), (7, 5)])
+        for seed, (n, m) in enumerate([(2, 4), (5, 3), (7, 5), (12, 5)])
         for family in ("mnl", "markov", "ranked")
         for browsing in ("line", "explicit")
     ]
-    for inst in cases:
-        oracle = BruteForceOracle(inst)
-        for reps in (1, 5, 64):
-            got = randomized_placement(inst, oracle, repetitions=reps, seed=4)
-            ev = WEvaluator(inst)
-            w, k, slots = reference_randomized(
-                inst, oracle, reps, np.random.default_rng(4), ev.value
-            )
-            assert (got.w_exact, got.k, got.placement) == (w, k, slots), (inst.n, reps)
+    # the default block holds every k; 1 cell scores each k on its own,
+    # 40 cells two ks of 5 draws per block, the last block short
+    for cells in (solvers._DRAW_CELLS, 1, 40):
+        monkeypatch.setattr(solvers, "_DRAW_CELLS", cells)
+        for inst in cases:
+            oracle = BruteForceOracle(inst)
+            for reps in (1, 5, 64):
+                got = randomized_placement(inst, oracle, repetitions=reps, seed=4)
+                ev = WEvaluator(inst)
+                w, k, slots = reference_randomized(
+                    inst, oracle, reps, np.random.default_rng(4), ev.value
+                )
+                assert (got.w_exact, got.k, got.placement) == (w, k, slots), (inst.n, reps, cells)
 
 
 def _sampler_twin(base):
@@ -947,6 +1017,26 @@ def test_non_integer_ids_raise_value_error_naming_them(bad):
             "need at least one repetition",
         ),
         (
+            lambda inst: randomized_placement(inst, BruteForceOracle(inst), repetitions=True),
+            ValueError,
+            re.escape("repetitions must be a positive integer, got True"),
+        ),
+        (
+            lambda inst: randomized_placement(inst, BruteForceOracle(inst), repetitions=2.0),
+            ValueError,
+            re.escape("repetitions must be a positive integer, got 2.0"),
+        ),
+        (
+            lambda inst: randomized_placement(inst, BruteForceOracle(inst), repetitions=2.5),
+            ValueError,
+            re.escape("repetitions must be a positive integer, got 2.5"),
+        ),
+        (
+            lambda inst: randomized_placement(inst, BruteForceOracle(inst), repetitions='2'),
+            ValueError,
+            re.escape("repetitions must be a positive integer, got '2'"),
+        ),
+        (
             lambda inst: check_restricted_revenue_properties(inst, range(17)),
             SizeGuardError,
             "capped at 16 members",
@@ -957,7 +1047,15 @@ def test_non_integer_ids_raise_value_error_naming_them(bad):
             "may not contain empty slots",
         ),
     ],
-    ids=["no-repetitions", "restricted-check-17-members", "report-with-empty-slot"],
+    ids=[
+        "no-repetitions",
+        "bool-repetitions",
+        "integral-float-repetitions",
+        "fraction-repetitions",
+        "quoted-repetitions",
+        "restricted-check-17-members",
+        "report-with-empty-slot",
+    ],
 )
 def test_solver_boundaries_reject_bad_input(build, error, message):
     with pytest.raises(error, match=message):
