@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import _PROB_TOL, EnumerationUnsupportedError, _entries, _field, _reals, as_int
+from .core import _CELLS, _PROB_TOL, EnumerationUnsupportedError, _entries, _field, _reals, as_int
 
 
 class BrowsingDistribution:
@@ -56,14 +56,14 @@ class _CategoricalBrowsing(BrowsingDistribution):
         """``(scaled, first, split)`` over ``bins = len(first)`` bins.
 
         ``bins`` is the smallest power of two >= 16 times the category count,
-        clamped to [2**12, 2**16], so below the clamp at most one bin in 16 is
-        split. ``scaled`` is ``_cum * bins``, exact as ``bins`` is a power of
-        two; bin ``b`` holds the scaled uniforms in [b, b + 1). ``first[b]`` is
-        the category of the bin's lower edge, and ``split[b]`` marks a bin with
-        a scaled cumulative value strictly inside it, where the category
-        changes within the bin.
+        clamped to [2**12, ``core._CELLS``], so below the clamp at most one bin
+        in 16 is split. ``scaled`` is ``_cum * bins``, exact as ``bins`` is a
+        power of two; bin ``b`` holds the scaled uniforms in [b, b + 1).
+        ``first[b]`` is the category of the bin's lower edge, and ``split[b]``
+        marks a bin with a scaled cumulative value strictly inside it, where
+        the category changes within the bin.
         """
-        bins = min(max(1 << (16 * len(self._cum) - 1).bit_length(), 1 << 12), 1 << 16)
+        bins = min(max(1 << (16 * len(self._cum) - 1).bit_length(), 1 << 12), _CELLS)
         scaled = self._cum * bins
         edges = np.arange(bins + 1.0)
         first = np.searchsorted(scaled, edges[:-1], side="right")

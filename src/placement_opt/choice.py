@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import _PROB_TOL, SizeGuardError, _entries, _field, _ids, _probabilities, _reals
-from .core import as_int, canon
+from .core import _is_id, as_int, canon
 
 _EPS = np.finfo(float).eps
 
@@ -370,8 +370,11 @@ def check_weak_rationality(
     Covers the whole catalog, ``model.n`` products: exhaustive over all
     (S, i, j) triples when ``trials`` is None (requires n <= 12, else
     SizeGuardError; one ``choice_probs`` per subset), otherwise over
-    ``trials`` random triples. Violations are returned as data, not raised.
+    ``trials`` random triples, a Python or numpy integer of at least 1 (else
+    ValueError). Violations are returned as data, not raised.
     """
+    if not (trials is None or _is_id(trials) and trials >= 1):
+        raise ValueError(f"trials must be None or an integer of at least 1, got {trials!r}")
     n = model.n
     violations: list[RationalityViolation] = []
     if n < 2:

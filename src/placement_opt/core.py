@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # browsing and choice import core; a runtime import would cyc
 # Slack allowed in a probability sum.
 _PROB_TOL = 1e-9
 
+# The one cell budget: the most entries one block's (or table's) array holds.
+_CELLS = 1 << 16
+
 # Sentinel for an unfilled location. Allowed only inside solver
 # intermediates, never in a returned placement.
 EMPTY_SLOT = -1

@@ -20,11 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .choice import expected_revenue
-from .core import Instance, _ids, canon, products_at
-
-# Visited sets drawn per call to ``sample``: one vectorized draw per block for
-# enumerable browsing, with memory bounded for any sample count.
-_BLOCK = 1 << 16
+from .core import _CELLS, Instance, _ids, _is_id, _reals, canon, products_at
 
 
 def sample_size(m: int, epsilon: float, delta: float) -> int:
@@ -46,8 +42,9 @@ class EstimationPlan:
     r_star_bound: float
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
+        if not (_is_id(self.samples) and self.samples >= 1):
+            raise ValueError(f"samples must be an integer of at least 1, got {self.samples!r}")
+        _reals(self.r_star_bound, "r_star_bound")
         if not 0 < self.epsilon <= 1 or not 0 < self.delta <= 1:
             raise ValueError("epsilon and delta must lie in (0, 1]")
 
@@ -82,11 +79,11 @@ def estimate_w(
 
     Draws ``plan.samples`` visited sets and averages the exact assortment
     revenue of the products at each. Returns (estimate, samples used).
-    Sets are drawn in blocks of ``(sets, index)``; each block computes one
-    revenue per distinct product set drawn and adds the per-draw revenues
-    with one sequential ``np.add.accumulate``, so the estimate and the
-    generator's end state are those of one draw and one ``total += rev``
-    per sample.
+    Sets are drawn in blocks of ``(sets, index)``, ``core._CELLS`` draws a
+    block; each block computes one revenue per distinct product set drawn
+    and adds the per-draw revenues with one sequential ``np.add.accumulate``,
+    so the estimate and the generator's end state are those of one draw and
+    one ``total += rev`` per sample.
     Raises ValueError unless the placement fills every slot with a catalog id
     (``core._ids``), and names the first drawn set with a location outside [0, m).
     """
@@ -94,8 +91,8 @@ def estimate_w(
         raise ValueError(f"placement must fill {instance.m} slots")
     slots = _ids(slots, instance.n, "placement")
     total = 0.0
-    for start in range(0, plan.samples, _BLOCK):
-        size = min(_BLOCK, plan.samples - start)
+    for start in range(0, plan.samples, _CELLS):
+        size = min(_CELLS, plan.samples - start)
         sets, index = instance.browsing.sample(rng, size)
         revs = _set_revenues(instance, slots, sets, index)[index]
         revs[0] += total  # the running sum's first addition, total + revs[0]

@@ -13,17 +13,12 @@ from math import comb
 import numpy as np
 
 from .choice import _EPS, MnlModel, _revenue_rows
-from .core import Instance, SizeGuardError, _is_id
+from .core import _CELLS, Instance, SizeGuardError, _is_id
 
 BRUTE_FORCE_MAX_N = 22
 _MNL_BISECT_ITERS = 200
 # Subsets per solve block of the brute-force pass; bounds the kernel's temporaries.
 _BATCH = 256
-# Subsets per chunk of a size's ranks and bounds; bounds those temporaries.
-_CHUNK = 4096
-# Scores (sizes x products) per chunk of the MNL bisection. It bounds a
-# chunk's arrays: more than half this many products bisect one size a chunk.
-_MNL_CELLS = 1 << 14
 # The one tie rule: a record beats the best so far by more than this margin.
 _TIE = 1e-15
 
@@ -121,10 +116,11 @@ class BruteForceOracle(AssortmentOracle):
     ``R(S) <= mu c + sum_j (r_j - mu)^+ b_j`` for the same bounds b_j, at
     ``mu = best / (2 c)``, the record after the smaller sizes; the smaller
     limit counts. Each size's subsets, their bounds and limits are built
-    once, ``_CHUNK`` rows at a time, from the previous size's; then, in
-    ``_BATCH``-row blocks, only subsets whose limit plus a rounding margin
-    beats the best so far are solved, so the answers are those of scoring
-    every subset.
+    once from the previous size's, in chunks of ``max(1, core._CELLS // s)``
+    size-s subsets, so a chunk's bounds hold at most ``core._CELLS`` entries;
+    then, in ``_BATCH``-row blocks, only subsets whose limit plus a rounding
+    margin beats the best so far are solved, so the answers are those of
+    scoring every subset.
     """
 
     alpha = 1.0
@@ -148,10 +144,10 @@ class BruteForceOracle(AssortmentOracle):
         for s in range(1, top + 1):
             subsets, prev = _extend(subsets, n), bounds
             bounds, limits = np.full((s, len(subsets)), np.inf), np.empty(len(subsets))
-            mu = best_rev / (2.0 * cap)
+            mu, chunk = best_rev / (2.0 * cap), max(1, _CELLS // s)
             excess = np.maximum(prices - mu, 0.0)
-            for start in range(0, len(subsets), _CHUNK):
-                ids, block = subsets[start : start + _CHUNK], bounds[:, start : start + _CHUNK]
+            for start in range(0, len(subsets), chunk):
+                ids, block = subsets[start : start + chunk], bounds[:, start : start + chunk]
                 # the subset without member p holds member j at j if j < p,
                 # else at j - 1
                 for p, ranks in enumerate(_drop_ranks(ids, binom)):
@@ -161,7 +157,7 @@ class BruteForceOracle(AssortmentOracle):
                 with np.errstate(invalid="ignore"):  # 0 * inf is nan, never <= best
                     mass = mu * cap + _revenue_rows(excess, ids, block.T)
                     limit = _revenue_rows(prices, ids, block.T)
-                    np.minimum(limit, mass, out=limits[start : start + _CHUNK])
+                    np.minimum(limit, mass, out=limits[start : start + chunk])
             # Both limits bound R(S) = sum_j r_j P_j, exact P_j in [0, 1]: by
             # induction a stored bound b_j is >= P_j - err (err = ``prob_error``),
             # so R(S) <= sum_j r_j b_j + s r err (r the top price), and, with
@@ -199,7 +195,7 @@ class MnlExactOracle(AssortmentOracle):
     reconstructs the set. Ties in v_i (r_i - t) go to the lower id.
 
     The pass bisects every size up to min(m, n), one row per size, in
-    ascending chunks of at most ``_MNL_CELLS // n`` rows. Every row takes
+    ascending chunks of ``max(1, core._CELLS // n)`` rows. Every row takes
     the steps a bisection of its size alone would: the same midpoints, the
     same test and the same early exit. A few Dinkelbach steps first
     bracket each row's optimum t* to within about 6 (k + 2) eps relative
@@ -219,7 +215,7 @@ class MnlExactOracle(AssortmentOracle):
             raise ValueError("MnlExactOracle requires an MNL choice model")
 
     def _pass(self, top):
-        sizes, rows = list(range(1, top + 1)), max(1, _MNL_CELLS // self.instance.n)
+        sizes, rows = list(range(1, top + 1)), max(1, _CELLS // self.instance.n)
         chunks = [sizes[i : i + rows] for i in range(0, top, rows)]
         return {s: answer for c in chunks for s, answer in zip(c, self._bisect(c))}
 

@@ -17,15 +17,12 @@ import numpy as np
 
 from .browsing import ExplicitBrowsing, LineBrowsing
 from .choice import MarkovModel, MnlModel, _sum_leading, expected_revenue
-from .core import EMPTY_SLOT, Instance, SizeGuardError, _ids, _is_id, canon
+from .core import _CELLS, EMPTY_SLOT, Instance, SizeGuardError, _ids, _is_id, canon
 from .estimation import EstimationPlan, estimate_w
 from .oracle import AssortmentOracle, last_record
 
 PLACEMENT_BRUTE_GUARD = 2_000_000
 PAIR_LATTICE_GUARD = 18  # most product-location pairs the pair lattice enumerates
-# Most slot cells (rows x m) randomized draws before it scores them in one
-# ``WEvaluator.values`` call, which bounds that call's temporaries
-_DRAW_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -211,10 +208,13 @@ def brute_force_placement(
 ) -> SolveReport:
     """Globally optimal placement by enumerating every slot assignment.
 
-    Test oracle for the optimum; guarded because the space has n^m points.
+    Test oracle for the optimum; ``guard``, a nonnegative Python or numpy
+    integer (else ValueError), caps the n^m placements it enumerates.
     """
+    if not (_is_id(guard) and guard >= 0):
+        raise ValueError(f"guard must be a nonnegative integer, got {guard!r}")
     start = time.perf_counter()
-    n, m = instance.n, instance.m
+    n, m, guard = instance.n, instance.m, int(guard)
     # exact for m up to the guard's bit length; past it, n >= 2 exceeds the
     # guard already, and n**m itself may be too large to compute
     if n ** min(m, guard.bit_length() + 1) > guard:
@@ -284,10 +284,10 @@ def randomized_placement(
     unknown browsing patterns.
 
     Every draw is scored, repeats included, by ``WEvaluator.values`` over
-    blocks of whole ks in k order, each block at most ``_DRAW_CELLS`` slot
-    cells unless one k alone is more. A block's candidate is its first
-    draw with the largest ``w``, so ties go to the smaller k, then to the
-    earlier draw. ``repetitions`` is a positive Python or numpy integer,
+    blocks of whole ks in k order, each block at most ``core._CELLS`` slot
+    cells (draws x m) unless one k alone is more. A block's candidate is its
+    first draw with the largest ``w``, so ties go to the smaller k, then to
+    the earlier draw. ``repetitions`` is a positive Python or numpy integer,
     else ValueError.
     """
     if not (_is_id(repetitions) and repetitions >= 1):
@@ -299,7 +299,7 @@ def randomized_placement(
     i_star, m, repetitions = instance.i_star, instance.m, int(repetitions)
     values = WEvaluator(instance).values
     sets = _oracle_sets(instance, oracle)
-    per_block = max(1, _DRAW_CELLS // (repetitions * m))  # whole ks per block
+    per_block = max(1, _CELLS // (repetitions * m))  # whole ks per block
     candidates = []
     for first in range(0, m, per_block):
         draws = []

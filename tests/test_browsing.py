@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from placement_opt import browsing as browsing_module
 from placement_opt import (
     EnumerationUnsupportedError,
     ExplicitBrowsing,
@@ -309,6 +310,17 @@ def _random_explicit(sets, seed):
     _random_explicit(5000, 1),  # more than 65536 / 16 sets: bins at the clamp
 ], ids=["line-dyadic", "line-below-edges", "explicit-300", "explicit-5000"])
 def test_block_lookup_equals_searchsorted_at_every_edge(browsing):
+    _assert_block_lookup_equals_searchsorted(browsing, browsing_module._CELLS)
+
+
+def test_guide_table_holds_at_most_cells_bins(monkeypatch):
+    monkeypatch.setattr(browsing_module, "_CELLS", 1 << 13)
+    browsing = _random_explicit(5000, 1)
+    _assert_block_lookup_equals_searchsorted(browsing, 1 << 13)
+    assert browsing._guide[1].size == 1 << 13
+
+
+def _assert_block_lookup_equals_searchsorted(browsing, cells):
     u = _edge_uniforms(browsing._cum)
     sets, index = browsing.sample(_Uniforms(u), len(u))
     assert sets is browsing._sets and index.dtype == np.intp
@@ -316,7 +328,7 @@ def test_block_lookup_equals_searchsorted_at_every_edge(browsing):
     # the table flags exactly the bins that a scaled cumulative value splits
     scaled, first, split = browsing._guide
     bins = first.size
-    assert bins & (bins - 1) == 0 and min(max(16 * len(scaled), 4096), 65536) <= bins <= 65536
+    assert bins & (bins - 1) == 0 and min(max(16 * len(scaled), 4096), cells) <= bins <= cells
     inside = scaled[(scaled < bins) & (scaled != np.floor(scaled))]
     expected = np.zeros(bins, dtype=bool)
     expected[np.floor(inside).astype(np.intp)] = True

@@ -60,6 +60,8 @@ def test_plan_validation_and_override():
     assert override.samples == 17
     with pytest.raises(ValueError):
         EstimationPlan(0.2, 0.1, 0, 1.0)
+    numpy_count = EstimationPlan(0.2, 0.1, np.int64(5), 1.0)
+    assert estimate_w(inst, (0, 1, 2, 0), numpy_count, np.random.default_rng(0))[1] == 5
 
 
 def test_estimate_rejects_ids_outside_catalog():
@@ -102,8 +104,25 @@ def test_estimate_names_the_first_bad_set_in_draw_order():
             "placement must fill 3 slots",
         ),
         (lambda inst: EstimationPlan(0.0, 0.1, 10, 1.0), r"epsilon and delta must lie in \(0, 1\]"),
+        (lambda inst: EstimationPlan(0.5, 0.5, 2.5, 1.0), r"samples must be an integer.*2\.5"),
+        (lambda inst: EstimationPlan(0.5, 0.5, np.float64(3.0), 1.0), "samples must be an integer"),
+        (lambda inst: EstimationPlan(0.5, 0.5, True, 1.0), "samples must be an integer.*True"),
+        (lambda inst: EstimationPlan(0.5, 0.5, "5", 1.0), "samples must be an integer.*'5'"),
+        (lambda inst: EstimationPlan(0.5, 0.5, 10, float("nan")), "r_star_bound .*nan"),
+        (lambda inst: EstimationPlan(0.5, 0.5, 10, -1.0), "r_star_bound .*-1.0"),
+        (lambda inst: EstimationPlan(0.5, 0.5, 10, float("inf")), "r_star_bound .*inf"),
     ],
-    ids=["short-placement", "zero-epsilon"],
+    ids=[
+        "short-placement",
+        "zero-epsilon",
+        "fraction-samples",
+        "integral-float-samples",
+        "bool-samples",
+        "quoted-samples",
+        "nan-r-star",
+        "negative-r-star",
+        "infinite-r-star",
+    ],
 )
 def test_estimation_rejects_bad_plans_and_placements(build, message):
     with pytest.raises(ValueError, match=message):
@@ -225,7 +244,7 @@ def _assert_estimates_match_reference(inst, slots, counts, seed):
 
 
 def test_estimate_matches_per_draw_loop_across_block_edges(monkeypatch):
-    monkeypatch.setattr(estimation, "_BLOCK", 7)
+    monkeypatch.setattr(estimation, "_CELLS", 7)
     for _, inst, slots, seed in _estimation_cases():
         _assert_estimates_match_reference(inst, slots, (1, 6, 7, 8, 15), seed)
     _assert_estimates_match_reference(
@@ -251,8 +270,23 @@ def test_estimate_scores_each_product_set_once_per_block(monkeypatch):
     assert value == reference_estimate_w(inst, slots, plan, np.random.default_rng(3))
 
 
+def test_estimate_draws_cells_sets_a_block(monkeypatch):
+    monkeypatch.setattr(estimation, "_CELLS", 7)
+    inst = gen_random(4, 3, model="mnl", browsing="line", seed=5)
+    sizes, sample = [], inst.browsing.sample
+
+    def spy(rng, size=None):
+        sizes.append(size)
+        return sample(rng, size)
+
+    monkeypatch.setattr(inst.browsing, "sample", spy)
+    plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=15)
+    estimate_w(inst, (0, 1, 2), plan, np.random.default_rng(0))
+    assert sizes == [7, 7, 1]
+
+
 def test_estimate_matches_per_draw_loop_at_the_real_block_size():
-    block = estimation._BLOCK
+    block = estimation._CELLS
     for browsing in ("line", "explicit"):
         inst = gen_random(6, 5, model="mmnl", browsing=browsing, seed=41)
         _assert_estimates_match_reference(
@@ -293,12 +327,12 @@ def _block_case(draw):
 def test_estimate_matches_per_draw_loop_property(case, block, blocks, edge, seed):
     inst, slots = case
     samples = max(1, block * blocks + edge)
-    with mock.patch.object(estimation, "_BLOCK", block):
+    with mock.patch.object(estimation, "_CELLS", block):
         _assert_estimates_match_reference(inst, slots, (samples,), seed)
 
 
 def test_randomized_on_sampler_browsing_matches_per_draw_loop(monkeypatch):
-    monkeypatch.setattr(estimation, "_BLOCK", 7)
+    monkeypatch.setattr(estimation, "_CELLS", 7)
     for model in ("mnl", "mmnl", "markov", "ranked"):
         inst = with_sampler(gen_random(4, 3, model=model, seed=50))
         plan = EstimationPlan.for_instance(inst, 0.5, 0.5, samples_override=30)

@@ -169,8 +169,8 @@ def test_mnl_lockstep_matches_scalar_bisection():
 
 
 def test_mnl_lockstep_splits_sizes_at_the_cell_cap(monkeypatch):
-    inst = gen_random(3000, 12, model="mnl", seed=9)
-    rows = oracle_module._MNL_CELLS // inst.n
+    inst = gen_random(12_000, 12, model="mnl", seed=9)
+    rows = oracle_module._CELLS // inst.n
     assert 1 < rows < inst.m
     passes = []
     real = MnlExactOracle._bisect
@@ -213,8 +213,8 @@ def _bisection_cases(draw):
 def test_mnl_bisection_matches_scalar_reference_bitwise(case):
     # every size's set and final lo, whatever the bracket decided unevaluated
     inst, rows = case
-    cells = oracle_module._MNL_CELLS if rows is None else rows * inst.n
-    with mock.patch.object(oracle_module, "_MNL_CELLS", cells):
+    cells = oracle_module._CELLS if rows is None else rows * inst.n
+    with mock.patch.object(oracle_module, "_CELLS", cells):
         oracle = MnlExactOracle(inst)
         oracle.best_assortment(1)
     got = {k: (ids, lo.hex()) for k, (ids, lo) in oracle._answers.items()}
@@ -367,18 +367,19 @@ def _brute_reference_instances():
     return insts
 
 
-# solve blocks and bound chunks at their sizes, and small enough that a size
-# spans several of each, cut at different rows
+# solve blocks and the cell budget at their sizes, and small enough that a
+# size spans several blocks and bound chunks (10 // s subsets), cut at
+# different rows
 _BLOCKS = [
-    pytest.param(oracle_module._BATCH, oracle_module._CHUNK, id=str(oracle_module._BATCH)),
-    pytest.param(3, 5, id="3"),
+    pytest.param(oracle_module._BATCH, oracle_module._CELLS, id=str(oracle_module._BATCH)),
+    pytest.param(3, 10, id="3"),
 ]
 
 
-@pytest.mark.parametrize("batch, chunk", _BLOCKS)
-def test_brute_force_matches_per_k_reference(monkeypatch, batch, chunk):
+@pytest.mark.parametrize("batch, cells", _BLOCKS)
+def test_brute_force_matches_per_k_reference(monkeypatch, batch, cells):
     monkeypatch.setattr(oracle_module, "_BATCH", batch)
-    monkeypatch.setattr(oracle_module, "_CHUNK", chunk)
+    monkeypatch.setattr(oracle_module, "_CELLS", cells)
     for inst in _brute_reference_instances():
         m = inst.m
         expected = {k: reference_brute_oracle(inst, k) for k in range(1, m + 1)}
@@ -515,10 +516,10 @@ def _bound_instances():
     return insts
 
 
-@pytest.mark.parametrize("batch, chunk", _BLOCKS)
-def test_bounded_brute_force_answers_equal_the_full_enumeration(monkeypatch, batch, chunk):
+@pytest.mark.parametrize("batch, cells", _BLOCKS)
+def test_bounded_brute_force_answers_equal_the_full_enumeration(monkeypatch, batch, cells):
     monkeypatch.setattr(oracle_module, "_BATCH", batch)
-    monkeypatch.setattr(oracle_module, "_CHUNK", chunk)
+    monkeypatch.setattr(oracle_module, "_CELLS", cells)
     for inst in _bound_instances():
         oracle = BruteForceOracle(inst)
         oracle.best_assortment(1)
@@ -543,6 +544,24 @@ def test_per_size_subsets_and_drop_ranks_follow_combinations_order():
             want = [[position[c[:p] + c[p + 1 :]] for c in expected] for p in range(s)]
             assert ranks.tolist() == want, (n, s)
             position = {c: r for r, c in enumerate(expected)}
+
+
+def test_brute_force_bound_chunks_hold_at_most_cells_bounds(monkeypatch):
+    monkeypatch.setattr(oracle_module, "_CELLS", 10)
+    chunks, drop_ranks = [], oracle_module._drop_ranks
+
+    def spy(ids, binom):
+        chunks.append(ids.shape)
+        return drop_ranks(ids, binom)
+
+    monkeypatch.setattr(oracle_module, "_drop_ranks", spy)
+    BruteForceOracle(gen_random(6, 4, model="markov", browsing="explicit", seed=0))._pass(4)
+    # size s: C(6, s) subsets in chunks of 10 // s, the last one short
+    assert chunks == [
+        (min(10 // s, comb(6, s) - start), s)
+        for s in range(1, 5)
+        for start in range(0, comb(6, s), 10 // s)
+    ]
 
 
 def test_brute_force_pass_memory_stays_near_its_two_bound_tables():

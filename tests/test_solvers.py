@@ -30,6 +30,7 @@ from placement_opt import (
     brute_force_placement,
     check_pair_objective_properties,
     check_restricted_revenue_properties,
+    check_weak_rationality,
     estimate_w,
     evaluate_exact,
     expected_revenue,
@@ -287,6 +288,11 @@ def test_brute_force_guard():
     inst = gen_random(40, 4, model="mnl", seed=0)
     with pytest.raises(SizeGuardError):
         brute_force_placement(inst)
+    small = gen_random(3, 2, model="mnl", seed=0)
+    with pytest.raises(SizeGuardError, match=r"3\^2 > 8 placements"):
+        brute_force_placement(small, guard=np.int64(8))
+    got, want = brute_force_placement(small, guard=np.int64(9)), brute_force_placement(small)
+    assert (got.placement, got.w_exact) == (want.placement, want.w_exact)
 
 
 def test_singleton_uniform_optimum_repeats_best_solo_product():
@@ -446,12 +452,25 @@ def test_randomized_matches_per_draw_loop(monkeypatch):
     ]
     # the default block holds every k; 1 cell scores each k on its own,
     # 40 cells two ks of 5 draws per block, the last block short
-    for cells in (solvers._DRAW_CELLS, 1, 40):
-        monkeypatch.setattr(solvers, "_DRAW_CELLS", cells)
+    blocks, values = [], WEvaluator.values
+
+    def spy(self, placements):
+        blocks.append(len(placements))
+        return values(self, placements)
+
+    monkeypatch.setattr(WEvaluator, "values", spy)
+    for cells in (solvers._CELLS, 1, 40):
+        monkeypatch.setattr(solvers, "_CELLS", cells)
         for inst in cases:
             oracle = BruteForceOracle(inst)
             for reps in (1, 5, 64):
+                blocks.clear()
                 got = randomized_placement(inst, oracle, repetitions=reps, seed=4)
+                per_block = max(1, cells // (reps * inst.m))
+                assert blocks == [
+                    reps * min(per_block, inst.m - first)
+                    for first in range(0, inst.m, per_block)
+                ], (inst.n, reps, cells)
                 ev = WEvaluator(inst)
                 w, k, slots = reference_randomized(
                     inst, oracle, reps, np.random.default_rng(4), ev.value
@@ -1036,6 +1055,24 @@ def test_non_integer_ids_raise_value_error_naming_them(bad):
             ValueError,
             re.escape("repetitions must be a positive integer, got '2'"),
         ),
+        *[
+            (
+                lambda inst, guard=guard: brute_force_placement(inst, guard=guard),
+                ValueError,
+                re.escape(f"guard must be a nonnegative integer, got {guard!r}"),
+            )
+            for guard in (2.5, "9", True, -1)
+        ],
+        *[
+            (
+                lambda inst, trials=trials: check_weak_rationality(
+                    inst.choice_model, trials=trials
+                ),
+                ValueError,
+                re.escape(f"trials must be None or an integer of at least 1, got {trials!r}"),
+            )
+            for trials in (0, -3, True, 2.5)
+        ],
         (
             lambda inst: check_restricted_revenue_properties(inst, range(17)),
             SizeGuardError,
@@ -1053,6 +1090,14 @@ def test_non_integer_ids_raise_value_error_naming_them(bad):
         "integral-float-repetitions",
         "fraction-repetitions",
         "quoted-repetitions",
+        "fraction-guard",
+        "quoted-guard",
+        "bool-guard",
+        "negative-guard",
+        "zero-trials",
+        "negative-trials",
+        "bool-trials",
+        "fraction-trials",
         "restricted-check-17-members",
         "report-with-empty-slot",
     ],
