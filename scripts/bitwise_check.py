@@ -7,9 +7,15 @@ defaults to the working tree). Each side runs, in one subprocess on its own
 ``src/``, every op of the seed-1 pool of every workload in the change's
 ``bench/workloads.py``, and reports each op's ``untimed`` output as
 ``json.dumps`` text, in which floats round-trip exactly. markov-compare's
-``instance`` path names the side's own directory and is dropped. The script
-exits 0 when every output matches, and 1 naming the first workload and pool
-position that differ.
+``instance`` path names the side's own directory and is dropped.
+
+Each side also reports a ``structured`` section: one JSON line per instance
+of the structured families (first-slot-only, uniform and heavy-tailed lines,
+a coverage mixture), holding ``[placement, w.hex()]`` of every solver that
+applies and one ``estimate_w`` with the generator's next draw. Browsing
+supports are not recorded, only what the solvers and the estimator make of
+them. The script exits 0 when every output matches, and 1 naming the first
+section and position that differ.
 """
 
 from __future__ import annotations
@@ -35,9 +41,56 @@ def normalize(workload: str, output) -> str:
     return json.dumps(output, sort_keys=True)
 
 
+def _structured_instances():
+    """(label, instance) pairs: theta with zero entries, line residuals of
+    2**-53 and 2**-52, tiered heavy tails and one coverage mixture."""
+    import placement_opt as po
+
+    for k in range(2, 7):
+        yield f"gen_first_slot_only({k})", po.gen_first_slot_only(k)
+    for m in range(2, 9):
+        yield f"gen_uniform_line({m})", po.gen_uniform_line(m)
+    for m, eps in ((2, 0.5), (2, 1.0), (3, 0.1), (3, 1.0), (4, 0.5), (4, 2.0), (5, 1.0), (6, 0.3)):
+        yield f"gen_heavy_tail_line({m}, {eps})", po.gen_heavy_tail_line(m, eps)
+    sets = [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]]
+    yield f"gen_coverage_mmnl({sets}, 4, 2, 0.25)", po.gen_coverage_mmnl(sets, 4, 2, 0.25)
+
+
+def structured() -> list[str]:
+    """One JSON line per structured instance: ``[placement, w.hex()]`` of
+    randomized (8 repetitions), best-of-many and markov-greedy with the exact
+    MNL oracle (randomized with the brute-force oracle on the mixture),
+    uniform-greedy where prices are identical and brute force where
+    ``n**m <= 200_000``; then a 20,000-sample ``estimate_w`` of the randomized
+    placement with the generator's next draw."""
+    import numpy as np
+    import placement_opt as po
+
+    out = []
+    for label, inst in _structured_instances():
+        mnl = isinstance(inst.choice_model, po.MnlModel)
+        oracle = (po.MnlExactOracle if mnl else po.BruteForceOracle)(inst)
+        rng = np.random.default_rng(SEED)
+        reports = {"randomized": po.randomized_placement(inst, oracle, 8, rng=rng)}
+        if mnl:
+            reports["best-of-many"] = po.best_of_many_line(inst, oracle)
+            reports["markov-greedy"] = po.markov_deterministic_placement(inst, oracle)
+        if np.ptp(inst.prices) == 0.0:
+            reports["uniform-greedy"] = po.uniform_price_matroid_greedy(inst)
+        if inst.n**inst.m <= 200_000:
+            reports["brute"] = po.brute_force_placement(inst, guard=200_000)
+        record = {name: [list(r.placement), r.w.hex()] for name, r in reports.items()}
+        plan = po.EstimationPlan(0.1, 0.05, 20_000, float(inst.prices.max()))
+        value, _ = po.estimate_w(inst, record["randomized"][0], plan, rng)
+        record["estimate"] = [value.hex(), rng.random().hex()]
+        out.append(json.dumps({"instance": label, **record}, sort_keys=True))
+    return out
+
+
 def emit(tree: str) -> None:
     """Print one JSON object: workload name -> the normalized outputs of its
-    seed-1 pool, run on the library under ``tree/src``."""
+    seed-1 pool, and ``structured`` -> ``structured()``, run on the library
+    under ``tree/src``."""
     import placement_opt
     from workloads import WORKLOADS
 
@@ -51,6 +104,7 @@ def emit(tree: str) -> None:
             normalize(name, workload.untimed(workload.collect(item, workload.run(item))))
             for item in workload.build_pool()
         ]
+    outputs["structured"] = structured()
     print(json.dumps(outputs))
 
 
@@ -95,11 +149,12 @@ def main(argv=None) -> int:
         bench = trees["change"] / "bench"
         base, change = (side_outputs(tree, bench) for tree in trees.values())
     where = first_difference(base, change)
-    counts = ", ".join(f"{name} {len(outputs)}" for name, outputs in change.items())
+    pools = ", ".join(f"{name} {len(out)}" for name, out in change.items() if name != "structured")
+    counts = f"{pools} ops; structured {len(change['structured'])} instances"
     if where:
         print(f"{labels['base']} vs {labels['change']}: {where}")
         return 1
-    print(f"{labels['base']} vs {labels['change']}: identical outputs ({counts} ops)")
+    print(f"{labels['base']} vs {labels['change']}: identical outputs ({counts})")
     return 0
 
 

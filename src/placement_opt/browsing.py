@@ -1,8 +1,9 @@
 """Browsing distributions over subsets of display locations.
 
 A customer visits a random set of locations and then chooses from the
-products placed there. Explicit and line-shaped distributions enumerate
-their support exactly; sampler-backed ones only draw.
+products placed there. Explicit and line distributions list and draw
+exactly their sets of positive probability (a line's positive residual is
+the empty set's); sampler-backed ones only draw.
 """
 
 from __future__ import annotations
@@ -38,18 +39,23 @@ class BrowsingDistribution:
 
 
 class _CategoricalBrowsing(BrowsingDistribution):
-    """Finitely many visited sets ``_sets`` drawn by the cumulative vector
-    ``_cum``: a uniform ``u`` draws category ``searchsorted(_cum, u, "right")``.
+    """The given visited sets of positive probability ``_probs``, kept in
+    order as ``_sets`` and drawn by the cumulative vector ``_cum``: a uniform
+    ``u`` draws category ``searchsorted(_cum, u, "right")``, a listed set.
 
     A block looks each draw up in a guide table (Chen & Asau 1974; Devroye
     1986, III.2.4) over ``bins`` equal bins of [0, 1), which returns that same
     category for the same uniform. The sets are built once, so a block returns
-    ``_sets`` itself with the category index of every draw; sets never drawn
-    are listed too.
+    ``_sets`` itself with the category index of every draw; sets the block
+    did not draw are listed too.
     """
 
-    _sets: list[frozenset[int]]
-    _cum: np.ndarray
+    def __init__(self, sets: Sequence[frozenset[int]], probs: Sequence[float]):
+        kept = [(s, p) for s, p in zip(sets, probs) if p > 0.0]
+        self._sets = [s for s, _ in kept]
+        self._probs = np.array([p for _, p in kept])
+        self._cum = np.cumsum(self._probs)
+        self._cum[-1] = 1.0
 
     @functools.cached_property
     def _guide(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -69,6 +75,9 @@ class _CategoricalBrowsing(BrowsingDistribution):
         first = np.searchsorted(scaled, edges[:-1], side="right")
         split = first != np.searchsorted(scaled, edges[1:], side="left")
         return scaled, first, split
+
+    def support(self):
+        return list(zip(self._sets, self._probs.tolist()))
 
     def sample(self, rng, size=None):
         if size is None:
@@ -108,26 +117,17 @@ class ExplicitBrowsing(_CategoricalBrowsing):
         total = sum(merged.values())
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"support probabilities sum to {total}, expected 1")
-        items = sorted(merged.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        self._sets = [s for s, p in items if p > 0.0]
-        self._probs = np.array([p for _, p in items if p > 0.0])
-        self._cum = np.cumsum(self._probs)
-        self._cum[-1] = 1.0
+        order = sorted(merged, key=lambda s: (len(s), sorted(s)))
+        super().__init__(order, [merged[s] for s in order])
 
     @property
     def max_location(self) -> int:
         return max((max(s) for s in self._sets if s), default=-1)
 
-    def support(self):
-        return list(zip(self._sets, (float(p) for p in self._probs)))
-
     def to_spec(self) -> dict:
         return {
             "type": "explicit",
-            "support": [
-                {"locations": sorted(s), "prob": float(p)}
-                for s, p in zip(self._sets, self._probs)
-            ],
+            "support": [{"locations": sorted(s), "prob": p} for s, p in self.support()],
         }
 
 
@@ -135,7 +135,9 @@ class LineBrowsing(_CategoricalBrowsing):
     """Customers scan locations 0,1,2,... and stop; visited sets are prefixes.
 
     ``theta[j]`` is the probability of visiting exactly locations 0..j.
-    Any residual mass (sum < 1) is the customer who visits nothing.
+    The residual ``1 - sum(theta)``, whenever positive, is the probability
+    of the empty set: the customer who visits nothing. Prefixes of zero
+    probability are neither listed nor drawn.
     """
 
     def __init__(self, theta: Sequence[float]):
@@ -147,17 +149,9 @@ class LineBrowsing(_CategoricalBrowsing):
             raise ValueError(f"prefix probabilities sum to {total} > 1")
         self.theta = t
         self.m = int(t.size)
-        self._residual = max(0.0, 1.0 - total)
-        # category 0 = visit nothing, category j >= 1 = prefix 0..j-1
-        self._sets = [frozenset(range(j)) for j in range(self.m + 1)]
-        self._cum = np.cumsum(np.concatenate(([self._residual], t)))
-        self._cum[-1] = 1.0
-
-    def support(self):
-        out = [(s, float(p)) for s, p in zip(self._sets[1:], self.theta) if p > 0.0]
-        if self._residual > _PROB_TOL:
-            out.insert(0, (self._sets[0], self._residual))
-        return out
+        # the empty set (visit nothing) first, then prefix 0..j-1 for j = 1..m
+        prefixes = [frozenset(range(j)) for j in range(self.m + 1)]
+        super().__init__(prefixes, [max(0.0, 1.0 - total)] + t.tolist())
 
     def to_spec(self) -> dict:
         return {"type": "line", "theta": [float(v) for v in self.theta]}

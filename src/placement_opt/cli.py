@@ -174,12 +174,10 @@ def cmd_compare(args) -> int:
     _write_output(json.dumps({"instance": args.instance, "results": rows}), args.output)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["algorithm", "w", "ratio_to_best", "ratio_to_opt"])
-            for row in rows:
-                writer.writerow(
-                    [row["algorithm"], row["w"], row["ratio_to_best"], row["ratio_to_opt"]]
-                )
+            fields = ["algorithm", "w", "ratio_to_best", "ratio_to_opt"]
+            writer = csv.DictWriter(handle, fields, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
     return 0
 
 

@@ -70,7 +70,8 @@ def _entries(spec: Mapping, key: str, where: str, *fields: str, lists=()) -> lis
     value = _field(spec, key, where)
     if not isinstance(value, (list, tuple)) or not all(isinstance(e, Mapping) for e in value):
         raise ValueError(f"{where} field {key!r} must be a list of JSON objects")
-    return [tuple(_field(e, f, f"{where} {key} entry", f in lists) for f in fields) for e in value]
+    entry = f"{where} {key} entry"
+    return [tuple([_field(e, f, entry, f in lists) for f in fields]) for e in value]
 
 
 def _reals(values, what: str) -> np.ndarray:

@@ -22,7 +22,7 @@ from .browsing import (
     singleton_uniform,
 )
 from .choice import MarkovModel, MmnlModel, MnlModel, RankedListModel, model_from_spec
-from .core import Instance, _field, as_int
+from .core import Instance, _entries, _field, as_int
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +46,9 @@ def instance_from_dict(data: Mapping) -> Instance:
         value = _field(data, key, "instance")
         if key in ("choice_model", "browsing") and not isinstance(value, Mapping):
             raise ValueError(f"{key} must be a JSON object, got {type(value).__name__}")
-    try:
-        ids = [as_int(p["id"], "product id") for p in data["products"]]
-        prices = [p["price"] for p in data["products"]]
-    except (TypeError, KeyError):  # not a list, or an entry without an id or a price
-        raise ValueError("products must be a list of objects with an id and a price") from None
+    products = _entries(data, "products", "instance", "id", "price")
+    ids = [as_int(i, "product id") for i, _ in products]
+    prices = [price for _, price in products]
     if ids != list(range(len(ids))):
         raise ValueError("product ids must be dense 0..n-1 in order")
     model = model_from_spec(data["choice_model"], n=len(prices))

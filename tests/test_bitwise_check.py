@@ -56,3 +56,15 @@ def test_first_difference_names_the_first_workload_and_position():
         "greedy-line: 3 outputs at base, 2 at change"
     )
     assert bitwise_check.first_difference({}, shorter) == "greedy-line: no outputs at base"
+
+
+def test_structured_section_covers_every_family_and_repeats_itself():
+    first = bitwise_check.structured()
+    assert first == bitwise_check.structured()
+    records = [json.loads(line) for line in first]
+    assert {r["instance"].split("(")[0] for r in records} == {
+        "gen_first_slot_only", "gen_uniform_line", "gen_heavy_tail_line", "gen_coverage_mmnl"
+    }
+    # every instance records randomized's W as exact hex, and an estimate with the next draw
+    for r in records:
+        assert float.fromhex(r["randomized"][1]) >= 0.0 and len(r["estimate"]) == 2

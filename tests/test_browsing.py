@@ -273,12 +273,15 @@ def test_line_block_returns_the_prebuilt_prefix_sets():
 
 
 class _Uniforms:
-    """Stand-in generator whose ``random(size)`` returns the given uniforms."""
+    """Stand-in generator whose ``random(size)`` returns the given uniforms
+    and whose ``random()`` returns the first of them."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self, size):
+    def random(self, size=None):
+        if size is None:
+            return float(self.u[0])
         assert size == len(self.u)
         return self.u.copy()
 
@@ -333,3 +336,51 @@ def _assert_block_lookup_equals_searchsorted(browsing, cells):
     expected = np.zeros(bins, dtype=bool)
     expected[np.floor(inside).astype(np.intp)] = True
     np.testing.assert_array_equal(split, expected)
+
+
+# ---------------------------------------------------------------------------
+# a line lists and draws exactly its sets of positive probability
+
+
+def test_line_draws_no_set_that_its_support_omits():
+    # theta sums to 1 - 2**-53 and its last prefix has probability 0: the
+    # largest uniform below 1 must not draw all 11 locations
+    browsing = LineBrowsing([0.1] * 10 + [0.0])
+    listed = [s for s, _ in browsing.support()]
+    u = np.array([1.0 - 2.0**-53])
+    single = browsing.sample(_Uniforms(u))
+    sets, index = browsing.sample(_Uniforms(u), 1)
+    assert single == sets[index[0]] == frozenset(range(10))
+    assert single in listed
+
+
+_theta_weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=False)), min_size=1, max_size=8
+).filter(lambda w: sum(w) > 0)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    weights=_theta_weights,
+    last_zero=st.booleans(),
+    residual=st.one_of(
+        st.just(0.0), st.floats(1e-16, browsing_module._PROB_TOL), st.floats(0.01, 0.9)
+    ),
+)
+def test_line_equals_explicit_browsing_of_its_prefixes(weights, last_zero, residual):
+    if last_zero:
+        weights = weights + [0.0]
+    theta = np.array(weights) / sum(weights) * (1.0 - residual)
+    line = LineBrowsing(theta)
+    rest = max(0.0, 1.0 - float(theta.sum()))  # the line's residual, 0 when theta sums to 1
+    explicit = ExplicitBrowsing(
+        [(range(j + 1), float(p)) for j, p in enumerate(theta)] + [(frozenset(), rest)]
+    )
+    assert line.support() == explicit.support()
+    assert (line._cum == explicit._cum).all() and len(line._cum) == len(explicit._cum)
+    u = _edge_uniforms(line._cum)
+    sets, index = line.sample(_Uniforms(u), len(u))
+    explicit_sets, explicit_index = explicit.sample(_Uniforms(u), len(u))
+    assert sets == explicit_sets and np.array_equal(index, explicit_index)
+    listed = {s for s, _ in line.support()}
+    assert {sets[i] for i in np.unique(index)} <= listed

@@ -365,7 +365,7 @@ def test_malformed_instance_json_exits_2_naming_the_field(tmp_path, capsys):
     del data["products"][1]["id"]
     inst_path.write_text(json.dumps(data))
     assert run("solve", "--instance", str(inst_path), "--algorithm", "brute") == 2
-    assert "products must be a list of objects with an id and a price" in capsys.readouterr().err
+    assert "instance products entry lacks the 'id' field" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -414,7 +414,7 @@ def test_from_json_rejects_bad_payloads():
 
 
 _DELETE = object()
-_PRODUCTS = "products must be a list of objects with an id and a price"
+_PRODUCTS = "instance field 'products' must be a list of JSON objects"
 
 
 @pytest.mark.parametrize(
@@ -428,8 +428,8 @@ _PRODUCTS = "products must be a list of objects with an id and a price"
         (("products",), 5, _PRODUCTS),
         (("products",), {"0": {"id": 0, "price": 1.0}}, _PRODUCTS),
         (("products", 0), "x", _PRODUCTS),
-        (("products", 0, "id"), _DELETE, _PRODUCTS),
-        (("products", 0, "price"), _DELETE, _PRODUCTS),
+        (("products", 0, "id"), _DELETE, "instance products entry lacks the 'id' field"),
+        (("products", 0, "price"), _DELETE, "instance products entry lacks the 'price' field"),
         (("choice_model",), 5, "choice_model must be a JSON object, got int"),
         (("browsing",), [1], "browsing must be a JSON object, got list"),
     ],
