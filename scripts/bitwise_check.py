@@ -14,8 +14,11 @@ of the structured families (first-slot-only, uniform and heavy-tailed lines,
 a coverage mixture), holding ``[placement, w.hex()]`` of every solver that
 applies and one ``estimate_w`` with the generator's next draw. Browsing
 supports are not recorded, only what the solvers and the estimator make of
-them. The script exits 0 when every output matches, and 1 naming the first
-section and position that differ.
+them. A ``pair`` section holds one JSON line per seeded ``gen_random``
+instance of every choice x browsing family pair: its pair-objective table,
+``pair_objective_values``, as ``.hex()`` strings. The script exits 0 when
+every output matches, and 1 naming the first section and position that
+differ.
 """
 
 from __future__ import annotations
@@ -87,10 +90,27 @@ def structured() -> list[str]:
     return out
 
 
+def pair() -> list[str]:
+    """One JSON line per ``gen_random`` instance of each of the 16 choice x
+    browsing family pairs, at seeds 0 and 1 (n, m = 3, 4 and 2, 6): the
+    ``.hex()`` of every entry of its pair-objective table."""
+    import placement_opt as po
+
+    out = []
+    for model in ("mnl", "mmnl", "markov", "ranked"):
+        for browsing in ("line", "explicit", "singleton", "full"):
+            for seed, (n, m) in enumerate(((3, 4), (2, 6))):
+                inst = po.gen_random(n, m, model=model, browsing=browsing, seed=seed)
+                label = f"gen_random({n}, {m}, model={model!r}, browsing={browsing!r}, seed={seed})"
+                table = [w.hex() for w in po.pair_objective_values(inst).tolist()]
+                out.append(json.dumps({"instance": label, "pair": table}))
+    return out
+
+
 def emit(tree: str) -> None:
     """Print one JSON object: workload name -> the normalized outputs of its
-    seed-1 pool, and ``structured`` -> ``structured()``, run on the library
-    under ``tree/src``."""
+    seed-1 pool, ``structured`` -> ``structured()`` and ``pair`` ->
+    ``pair()``, run on the library under ``tree/src``."""
     import placement_opt
     from workloads import WORKLOADS
 
@@ -105,6 +125,7 @@ def emit(tree: str) -> None:
             for item in workload.build_pool()
         ]
     outputs["structured"] = structured()
+    outputs["pair"] = pair()
     print(json.dumps(outputs))
 
 
@@ -149,8 +170,9 @@ def main(argv=None) -> int:
         bench = trees["change"] / "bench"
         base, change = (side_outputs(tree, bench) for tree in trees.values())
     where = first_difference(base, change)
-    pools = ", ".join(f"{name} {len(out)}" for name, out in change.items() if name != "structured")
-    counts = f"{pools} ops; structured {len(change['structured'])} instances"
+    sections = ("structured", "pair")
+    pools = ", ".join(f"{name} {len(out)}" for name, out in change.items() if name not in sections)
+    counts = f"{pools} ops; structured {len(change['structured'])} instances; pair {len(change['pair'])} tables"
     if where:
         print(f"{labels['base']} vs {labels['change']}: {where}")
         return 1

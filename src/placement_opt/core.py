@@ -65,11 +65,20 @@ def _field(spec: Mapping, key: str, where: str, listed: bool = False):
 
 
 def _entries(spec: Mapping, key: str, where: str, *fields: str, lists=()) -> list[tuple]:
-    """The ``fields`` of each JSON object in the list ``spec[key]``, those
-    named in ``lists`` read as lists."""
+    """The ``fields`` of each JSON object in the list ``spec[key]``, those named
+    in ``lists`` read as lists; ``_field`` reads a faulty list again, to name it."""
     value = _field(spec, key, where)
-    if not isinstance(value, (list, tuple)) or not all(isinstance(e, Mapping) for e in value):
+    if not isinstance(value, (list, tuple)) or not all(
+        type(e) is dict or isinstance(e, Mapping) for e in value
+    ):
         raise ValueError(f"{where} field {key!r} must be a list of JSON objects")
+    listed = [t for t, f in enumerate(fields) if f in lists]
+    try:  # one e[f] per field
+        rows = [tuple([e[f] for f in fields]) for e in value]
+        if all(isinstance(row[t], (list, tuple)) for t in listed for row in rows):
+            return rows
+    except KeyError:
+        pass
     entry = f"{where} {key} entry"
     return [tuple([_field(e, f, entry, f in lists) for f in fields]) for e in value]
 

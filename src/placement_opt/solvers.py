@@ -64,11 +64,13 @@ class SolveReport:
 class WEvaluator:
     """Exact expected-revenue evaluation with per-instance memoization.
 
-    Assortment revenues are cached by the frozenset of catalog ids offered
-    (visited sets repeat assortments heavily); placement values are summed
-    afresh on every call: ``value`` scores one placement, ``values`` a block
-    of full placements with one pass over the support, bitwise as ``value``
-    scores each. Empty-slot sentinels contribute nothing to revenue.
+    The browsing support is compiled once: ``support`` as (sorted location
+    tuple, probability) pairs, ``probs`` ``(S,)`` and ``visits`` ``(S, m)``
+    boolean. Assortment revenues are cached by the frozenset of catalog ids
+    offered (visited sets repeat assortments heavily); placement values are
+    summed afresh on every call: ``value`` scores one placement, and
+    ``support_sum`` every row of a block (``values``, the pair objective),
+    bitwise as ``value`` would. Empty-slot sentinels add no revenue.
     Keys are frozensets, not integer bitmasks: a frozenset costs time linear
     in the assortment, a bitmask time linear in the catalog, and
     ``gen_heavy_tail_line(256)`` has about 33k products (bitmask keys took
@@ -77,16 +79,13 @@ class WEvaluator:
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self._support = tuple(
-            (tuple(sorted(s)), p) for s, p in instance.browsing.support()
-        )
+        self.support = tuple((tuple(sorted(s)), p) for s, p in instance.browsing.support())
+        self.probs = np.array([p for _, p in self.support])
+        self.visits = np.zeros((len(self.support), instance.m), dtype=bool)
+        for s, (locations, _) in enumerate(self.support):
+            self.visits[s, list(locations)] = True
         self._revenues: dict[frozenset[int], float] = {}
         self._slot_ids = frozenset(range(instance.n)) | {EMPTY_SLOT}
-
-    @property
-    def support(self) -> tuple[tuple[tuple[int, ...], float], ...]:
-        """Browsing support as (sorted location tuple, probability) pairs."""
-        return self._support
 
     def revenue(self, ids: Iterable[int]) -> float:
         """Expected revenue of an assortment, ignoring empty-slot sentinels;
@@ -118,7 +117,7 @@ class WEvaluator:
             _ids(filterfalse(self._slot_ids.__contains__, slots), n, "placement")  # raises
         revenues = self._revenues
         total = 0.0
-        for locations, prob in self._support:
+        for locations, prob in self.support:
             offered = frozenset([slots[j] for j in locations])
             rev = revenues.get(offered)
             if rev is None:
@@ -131,11 +130,8 @@ class WEvaluator:
         of catalog ids: entry d equals ``value(placements[d])`` bitwise.
 
         Any other shape raises ValueError, as does an id that fails
-        ``core._ids``, ``EMPTY_SLOT`` included. Per support set, the rows'
-        offered sets are keyed by their packed membership over the block's
-        distinct products, each distinct key's revenue is read once (a miss
-        goes through ``revenue``), and ``P(L) * R`` is added to every row's
-        total in support order: the additions ``value`` makes.
+        ``core._ids``, ``EMPTY_SLOT`` included. Each row's offered sets are
+        summed by ``support_sum`` over the block's distinct products.
         """
         m = self.instance.m
         placed = placements
@@ -146,23 +142,35 @@ class WEvaluator:
         placed = _ids(placed, self.instance.n, "placement")
         products, ranks = np.unique(placed, return_inverse=True)
         ranks = ranks.reshape(placed.shape)
-        products = products.tolist()
         rows = np.arange(len(placed))[:, None]
-        revenues = self._revenues
-        total = np.zeros(len(placed))
-        for locations, prob in self._support:
-            member = np.zeros((len(placed), len(products)), dtype=bool)
-            member[rows, ranks[:, list(locations)]] = True
+
+        def member(visited: np.ndarray) -> np.ndarray:
+            held = np.zeros((len(placed), len(products)), dtype=bool)
+            held[rows, ranks[:, visited]] = True
+            return held
+
+        return self.support_sum(map(member, self.visits), products.tolist())
+
+    def support_sum(self, members: Iterable[np.ndarray], products: Sequence[int]) -> np.ndarray:
+        """``sum_L P(L) * R(offered)`` per row: ``members`` yields, for each
+        support set in order, a ``(D, len(products))`` boolean array marking
+        the ``products`` each row offers there. Each row's offered set is keyed
+        by its packed membership, each distinct key's revenue read once through
+        ``lookup``, and ``P(L) * R`` added in support order, as ``value`` adds."""
+        total = 0.0
+        for prob, member in zip(self.probs, members):
             keys = np.packbits(member, axis=1)
             keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            revs = []
-            for held in member[first].tolist():
-                offered = frozenset(compress(products, held))
-                rev = revenues.get(offered)
-                revs.append(self.revenue(offered) if rev is None else rev)
-            total = total + prob * np.array(revs)[inverse]
+            revs = self.lookup([frozenset(compress(products, held)) for held in member[first].tolist()])
+            total = total + prob * revs[inverse]
         return total
+
+    def lookup(self, offered: Iterable[frozenset[int]]) -> np.ndarray:
+        """Revenues of offered sets (frozensets of catalog ids) as an array: cached
+        ones read directly, without ``revenue``'s id check, each miss through it."""
+        get = self._revenues.get
+        return np.array([self.revenue(s) if (r := get(s)) is None else r for s in offered])
 
 
 def evaluate_exact(instance: Instance, slots: Sequence[int]) -> float:
@@ -342,36 +350,29 @@ def _partition_greedy(
     repeat them: the state finishes at once, each greedy's first candidate
     filling all its empty locations.
 
-    Candidates must be catalog ids: ``row`` reads cached revenues without
-    the evaluator's id check, and both callers pass ids already checked.
+    Candidates must be catalog ids: rows are read by ``WEvaluator.lookup``,
+    without its id check, and both callers pass ids already checked.
     """
     m = instance.m
     ev = WEvaluator(instance)
-    support = ev.support
     cands = [list(c) for c in candidate_lists]
     union = list(dict.fromkeys(i for c in cands for i in c))
     column = {i: q for q, i in enumerate(union, 1)}  # column 0 holds R(X(L))
     scans = [[column[i] for i in c] for c in cands]  # each greedy's columns, in its order
-    probs = np.array([p for _, p in support])[:, None, None]
-    visits = np.zeros((len(support), m), dtype=bool)
-    for s, (locations, _) in enumerate(support):
-        visits[s, list(locations)] = True
+    probs, visits = ev.probs[:, None, None], ev.visits
     containing = [np.flatnonzero(visits[:, j]).tolist() for j in range(m)]
     rows: dict[frozenset[int], np.ndarray] = {}
-    revenues = ev._revenues  # hits are read directly, as in ``ev.value``
 
     def row(offered: frozenset[int]) -> np.ndarray:
         r = rows.get(offered)
         if r is None:
-            sets = [offered] + [offered | {c} for c in union]
-            r = [revenues[s] if s in revenues else ev.revenue(s) for s in sets]
-            r = rows[offered] = np.array(r)
+            r = rows[offered] = ev.lookup([offered] + [offered | {c} for c in union])
         return r
 
     # a state is its list of greedies and lives in the entries of the first:
     # table[:, g] is the support x (1 + union) table of the state greedy g leads
-    table = np.tile(row(frozenset()), (len(support), len(cands), 1))
-    offered = [[frozenset()] * len(support) for _ in cands]
+    table = np.tile(row(frozenset()), (len(visits), len(cands), 1))
+    offered = [[frozenset()] * len(visits) for _ in cands]
     slots = [[EMPTY_SLOT] * m for _ in cands]
     current = np.zeros(len(cands))
     states = [list(range(len(cands)))]
@@ -457,20 +458,10 @@ def pair_objective_values(instance: Instance) -> np.ndarray:
     if n * m > PAIR_LATTICE_GUARD:
         raise SizeGuardError(f"pair lattice has 2^{n * m} subsets, guard is 2^{PAIR_LATTICE_GUARD}")
     ev = WEvaluator(instance)
-    support = ev.support
-    values = np.empty(2 ** (n * m))
-    for mask in range(values.size):
-        per_location = [
-            [i for i in range(n) if mask >> (i * m + j) & 1] for j in range(m)
-        ]
-        total = 0.0
-        for locations, prob in support:
-            offered = set()
-            for j in locations:
-                offered.update(per_location[j])
-            total += prob * ev.revenue(offered)
-        values[mask] = total
-    return values
+    masks = np.arange(2 ** (n * m), dtype="<u4").view(np.uint8).reshape(-1, 4)
+    # bits[mask, i, j]: bit i*m + j of mask, unpacked from its little-endian bytes
+    bits = np.unpackbits(masks, axis=1, bitorder="little")[:, : n * m].reshape(-1, n, m)
+    return ev.support_sum((bits[:, :, visited].any(axis=2) for visited in ev.visits), range(n))
 
 
 def _lattice_violations(

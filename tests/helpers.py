@@ -206,6 +206,29 @@ def reference_brute_placement(instance: Instance):
     return best, best_w
 
 
+def reference_pair_objective_values(instance: Instance) -> np.ndarray:
+    """The pair objective with one loop per subset of product-location pairs.
+
+    The loop the library's pair objective must match bit for bit: for every
+    mask in increasing order, the products each location holds (pair (i, j)
+    is bit i*m + j), then ``sum_L P(L) * R(offered)`` added in support order
+    from ``0.0``, each revenue from ``ev.revenue``.
+    """
+    n, m = instance.n, instance.m
+    ev = WEvaluator(instance)
+    values = np.empty(2 ** (n * m))
+    for mask in range(values.size):
+        per_location = [[i for i in range(n) if mask >> (i * m + j) & 1] for j in range(m)]
+        total = 0.0
+        for locations, prob in ev.support:
+            offered = set()
+            for j in locations:
+                offered.update(per_location[j])
+            total += prob * ev.revenue(offered)
+        values[mask] = total
+    return values
+
+
 def reference_estimate_w(instance: Instance, slots, plan, rng):
     """Sample-average revenue with one browsing draw per sample.
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bitwise_check.py"
@@ -68,3 +69,17 @@ def test_structured_section_covers_every_family_and_repeats_itself():
     # every instance records randomized's W as exact hex, and an estimate with the next draw
     for r in records:
         assert float.fromhex(r["randomized"][1]) >= 0.0 and len(r["estimate"]) == 2
+
+
+def test_pair_section_covers_every_family_pair_and_repeats_itself():
+    first = bitwise_check.pair()
+    assert first == bitwise_check.pair()
+    records = [json.loads(line) for line in first]
+    pairs = [re.search(r"model='(\w+)', browsing='(\w+)'", r["instance"]).groups() for r in records]
+    models, browsings = ("mnl", "mmnl", "markov", "ranked"), ("line", "explicit", "singleton", "full")
+    assert sorted(set(pairs)) == sorted((a, b) for a in models for b in browsings)
+    assert len(records) == 32 and len(set(r["instance"] for r in records)) == 32
+    for r in records:  # every entry of a table of at most 2**12 subsets, as exact hex
+        n, m = map(int, re.match(r"gen_random\((\d+), (\d+)", r["instance"]).groups())
+        assert n * m <= 12 and len(r["pair"]) == 2 ** (n * m)
+        assert all(float.fromhex(w) >= 0.0 for w in r["pair"])

@@ -43,6 +43,7 @@ from placement_opt import (
     pair_objective_values,
     randomized_placement,
     sample_average_placement,
+    singleton_uniform,
     uniform_price_matroid_greedy,
 )
 from placement_opt import solvers
@@ -53,6 +54,7 @@ from helpers import (
     reference_best_of_many,
     reference_brute_placement,
     reference_markov_greedy,
+    reference_pair_objective_values,
     reference_partition_greedy,
     reference_randomized,
     twin_optimum,
@@ -89,6 +91,25 @@ def test_line_value_is_prefix_weighted_sum():
         for j in range(3)
     )
     assert evaluate_exact(inst, slots) == pytest.approx(manual, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "browsing",
+    [
+        LineBrowsing([0.5, 0.25, 0.25]),
+        LineBrowsing([0.25, 0.0, 0.5]),  # residual 0.25, a zero-mass prefix
+        ExplicitBrowsing([([2, 0], 0.3), ([], 0.2), ([1], 0.5)]),
+        singleton_uniform(3),
+        full_support(3),
+    ],
+    ids=["line", "line-residual", "explicit", "singleton", "full"],
+)
+def test_evaluator_compiles_the_support_it_lists(browsing):
+    ev = WEvaluator(Instance([1.0, 2.0], MnlModel([1.0, 1.0]), 3, browsing))
+    support = browsing.support()
+    assert ev.probs.tolist() == [p for _, p in support]
+    assert ev.visits.dtype == bool and ev.visits.shape == (len(support), 3)
+    assert [frozenset(np.flatnonzero(v).tolist()) for v in ev.visits] == [s for s, _ in support]
 
 
 def test_value_with_sentinels_caches_only_catalog_sets():
@@ -988,6 +1009,33 @@ def test_adding_priciest_product_never_hurts():
 def test_pair_objective_monotone_submodular_with_uniform_prices():
     inst = gen_random(3, 2, model="mnl", price_range=(1.0, 1.0), browsing="explicit", seed=8)
     assert check_pair_objective_properties(inst) == []
+
+
+def _pair_cases():
+    """(id, instance): every family x browsing family at one small n*m and
+    at n*m = 12, MNL with zero weights, and an explicit support listing the
+    empty set."""
+    cases = []
+    small, full = [(1, 3), (2, 2), (3, 1), (2, 3)], [(3, 4), (4, 3), (2, 6), (6, 2), (1, 12), (12, 1)]
+    for t, (model, browsing) in enumerate(
+        iter_product(("mnl", "mmnl", "markov", "ranked"), ("line", "explicit", "singleton", "full"))
+    ):
+        for n, m in (small[t % 4], full[t % 6]):
+            inst = gen_random(n, m, model=model, browsing=browsing, seed=t)
+            cases.append(pytest.param(inst, id=f"{model}-{browsing}-{n}x{m}"))
+    for weights in ([0.0, 1.0, 0.0, 0.5], [0.0] * 4):
+        inst = Instance([2.0, 3.0, 5.0, 5.0], MnlModel(weights), 3, LineBrowsing([0.5, 0.0, 0.25]))
+        cases.append(pytest.param(inst, id=f"zero-weights-{weights}"))
+    empty = ExplicitBrowsing([([], 0.25), ([0, 2], 0.5), ([1], 0.25)])
+    inst = gen_random(4, 3, model="markov", browsing="explicit", seed=5)
+    cases.append(pytest.param(Instance(inst.prices, inst.choice_model, 3, empty), id="empty-set"))
+    return cases
+
+
+@pytest.mark.parametrize("inst", _pair_cases())
+def test_pair_objective_equals_the_reference_loop_bitwise(inst):
+    want = [w.hex() for w in reference_pair_objective_values(inst).tolist()]
+    assert [w.hex() for w in pair_objective_values(inst).tolist()] == want
 
 
 def test_pair_objective_guard():
