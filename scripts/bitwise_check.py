@@ -16,14 +16,17 @@ applies and one ``estimate_w`` with the generator's next draw. Browsing
 supports are not recorded, only what the solvers and the estimator make of
 them. A ``pair`` section holds one JSON line per seeded ``gen_random``
 instance of every choice x browsing family pair: its pair-objective table,
-``pair_objective_values``, as ``.hex()`` strings. The script exits 0 when
-every output matches, and 1 naming the first section and position that
+``pair_objective_values``, as ``.hex()`` strings. A ``lattice`` section
+holds the count and sha256 of the violations each lattice check reports on
+seeded ``gen_random`` instances with distinct prices. The script exits 0
+when every output matches, and 1 naming the first section and position that
 differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -107,10 +110,36 @@ def pair() -> list[str]:
     return out
 
 
+def lattice() -> list[str]:
+    """Two JSON lines for each of the 16 choice x browsing family pairs at
+    seeds 0 and 1, on ``gen_random`` instances with distinct prices: the
+    count and sha256 of the violations ``check_pair_objective_properties``
+    reports at (n, m) = (2, 4), and of those
+    ``check_restricted_revenue_properties`` reports on all six products at
+    (6, 2)."""
+    import placement_opt as po
+
+    checks = {
+        (2, 4): po.check_pair_objective_properties,
+        (6, 2): lambda inst: po.check_restricted_revenue_properties(inst, range(6)),
+    }
+    out = []
+    for model in ("mnl", "mmnl", "markov", "ranked"):
+        for browsing in ("line", "explicit", "singleton", "full"):
+            for seed in (0, 1):
+                for (n, m), check in checks.items():
+                    inst = po.gen_random(n, m, model=model, browsing=browsing, seed=seed)
+                    label = f"gen_random({n}, {m}, model={model!r}, browsing={browsing!r}, seed={seed})"
+                    found = check(inst)
+                    digest = hashlib.sha256("\n".join(found).encode()).hexdigest()
+                    out.append(json.dumps({"instance": label, "lattice": [len(found), digest]}))
+    return out
+
+
 def emit(tree: str) -> None:
     """Print one JSON object: workload name -> the normalized outputs of its
-    seed-1 pool, ``structured`` -> ``structured()`` and ``pair`` ->
-    ``pair()``, run on the library under ``tree/src``."""
+    seed-1 pool, and ``structured``, ``pair`` and ``lattice`` -> those
+    sections, run on the library under ``tree/src``."""
     import placement_opt
     from workloads import WORKLOADS
 
@@ -126,6 +155,7 @@ def emit(tree: str) -> None:
         ]
     outputs["structured"] = structured()
     outputs["pair"] = pair()
+    outputs["lattice"] = lattice()
     print(json.dumps(outputs))
 
 
@@ -170,9 +200,12 @@ def main(argv=None) -> int:
         bench = trees["change"] / "bench"
         base, change = (side_outputs(tree, bench) for tree in trees.values())
     where = first_difference(base, change)
-    sections = ("structured", "pair")
+    sections = ("structured", "pair", "lattice")
     pools = ", ".join(f"{name} {len(out)}" for name, out in change.items() if name not in sections)
-    counts = f"{pools} ops; structured {len(change['structured'])} instances; pair {len(change['pair'])} tables"
+    counts = (
+        f"{pools} ops; structured {len(change['structured'])} instances; "
+        f"pair {len(change['pair'])} tables; lattice {len(change['lattice'])} checks"
+    )
     if where:
         print(f"{labels['base']} vs {labels['change']}: {where}")
         return 1

@@ -7,11 +7,9 @@ instance parse failure, 3 brute-force size guard exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -134,6 +132,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # imported here, the one verb that needs them: about 7 ms of every start
+    import csv
+    from concurrent.futures import ThreadPoolExecutor
+
     instance = _load_instance(args.instance)
     names = sorted(set(args.algorithms.split(",")))
     for name in names:

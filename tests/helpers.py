@@ -229,6 +229,36 @@ def reference_pair_objective_values(instance: Instance) -> np.ndarray:
     return values
 
 
+def reference_lattice_violations(values, names, tol: float) -> list[str]:
+    """Monotonicity and submodularity violations by walking every chain.
+
+    For every mask V in increasing order: each element e outside V whose
+    addition loses more than ``tol``, then every U within V from V down, with
+    each e outside V whose gain at U falls short of its gain at V by more
+    than ``tol``. The order and strings the library's checker must match.
+    """
+    size = len(names)
+    violations: list[str] = []
+    for v_mask in range(2**size):
+        outside = [e for e in range(size) if not v_mask >> e & 1]
+        for e in outside:
+            if values[v_mask | 1 << e] < values[v_mask] - tol:
+                violations.append(f"monotonicity: mask {v_mask} + {names[e]}")
+        u_mask = v_mask
+        while True:
+            for e in outside:
+                gain_small = values[u_mask | 1 << e] - values[u_mask]
+                gain_large = values[v_mask | 1 << e] - values[v_mask]
+                if gain_small < gain_large - tol:
+                    violations.append(
+                        f"submodularity: U {u_mask} within V {v_mask}, {names[e]}"
+                    )
+            if u_mask == 0:
+                break
+            u_mask = (u_mask - 1) & v_mask
+    return violations
+
+
 def reference_estimate_w(instance: Instance, slots, plan, rng):
     """Sample-average revenue with one browsing draw per sample.
 

@@ -1,8 +1,10 @@
 """Normalization and diff report of ``scripts/bitwise_check.py`` on hand-made outputs."""
 
+import hashlib
 import importlib.util
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bitwise_check.py"
@@ -83,3 +85,20 @@ def test_pair_section_covers_every_family_pair_and_repeats_itself():
         n, m = map(int, re.match(r"gen_random\((\d+), (\d+)", r["instance"]).groups())
         assert n * m <= 12 and len(r["pair"]) == 2 ** (n * m)
         assert all(float.fromhex(w) >= 0.0 for w in r["pair"])
+
+
+def test_lattice_section_covers_every_family_pair_and_repeats_itself():
+    first = bitwise_check.lattice()
+    assert first == bitwise_check.lattice()
+    records = [json.loads(line) for line in first]
+    pairs = [re.search(r"model='(\w+)', browsing='(\w+)'", r["instance"]).groups() for r in records]
+    models, browsings = ("mnl", "mmnl", "markov", "ranked"), ("line", "explicit", "singleton", "full")
+    assert sorted(set(pairs)) == sorted((a, b) for a in models for b in browsings)
+    assert len(records) == 64 and len(set(r["instance"] for r in records)) == 64
+    shapes = Counter(re.match(r"gen_random\((\d+, \d+)", r["instance"]).group(1) for r in records)
+    assert shapes == {"2, 4": 32, "6, 2": 32}
+    for r in records:  # a count and the sha256 of the descriptions, which no count of 0 has
+        count, digest = r["lattice"]
+        assert re.fullmatch(r"[0-9a-f]{64}", digest)
+        assert (count == 0) == (digest == hashlib.sha256(b"").hexdigest())
+    assert any(r["lattice"][0] > 1000 for r in records)  # violation-heavy tables are covered

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from placement_opt import cli, evaluate_exact, from_json, gen_random, to_json
+from placement_opt import cli, evaluate_exact, from_json, gen_random, solvers, to_json
 from placement_opt.cli import ALGORITHMS, GENERATORS, ORACLES, main
+from placement_opt.instances import BROWSING_FAMILIES, MODEL_FAMILIES
+
+from helpers import reference_lattice_violations
 
 
 def run(*argv):
@@ -191,6 +194,20 @@ def test_parser_reused_after_a_bad_flag_matches_a_fresh_process(tmp_path):
     cmd = [sys.executable, "-m", "placement_opt.cli", *argv, str(fresh)]
     assert subprocess.run(cmd, env=env, timeout=120).returncode == 0
     assert _without_ms(here) == _without_ms(fresh)
+
+
+def test_importing_the_cli_leaves_the_pool_and_csv_unloaded():
+    # only compare uses the thread pool and --csv, so a fresh process that
+    # imports the CLI loads neither
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = (
+        "import sys, placement_opt.cli; "
+        "print(sorted({'csv', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_solve_randomized_is_reproducible(tmp_path):
@@ -466,6 +483,25 @@ def test_verify_reports_each_failed_check(tmp_path, capsys, monkeypatch, name, r
     assert run("verify", "--instance", str(inst_path)) == 1
     out = capsys.readouterr().out
     assert line in out and "OK" not in out
+
+
+@pytest.mark.parametrize("model", MODEL_FAMILIES)
+@pytest.mark.parametrize("browsing", BROWSING_FAMILIES)
+def test_verify_prints_what_it_printed_with_the_chain_walk(
+    tmp_path, capsys, monkeypatch, model, browsing
+):
+    # identical prices and n m <= 8: verify runs the pair check, and the
+    # chain walk it replaced stays fast enough to run beside it
+    for n, m in ((2, 4), (4, 2)):
+        inst = gen_random(n, m, model=model, price_range=(1.0, 1.0), browsing=browsing, seed=n)
+        inst_path = tmp_path / f"inst-{n}.json"
+        inst_path.write_text(to_json(inst))
+        code = run("verify", "--instance", str(inst_path))
+        out = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_lattice_violations", reference_lattice_violations)
+            assert run("verify", "--instance", str(inst_path)) == code
+        assert capsys.readouterr().out == out
 
 
 def test_solve_without_output_prints_the_report(tmp_path, capsys):

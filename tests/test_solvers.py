@@ -53,6 +53,7 @@ from placement_opt.oracle import GreedyUniformOracle, exact_oracle
 from helpers import (
     reference_best_of_many,
     reference_brute_placement,
+    reference_lattice_violations,
     reference_markov_greedy,
     reference_pair_objective_values,
     reference_partition_greedy,
@@ -1179,6 +1180,56 @@ def test_lattice_walker_flags_non_monotone_table():
         "monotonicity: mask 1 + b",
         "monotonicity: mask 2 + a",
     ]
+
+
+@st.composite
+def _lattice_table(draw):
+    """(values, names): a set function on 0-8 elements, as one of random
+    floats, multiples of 1e-9 (gains at and next to the tolerance), floats
+    with NaN entries, or |S|^2 plus noise (a gain at every chain grows)."""
+    size = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["random", "grid", "nan", "heavy"]))
+    entries = {
+        "random": st.floats(-1.0, 1.0),
+        "grid": st.integers(0, 3).map(lambda k: k * 1e-9),
+        "nan": st.one_of(st.floats(0.0, 1.0), st.just(float("nan"))),
+        "heavy": st.floats(0.0, 0.5),
+    }[kind]
+    values = draw(st.lists(entries, min_size=2**size, max_size=2**size))
+    if kind == "heavy":
+        values = [mask.bit_count() ** 2 + x for mask, x in enumerate(values)]
+    return values, [f"e{e}" for e in range(size)]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(table=_lattice_table(), tol=st.sampled_from([0.0, 1e-9]))
+def test_lattice_violations_equal_the_chain_walk_property(table, tol):
+    values, names = table
+    expected = reference_lattice_violations(values, names, tol)
+    assert _lattice_violations(values, names, tol) == expected
+    assert _lattice_violations(np.array(values), names, tol) == expected
+
+
+class _CountedTable(list):
+    """A set-function table that counts the entries read one at a time."""
+
+    reads = 0
+
+    def __getitem__(self, mask):
+        self.reads += 1
+        return super().__getitem__(mask)
+
+
+def test_lattice_violations_walk_only_violating_chains():
+    # sqrt(|S|) on 12 elements is monotone and submodular: no chain is walked
+    table = _CountedTable(mask.bit_count() ** 0.5 for mask in range(2**12))
+    assert _lattice_violations(table, [str(e) for e in range(12)], 1e-9) == []
+    assert table.reads == 0
+    # f = 1 on {a, b} only: ({a}, b) and ({b}, a) violate, so two walks of
+    # two U each, four reads per U
+    table = _CountedTable([0.0, 0.0, 0.0, 1.0])
+    assert len(_lattice_violations(table, ["a", "b"], 1e-9)) == 2
+    assert table.reads == 16
 
 
 def test_restricted_revenue_properties_hold_on_oracle_assortments():
